@@ -295,37 +295,13 @@ def delta(p: Problem, y, sigma, prof: ArcProfile | None = None, *, tol_z: float 
     return d
 
 
-def _profile_slope_rows(p: Problem, prof: ArcProfile, positions, relaxed: bool):
-    """Rows (traversal order) of the maximizer-slope matrix -K_r'(z_k - y_r)."""
-    z = prof.z_trav
-    n = p.n
-    rows = np.empty((n + 1, n), dtype=float)
-    for r in range(1, n + 1):
-        k = p.kernels[r]
-        argd = z - positions[r]
-        if relaxed:
-            d = 0.5 * (np.asarray(k.deriv(argd, "left")) + np.asarray(k.deriv(argd, "right")))
-        else:
-            d = np.asarray(k.deriv(argd, "right"))
-        rows[:, r - 1] = -d
-    return rows
+def _slope_rows(p: Problem, y, sigma, prof, relaxed: bool, tol_z: float):
+    """Rows (traversal order) of the maximizer-slope matrix -K_r'(z_k - y_r).
 
-
-def jacobian_m(
-    p: Problem,
-    y,
-    sigma,
-    prof: ArcProfile | None = None,
-    *,
-    relaxed: bool = False,
-    tol_z: float = TOL_Z,
-):
-    """Sensitivity of the arc maxima to the free nodes: (n+1) x n, by arc index.
-
-    Entry (j, r-1) is -K_r'(z_j - y_r), valid when every kernel is C1 and all
-    maximizers are strictly interior to their arcs.  relaxed=True drops the
-    preconditions and uses midpoint slopes at kinks; entries may be nan when
-    a maximizer collides with a singular node.
+    The slope formula holds when every kernel is C1 and every maximizer is
+    strictly inside its arc; relaxed=True skips that check and takes midpoint
+    slopes at kinks, so entries may be nan when a maximizer collides with a
+    singular node.  Returns (rows, profile).
     """
     ns = as_node_system(y)
     sig = as_permutation(sigma, ns.n)
@@ -341,7 +317,34 @@ def jacobian_m(
             raise JacobianUnavailableError(
                 "a maximizer sits on an arc boundary; the slope formula fails there"
             )
-    rows_trav = _profile_slope_rows(p, prof, ns.full_positions(), relaxed)
+    positions = ns.full_positions()
+    z = prof.z_trav
+    rows = np.empty((p.n + 1, p.n), dtype=float)
+    for r in range(1, p.n + 1):
+        k = p.kernels[r]
+        argd = z - positions[r]
+        if relaxed:
+            d = 0.5 * (np.asarray(k.deriv(argd, "left")) + np.asarray(k.deriv(argd, "right")))
+        else:
+            d = np.asarray(k.deriv(argd, "right"))
+        rows[:, r - 1] = -d
+    return rows, prof
+
+
+def jacobian_m(
+    p: Problem,
+    y,
+    sigma,
+    prof: ArcProfile | None = None,
+    *,
+    relaxed: bool = False,
+    tol_z: float = TOL_Z,
+):
+    """Sensitivity of the arc maxima to the free nodes: (n+1) x n, by arc index.
+
+    Entry (j, r-1) is -K_r'(z_j - y_r); see _slope_rows for when it holds.
+    """
+    rows_trav, prof = _slope_rows(p, y, sigma, prof, relaxed, tol_z)
     out = np.empty_like(rows_trav)
     out[list(prof.labels), :] = rows_trav
     return out
@@ -357,19 +360,5 @@ def jacobian_delta(
     tol_z: float = TOL_Z,
 ):
     """Jacobian of the traversal difference vector, n x n."""
-    ns = as_node_system(y)
-    sig = as_permutation(sigma, ns.n)
-    if prof is None:
-        prof = profile(p, ns, sig, tol_z=tol_z)
-    if not relaxed:
-        for k in p.kernels:
-            if not k.classify().c1:
-                raise CapabilityError(
-                    f"jacobian slope formula needs C1 kernels; {k.family} is not"
-                )
-        if bool(np.any(prof.z_on_boundary_trav)):
-            raise JacobianUnavailableError(
-                "a maximizer sits on an arc boundary; the slope formula fails there"
-            )
-    rows_trav = _profile_slope_rows(p, prof, ns.full_positions(), relaxed)
+    rows_trav, _ = _slope_rows(p, y, sigma, prof, relaxed, tol_z)
     return rows_trav[1:, :] - rows_trav[:-1, :]

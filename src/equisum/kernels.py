@@ -41,7 +41,7 @@ class KernelClass:
     cond_inf_prime_minus slope blows down to -inf approaching 2*pi
     cond_inf_prime_plus  slope blows up to +inf leaving 0
     cond_inf_prime       at least one of the two blow-ups
-    c1 / c2              continuously differentiable (once / twice) on (0, 2*pi)
+    c1                   continuously differentiable on (0, 2*pi)
     strictly_concave     strictly concave on (0, 2*pi)
     even_symmetric       K(2*pi - t) == K(t)
     """
@@ -52,7 +52,6 @@ class KernelClass:
     cond_inf_prime_plus: bool
     cond_inf_prime: bool
     c1: bool
-    c2: bool
     strictly_concave: bool
     even_symmetric: bool
 
@@ -64,7 +63,6 @@ def make_class(
     cond_inf_prime_minus=False,
     cond_inf_prime_plus=False,
     c1,
-    c2,
     strictly_concave,
     even_symmetric,
 ) -> KernelClass:
@@ -80,14 +78,13 @@ def make_class(
         cond_inf_prime_plus=plus,
         cond_inf_prime=minus or plus,
         c1=bool(c1),
-        c2=bool(c2),
         strictly_concave=bool(strictly_concave),
         even_symmetric=bool(even_symmetric),
     )
 
 
 class Kernel:
-    """Base class.  Subclasses implement value/deriv/second_deriv/classify."""
+    """Base class.  Subclasses implement value/deriv/classify/spec."""
 
     family = "abstract"
 
@@ -97,20 +94,11 @@ class Kernel:
     def deriv(self, t, side="right"):
         raise NotImplementedError
 
-    def second_deriv(self, t):
-        raise CapabilityError(f"{self.family} kernel is not C2 on (0, 2*pi)")
-
     def classify(self) -> KernelClass:
         raise NotImplementedError
 
     def spec(self) -> dict:
         raise NotImplementedError
-
-    # convenience used by solvers at kink points
-    def mid_slope(self, t):
-        lo = self.deriv(t, "left")
-        hi = self.deriv(t, "right")
-        return 0.5 * (np.asarray(lo) + np.asarray(hi)) if np.ndim(t) else 0.5 * (lo + hi)
 
     def __repr__(self):
         return f"<kernel {self.spec()!r}>"
@@ -140,16 +128,9 @@ class LogSine(Kernel):
         d = np.where(tt == 0.0, INF if side == "right" else -INF, d)
         return _out(d, t)
 
-    def second_deriv(self, t):
-        tt = np.asarray(reduce_angle(t), dtype=float)
-        with np.errstate(divide="ignore"):
-            s = np.sin(tt / 2.0)
-            d2 = -0.25 / (s * s)
-        return _out(d2, t)
-
     def classify(self):
         return make_class(
-            finite_at_zero=False, cond_inf=True, c1=True, c2=True,
+            finite_at_zero=False, cond_inf=True, c1=True,
             strictly_concave=True, even_symmetric=True,
         )
 
@@ -188,20 +169,9 @@ class Riesz(Kernel):
         d = np.where(np.isposinf(d) & (np.cos(tt / 2.0) < 0), -INF, d)
         return _out(d, t)
 
-    def second_deriv(self, t):
-        tt = np.asarray(reduce_angle(t), dtype=float)
-        s = 2.0 * np.sin(tt / 2.0)
-        c = np.cos(tt / 2.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            d2 = -self.p * np.power(s, -self.p - 2.0) * (
-                (self.p + 1.0) * c * c + np.sin(tt / 2.0) ** 2
-            )
-        d2 = np.where(np.isfinite(d2), d2, -INF)
-        return _out(d2, t)
-
     def classify(self):
         return make_class(
-            finite_at_zero=False, cond_inf=True, c1=True, c2=True,
+            finite_at_zero=False, cond_inf=True, c1=True,
             strictly_concave=True, even_symmetric=True,
         )
 
@@ -229,7 +199,7 @@ class Tent(Kernel):
 
     def classify(self):
         return make_class(
-            finite_at_zero=True, cond_inf=False, c1=False, c2=False,
+            finite_at_zero=True, cond_inf=False, c1=False,
             strictly_concave=False, even_symmetric=True,
         )
 
@@ -254,14 +224,9 @@ class Parabola(Kernel):
             d = np.where(tt == 0.0, -TWO_PI, d)
         return _out(d, t)
 
-    def second_deriv(self, t):
-        if np.ndim(t) == 0:
-            return -2.0
-        return np.full(np.shape(t), -2.0)
-
     def classify(self):
         return make_class(
-            finite_at_zero=True, cond_inf=False, c1=True, c2=True,
+            finite_at_zero=True, cond_inf=False, c1=True,
             strictly_concave=True, even_symmetric=True,
         )
 
@@ -325,7 +290,7 @@ class TableKernel(Kernel):
             and np.allclose(self.vs, self.vs[::-1], atol=1e-12)
         )
         return make_class(
-            finite_at_zero=True, cond_inf=False, c1=False, c2=False,
+            finite_at_zero=True, cond_inf=False, c1=False,
             strictly_concave=False, even_symmetric=sym,
         )
 
@@ -350,9 +315,6 @@ class Weighted(Kernel):
 
     def deriv(self, t, side="right"):
         return _out(self.weight * np.asarray(self.base.deriv(t, side)), t)
-
-    def second_deriv(self, t):
-        return _out(self.weight * np.asarray(self.base.second_deriv(t)), t)
 
     def classify(self):
         return self.base.classify()  # positive scaling preserves every flag
@@ -384,12 +346,6 @@ class SumKernel(Kernel):
             acc = acc + np.asarray(k.deriv(t, side))
         return _out(acc, t)
 
-    def second_deriv(self, t):
-        acc = np.asarray(self.terms[0].second_deriv(t), dtype=float)
-        for k in self.terms[1:]:
-            acc = acc + np.asarray(k.second_deriv(t))
-        return _out(acc, t)
-
     def classify(self):
         cs = [k.classify() for k in self.terms]
         return make_class(
@@ -398,7 +354,6 @@ class SumKernel(Kernel):
             cond_inf_prime_minus=any(c.cond_inf_prime_minus for c in cs),
             cond_inf_prime_plus=any(c.cond_inf_prime_plus for c in cs),
             c1=all(c.c1 for c in cs),
-            c2=all(c.c2 for c in cs),
             strictly_concave=any(c.strictly_concave for c in cs),
             even_symmetric=all(c.even_symmetric for c in cs),
         )
@@ -472,13 +427,6 @@ class Smoothed(Kernel):
             d = np.where(tt == 0.0, -INF, d)
         return d
 
-    def _term_second(self, tt):
-        if self.kind != "bump":
-            raise CapabilityError(f"{self.kind} smoothing is not C2")
-        u = tt - PI
-        with np.errstate(divide="ignore", over="ignore"):
-            return -PI * PI / (self.level * np.power(PI * PI - u * u, 1.5))
-
     # --- kernel interface -----------------------------------------------
     def value(self, t):
         tt = np.asarray(reduce_angle(t), dtype=float)
@@ -489,29 +437,25 @@ class Smoothed(Kernel):
         tt = np.asarray(reduce_angle(t), dtype=float)
         return _out(np.asarray(self.base.deriv(tt, side)) + self._term_deriv(tt, side), t)
 
-    def second_deriv(self, t):
-        tt = np.asarray(reduce_angle(t), dtype=float)
-        return _out(np.asarray(self.base.second_deriv(tt)) + self._term_second(tt), t)
-
     def classify(self):
         b = self.base.classify()
         if self.kind == "bump":
             return make_class(
                 finite_at_zero=b.finite_at_zero, cond_inf=b.cond_inf,
                 cond_inf_prime_minus=True, cond_inf_prime_plus=True,
-                c1=b.c1, c2=b.c2, strictly_concave=True,
+                c1=b.c1, strictly_concave=True,
                 even_symmetric=b.even_symmetric,
             )
         if self.kind == "log_cusp":
             return make_class(
                 finite_at_zero=False, cond_inf=True,
-                c1=False, c2=False, strictly_concave=b.strictly_concave,
+                c1=False, strictly_concave=b.strictly_concave,
                 even_symmetric=b.even_symmetric,
             )
         return make_class(
             finite_at_zero=b.finite_at_zero, cond_inf=b.cond_inf,
             cond_inf_prime_minus=True, cond_inf_prime_plus=True,
-            c1=False, c2=False, strictly_concave=b.strictly_concave,
+            c1=False, strictly_concave=b.strictly_concave,
             even_symmetric=b.even_symmetric,
         )
 

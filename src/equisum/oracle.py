@@ -105,7 +105,7 @@ def grid_profile(p: Problem, y, sigma, resolution: int = 512):
     ns = as_node_system(y)
     sig = as_permutation(sigma, ns.n)
     positions = ns.full_positions()
-    slots = np.concatenate(([0.0], [positions[i] for i in sig.sigma], [TWO_PI]))
+    slots = np.concatenate(([0.0], sig.slots(ns.values), [TWO_PI]))
     if np.any(np.diff(slots) < -1e-9):
         raise ValidationError("node system does not lie in the closed cell of sigma")
     slots = np.maximum.accumulate(slots)
@@ -116,11 +116,6 @@ def grid_profile(p: Problem, y, sigma, resolution: int = 512):
         zs.append(t)
         ms.append(v)
     return labels, np.asarray(zs), np.asarray(ms)
-
-
-def _m_under_grid(p: Problem, ns: NodeSystem, sig, resolution=512) -> float:
-    _, _, ms = grid_profile(p, ns, sig, resolution)
-    return float(np.min(ms))
 
 
 @dataclass
@@ -201,10 +196,7 @@ def grid_minimax(
         raise ValidationError("sweep found no interior configuration")
 
     def nodes_of(slot_values):
-        out = np.empty(n)
-        for k, idx in enumerate(sig.sigma):
-            out[idx - 1] = slot_values[k]
-        return NodeSystem(tuple(out))
+        return NodeSystem(tuple(sig.nodes(slot_values)))
 
     coarse_slots = [float(g[i]) for i in best_idx]
     coarse_nodes = nodes_of(coarse_slots)
@@ -350,18 +342,13 @@ def check_sandwich(
     eq = TWO_PI * np.arange(1, n + 1) / (n + 1)
     tested.append(("equidistant", eq))
     for i, extra in enumerate(include):
-        ns = as_node_system(extra)
-        slots = np.asarray([ns.values[j - 1] for j in sig.sigma])
-        tested.append((f"include[{i}]", slots))
+        tested.append((f"include[{i}]", sig.slots(as_node_system(extra).values)))
     for i in range(samples):
         tested.append((f"sample[{i}]", _sample_cell(rng, n)))
 
     violations = []
     for name, slots in tested:
-        out = np.empty(n)
-        for k, idx in enumerate(sig.sigma):
-            out[idx - 1] = slots[k]
-        ns = NodeSystem(tuple(out))
+        ns = NodeSystem(tuple(sig.nodes(slots)))
         _, _, ms = grid_profile(p, ns, sig, resolution)
         m_lo = float(np.min(ms))
         m_hi = float(np.max(ms))

@@ -24,7 +24,6 @@ from .evaluator import (
     jacobian_delta,
     jacobian_m,
     profile,
-    sum_translates,
 )
 from .kernels import approximant, kernel_weight
 from .torus import (
@@ -47,23 +46,22 @@ JACOBIAN_SINGULAR = "jacobian_singular"
 
 # node separation below which the iteration is assumed to be leaving the cell
 COLLAPSE_TOL = 1e-9
+HOMOTOPY_KIND = "bump"  # regularization of the ladder's kernels
+MARGIN_FRACTION = 1e-3  # cell projection margin, fraction of min gap
+MIN_STEP = 2.0 ** -30  # smallest Newton line-search step
+COND_LIMIT = 1e12  # a worse-conditioned Jacobian ends a Newton stage
+PROBE_H = 1e-4  # node displacement of the minimax certificate probes
+CERTIFICATE_SLACK = 1e-9  # m_bar drop a certificate probe may show
+MULTISTART = 3  # seeded restarts after a failed certificate
 
 
 @dataclass
 class SolveOptions:
     tol_residual: float = 1e-10
     max_iter: int = 200
-    tol_z: float = TOL_Z
     homotopy_levels: tuple = (4, 16, 64, 256, None)
-    homotopy_kind: str = "bump"
     start: object = "equidistant"  # "equidistant" | "coarse_grid" | node angles
     seed: int = 12345
-    margin_fraction: float = 1e-3  # cell projection margin, fraction of min gap
-    min_step: float = 2.0 ** -30
-    cond_limit: float = 1e12
-    probe_h: float = 1e-4
-    certificate_slack: float = 1e-9
-    multistart: int = 3
     secant_sweeps: int = 80
 
 
@@ -102,28 +100,14 @@ class SolveReport:
 def equidistant_nodes(n: int, sigma) -> NodeSystem:
     """Nodes at 2*pi*k/(n+1), assigned so slot k of sigma gets the k-th angle."""
     sig = as_permutation(sigma, n)
-    y = np.empty(n)
-    for k in range(1, n + 1):
-        y[sig.sigma[k - 1] - 1] = TWO_PI * k / (n + 1)
-    return NodeSystem(tuple(y))
-
-
-def _sorted_slots(ns: NodeSystem, sig: Permutation) -> np.ndarray:
-    return np.asarray([ns.values[i - 1] for i in sig.sigma])
-
-
-def _from_slots(v, sig: Permutation) -> NodeSystem:
-    out = np.empty(len(v))
-    for k, idx in enumerate(sig.sigma):
-        out[idx - 1] = v[k]
-    return NodeSystem(tuple(out))
+    return NodeSystem(tuple(sig.nodes(TWO_PI * np.arange(1, n + 1) / (n + 1))))
 
 
 def _project_cell(y_vec: np.ndarray, sig: Permutation, margin: float) -> np.ndarray:
-    """Clamp a free-node vector back into the open ordering cell."""
+    """Clamp a free-node vector back into the ordering cell, `margin` inside."""
     n = len(y_vec)
     margin = min(margin, TWO_PI / (4.0 * (n + 1)))
-    v = [float(y_vec[i - 1]) for i in sig.sigma]
+    v = [float(x) for x in sig.slots(y_vec)]
     lo = 0.0
     for k in range(n):
         v[k] = max(v[k], lo + margin)
@@ -132,13 +116,11 @@ def _project_cell(y_vec: np.ndarray, sig: Permutation, margin: float) -> np.ndar
     for k in reversed(range(n)):
         v[k] = min(v[k], hi - margin)
         hi = v[k]
-    out = np.empty(n)
-    for k, idx in enumerate(sig.sigma):
-        out[idx - 1] = v[k]
-    return out
+    return sig.nodes(v)
 
 
-def _residual(p: Problem, sig: Permutation, y_vec: np.ndarray, tol_z: float):
+def _residual(p: Problem, sig: Permutation, y_vec: np.ndarray, tol_z: float = TOL_Z):
+    """(max |Delta|, Delta, profile) at y; the max is inf when Delta is not finite."""
     ns = NodeSystem(tuple(y_vec))
     prof = profile(p, ns, sig, tol_z=tol_z)
     d = delta(p, ns, sig, prof)
@@ -155,7 +137,7 @@ def _settled(res: float, prof: ArcProfile, opts: SolveOptions) -> bool:
     return math.isfinite(spread) and spread <= 2.0 * opts.tol_residual
 
 
-def _newton_stage(p, sig, y_vec, opts: SolveOptions, label, max_iter):
+def _newton_stage(p, sig, y_vec, opts: SolveOptions, label):
     """Damped Newton on Delta inside one ordering cell.
 
     Returns (y, status, trace, profile).  The Jacobian uses midpoint slopes
@@ -163,8 +145,8 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label, max_iter):
     """
     trace = []
     y = np.asarray(y_vec, dtype=float).copy()
-    res, d, prof = _residual(p, sig, y, opts.tol_z)
-    for it in range(max_iter):
+    res, d, prof = _residual(p, sig, y)
+    for it in range(opts.max_iter):
         trace.append({"stage": label, "iter": it, "residual": res})
         if _settled(res, prof, opts):
             return y, CONVERGED, trace, prof
@@ -177,19 +159,19 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label, max_iter):
             cond = np.linalg.cond(J)
         except np.linalg.LinAlgError:
             cond = INF
-        if not math.isfinite(cond) or cond > opts.cond_limit:
+        if not math.isfinite(cond) or cond > COND_LIMIT:
             return y, JACOBIAN_SINGULAR, trace, prof
         try:
             step = np.linalg.solve(J, -d)
         except np.linalg.LinAlgError:
             return y, JACOBIAN_SINGULAR, trace, prof
 
-        margin = opts.margin_fraction * min_gap(NodeSystem(tuple(y)))
+        margin = MARGIN_FRACTION * min_gap(NodeSystem(tuple(y)))
         alpha = 1.0
         accepted = False
-        while alpha >= opts.min_step:
+        while alpha >= MIN_STEP:
             y_try = _project_cell(y + alpha * step, sig, margin)
-            res_try, d_try, prof_try = _residual(p, sig, y_try, opts.tol_z)
+            res_try, d_try, prof_try = _residual(p, sig, y_try)
             if res_try < res * (1.0 - 1e-4 * alpha):
                 y, res, d, prof = y_try, res_try, d_try, prof_try
                 accepted = True
@@ -200,7 +182,7 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label, max_iter):
             return y, MAX_ITER, trace, prof
         if min_gap(NodeSystem(tuple(y))) < COLLAPSE_TOL:
             return y, BOUNDARY_SUSPECTED, trace, prof
-    trace.append({"stage": label, "iter": max_iter, "residual": res})
+    trace.append({"stage": label, "iter": opts.max_iter, "residual": res})
     status = CONVERGED if _settled(res, prof, opts) else MAX_ITER
     return y, status, trace, prof
 
@@ -210,12 +192,14 @@ def _secant_stage(p, sig, y_vec, opts: SolveOptions, label="secant"):
 
     Component k of Delta is decreasing in the k-th sorted node, so each
     coordinate solve is a monotone root find; no slopes are needed, which
-    makes this the fallback for kernels whose Jacobian is unusable.
+    makes this the fallback for kernels whose Jacobian is unusable.  A
+    coordinate move is kept when the probe or the secant point lowers the
+    residual; the iterate then sits at the last point evaluated.
     """
     trace = []
     n = p.n
     y = np.asarray(y_vec, dtype=float).copy()
-    res, d, prof = _residual(p, sig, y, opts.tol_z)
+    res, d, prof = _residual(p, sig, y)
     for sweep in range(opts.secant_sweeps):
         trace.append({"stage": label, "iter": sweep, "residual": res})
         if _settled(res, prof, opts):
@@ -225,7 +209,7 @@ def _secant_stage(p, sig, y_vec, opts: SolveOptions, label="secant"):
         improved = False
         for k in range(1, n + 1):
             idx = sig.sigma[k - 1] - 1
-            slots = _sorted_slots(NodeSystem(tuple(y)), sig)
+            slots = sig.slots(y)
             lo = 0.0 if k == 1 else slots[k - 2]
             hi = TWO_PI if k == n else slots[k]
             gap = hi - lo
@@ -239,23 +223,19 @@ def _secant_stage(p, sig, y_vec, opts: SolveOptions, label="secant"):
             if v1 == v0:
                 continue
             y[idx] = v1
-            res1, d1, prof1 = _residual(p, sig, y, opts.tol_z)
-            g1 = float(d1[k - 1])
+            res_new, d_new, prof_new = _residual(p, sig, y)
+            accept = res_new < res
+            g1 = float(d_new[k - 1])
             if g1 != g0:
                 v2 = v1 - g1 * (v1 - v0) / (g1 - g0)
-                v2 = float(np.clip(v2, lo + pad, hi - pad))
-                y[idx] = v2
-                res2, d2, prof2 = _residual(p, sig, y, opts.tol_z)
-                if res2 <= min(res, res1):
-                    res, d, prof = res2, d2, prof2
-                    improved = True
-                    continue
-            if res1 < res:
-                res, d, prof = res1, d1, prof1
+                y[idx] = float(np.clip(v2, lo + pad, hi - pad))
+                res_new, d_new, prof_new = _residual(p, sig, y)
+                accept = accept or res_new <= res
+            if accept:
+                res, d, prof = res_new, d_new, prof_new
                 improved = True
             else:
                 y[idx] = v0
-                res, d, prof = _residual(p, sig, y, opts.tol_z)[0], d, prof
         if not improved:
             break
     status = CONVERGED if _settled(res, prof, opts) else MAX_ITER
@@ -279,14 +259,14 @@ def _coarse_grid_start(p, sig, opts: SolveOptions) -> np.ndarray:
     best = None
     best_res = INF
     for v in candidates:
-        y = _from_slots(v, sig)
+        y = sig.nodes(v)
         try:
-            res, _, _ = _residual(p, sig, y.array, max(opts.tol_z, 1e-9))
+            res, _, _ = _residual(p, sig, y, tol_z=1e-9)  # coarse ranking only
         except ValidationError:
             continue
         if res < best_res:
             best_res = res
-            best = y.array
+            best = y
     if best is None:
         return equidistant_nodes(n, sig).array
     return best
@@ -309,7 +289,7 @@ def _initial_nodes(p, sig, opts: SolveOptions) -> np.ndarray:
 def _spread_nodes(y_vec, sig) -> np.ndarray:
     """Open the tightest gap a little; boundary-collapse restart heuristic."""
     n = len(y_vec)
-    slots = np.concatenate(([0.0], _sorted_slots(NodeSystem(tuple(np.maximum(y_vec, 1e-15))), sig), [TWO_PI]))
+    slots = np.concatenate(([0.0], sig.slots(np.maximum(y_vec, 1e-15)), [TWO_PI]))
     gaps = np.diff(slots)
     k = int(np.argmin(gaps))  # tight gap between slots k and k+1
     v = slots.copy()
@@ -320,7 +300,7 @@ def _spread_nodes(y_vec, sig) -> np.ndarray:
         v[k] = v[k] - min(h, 0.45 * lo_room)
     if k + 1 <= n:
         v[k + 1] = v[k + 1] + min(h, 0.45 * hi_room)
-    return _from_slots(v[1:-1], sig).array
+    return sig.nodes(v[1:-1])
 
 
 def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
@@ -334,82 +314,65 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
     """
     opts = opts or SolveOptions()
     sig = as_permutation(sigma, p.n)
-    cls = p.classifications()
-    all_c1 = all(c.c1 for c in cls)
+    all_c1 = all(c.c1 for c in p.classifications())
 
     trace = []
     iterations = 0
 
-    def finish(y_vec, status):
-        ns = NodeSystem(tuple(y_vec))
-        prof = profile(p, ns, sig, tol_z=opts.tol_z)
-        d = delta(p, ns, sig, prof)
-        res = float(np.max(np.abs(d))) if np.all(np.isfinite(d)) else INF
-        interior = min_gap(ns) >= COLLAPSE_TOL
-        final = CONVERGED if (_settled(res, prof, opts) and interior) else status
-        if final == CONVERGED and not interior:
-            final = BOUNDARY_SUSPECTED
-        return SolveReport(
-            status=final,
-            nodes=ns,
-            sigma=sig,
-            residual=res,
-            objective=prof.m_bar,
-            profile=prof,
-            iterations=iterations,
-            trace=trace,
-            seed=opts.seed,
-        )
+    def stages():
+        """(label, problem) of each Newton stage, built only when reached:
+        the exact problem, the regularized ladder, the exact endgame."""
+        yield "direct", p
+        for level in opts.homotopy_levels:
+            if level is not None and math.isfinite(level):
+                yield f"level:{level:g}", Problem(
+                    tuple(approximant(k, level, HOMOTOPY_KIND) for k in p.kernels))
+        if all_c1:
+            yield "exact", p
 
     def pipeline(y):
         nonlocal iterations
-        # exact problem first: catches smooth problems and already-solved starts
-        y, status, tr, _ = _newton_stage(p, sig, y, opts, "direct", opts.max_iter)
-        trace.extend(tr)
-        iterations += len(tr)
-        if status in (CONVERGED, BOUNDARY_SUSPECTED):
-            return y, status
-        # regularized ladder, warm-started
-        levels = [lv for lv in opts.homotopy_levels if lv is not None and math.isfinite(lv)]
-        for level in levels:
-            ap = Problem(tuple(approximant(k, level, opts.homotopy_kind) for k in p.kernels))
-            y, st, tr, _ = _newton_stage(ap, sig, y, opts, f"level:{level:g}", opts.max_iter)
+        for label, q in stages():
+            y, status, tr, _ = _newton_stage(q, sig, y, opts, label)
             trace.extend(tr)
             iterations += len(tr)
-            if st == BOUNDARY_SUSPECTED:
-                return y, st
-        # exact endgame
-        if all_c1:
-            y, st, tr, _ = _newton_stage(p, sig, y, opts, "exact", opts.max_iter)
-            trace.extend(tr)
-            iterations += len(tr)
-            if st in (CONVERGED, BOUNDARY_SUSPECTED):
-                return y, st
-        y, st, tr, _ = _secant_stage(p, sig, y, opts)
+            # a ladder rung only warm-starts the next; the exact problem can stop
+            if status == BOUNDARY_SUSPECTED or (status == CONVERGED and q is p):
+                return y, status
+        y, status, tr, _ = _secant_stage(p, sig, y, opts)
         trace.extend(tr)
         iterations += len(tr)
-        return y, st
+        return y, status
 
-    y = _initial_nodes(p, sig, opts)
-    y, status = pipeline(y)
+    y, status = pipeline(_initial_nodes(p, sig, opts))
     restarts = 0
     while status == BOUNDARY_SUSPECTED and restarts < 2:
         restarts += 1
         trace.append({"stage": "restart", "iter": restarts, "note": "nodes spread apart"})
         y, status = pipeline(_spread_nodes(y, sig))
-    return finish(y, status)
+
+    res, _, prof = _residual(p, sig, y)
+    ns = NodeSystem(tuple(y))
+    interior = min_gap(ns) >= COLLAPSE_TOL
+    final = CONVERGED if (_settled(res, prof, opts) and interior) else status
+    if final == CONVERGED and not interior:
+        final = BOUNDARY_SUSPECTED
+    return SolveReport(
+        status=final,
+        nodes=ns,
+        sigma=sig,
+        residual=res,
+        objective=prof.m_bar,
+        profile=prof,
+        iterations=iterations,
+        trace=trace,
+        seed=opts.seed,
+    )
 
 
-def _mbar_closure(p, sig, y_vec, opts):
+def _mbar_closure(p, sig, y_vec):
     """m_bar at y projected onto the closed cell (degenerate arcs allowed)."""
-    n = len(y_vec)
-    v = [float(y_vec[i - 1]) for i in sig.sigma]
-    lo = 0.0
-    for k in range(n):
-        v[k] = min(max(v[k], lo), TWO_PI)
-        lo = v[k]
-    ns = _from_slots(v, sig)
-    return profile(p, ns, sig, tol_z=opts.tol_z).m_bar
+    return profile(p, NodeSystem(tuple(_project_cell(y_vec, sig, 0.0))), sig).m_bar
 
 
 def minimax(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
@@ -433,11 +396,11 @@ def minimax(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
         y = r.nodes.array
         failures = []
         for ridx in range(1, p.n + 1):
-            for s in (+opts.probe_h, -opts.probe_h):
+            for s in (+PROBE_H, -PROBE_H):
                 y_p = y.copy()
                 y_p[ridx - 1] += s
-                mb = _mbar_closure(p, sig, y_p, opts)
-                if mb < base - opts.certificate_slack:
+                mb = _mbar_closure(p, sig, y_p)
+                if mb < base - CERTIFICATE_SLACK:
                     failures.append({"node": ridx, "shift": s, "m_bar": mb})
         return failures
 
@@ -448,12 +411,10 @@ def minimax(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
         # seeded multistart: maybe a different equioscillation point exists
         rng = np.random.default_rng(opts.seed)
         best = rep
-        for _ in range(opts.multistart):
+        for _ in range(MULTISTART):
             v = np.sort(rng.uniform(0.02, TWO_PI - 0.02, p.n))
             try:
-                alt = solve_equioscillation(
-                    p, sig, replace(opts, start=_from_slots(v, sig).values)
-                )
+                alt = solve_equioscillation(p, sig, replace(opts, start=tuple(sig.nodes(v))))
             except ValidationError:
                 continue
             if alt.converged and alt.objective < best.objective - 1e-12:
@@ -498,10 +459,12 @@ def minimax_global(p: Problem, opts: SolveOptions | None = None,
     return GlobalReport(best=best, per_sigma=reports, objective=best.objective)
 
 
-def _steepest_lp(G):
-    """Direction maximizing the smallest row ascent rate, inf-norm box.
+def _steepest_lp(G, F=None):
+    """Direction maximizing the smallest row rate, inf-norm box.
 
-    maximize s  s.t.  G a >= s,  -1 <= a <= 1.  Returns (s*, a*).
+    maximize s  s.t.  G a >= s,  F a = 0,  -1 <= a <= 1.  Returns (s*, a*),
+    or (0, 0) when the LP fails.  s* > 0 means every row of G can grow at
+    once; this is the one first-order question the solvers ask.
     """
     from scipy.optimize import linprog
 
@@ -512,7 +475,10 @@ def _steepest_lp(G):
     A_ub = np.hstack([-G, np.ones((mrows, 1))])
     b_ub = np.zeros(mrows)
     bounds = [(-1.0, 1.0)] * n + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    eq = {}
+    if F is not None:
+        eq = {"A_eq": np.hstack([F, np.zeros((F.shape[0], 1))]), "b_eq": np.zeros(F.shape[0])}
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", **eq)
     if not res.success:
         return 0.0, np.zeros(n)
     return float(-res.fun), np.asarray(res.x[:n])
@@ -534,7 +500,7 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     polish_used = False
     for it in range(opts.max_iter):
         ns = NodeSystem(tuple(y))
-        prof = profile(p, ns, sig, tol_z=opts.tol_z)
+        prof = profile(p, ns, sig)
         m_ind = prof.m
         m_under = prof.m_under
         spread = prof.m_bar - m_under
@@ -566,11 +532,11 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
             status = CONVERGED
             break
         alpha = min(0.49 * min_gap(ns), 0.5)
-        margin = opts.margin_fraction * min_gap(ns)
+        margin = MARGIN_FRACTION * min_gap(ns)
         accepted = False
         while alpha >= 1e-14:
             y_try = _project_cell(y + alpha * a, sig, margin)
-            prof_try = profile(p, NodeSystem(tuple(y_try)), sig, tol_z=opts.tol_z)
+            prof_try = profile(p, NodeSystem(tuple(y_try)), sig)
             if prof_try.m_under > m_under + 1e-6 * alpha * s_star:
                 y = y_try
                 accepted = True
@@ -581,13 +547,10 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
             status = CONVERGED if spread <= 1e-6 else MAX_ITER
             break
 
-    ns = NodeSystem(tuple(y))
-    prof = profile(p, ns, sig, tol_z=opts.tol_z)
-    d = delta(p, ns, sig, prof)
-    res = float(np.max(np.abs(d))) if np.all(np.isfinite(d)) else INF
+    res, _, prof = _residual(p, sig, y)
     return SolveReport(
         status=status,
-        nodes=ns,
+        nodes=NodeSystem(tuple(y)),
         sigma=sig,
         residual=res,
         objective=prof.m_under,
@@ -643,19 +606,18 @@ def descent_direction(
     sigma=None,
     active=None,
     frozen=None,
-    opts: SolveOptions | None = None,
     tol_active: float = 1e-9,
 ) -> DescentDirection:
     """A box direction that does not raise any active arc maximum.
 
     Active arcs default to those attaining m_bar.  The direction a (with
-    a_0 = 0 for the fixed node) satisfies sum_j a_j mu_ij >= 0 for each
-    active maximizer t_i, plus any frozen linear constraints; moving the
-    nodes to y + h a for small h > 0 then strictly lowers every active
-    maximum.  Raises NoAdmissibleDirection at an equioscillation point
-    with no slack.
+    a_0 = 0 for the fixed node) maximizes the smallest margin
+    sum_j a_j mu_ij over the active maximizers t_i, subject to any frozen
+    linear constraints F a = 0.  A non-neutral direction has every margin
+    positive, so moving the nodes to y + h a for small h > 0 strictly lowers
+    every active maximum; a neutral one has every margin zero.  Raises
+    NoAdmissibleDirection at an equioscillation point with no slack.
     """
-    opts = opts or SolveOptions()
     ns = as_node_system(y)
     if sigma is None:
         loc = locate(ns)
@@ -664,7 +626,7 @@ def descent_direction(
         sig = loc.sigma
     else:
         sig = as_permutation(sigma, ns.n)
-    prof = profile(p, ns, sig, tol_z=opts.tol_z)
+    prof = profile(p, ns, sig)
     m_ind = prof.m
     if active is None:
         active = [j for j in range(p.n + 1) if m_ind[j] >= prof.m_bar - tol_active]
@@ -694,22 +656,12 @@ def descent_direction(
         if F.shape[1] != p.n:
             raise ValidationError("frozen constraint rows must have length n")
 
-    from scipy.optimize import linprog
-
-    c = -np.sum(M, axis=0)
-    A_ub = -M
-    b_ub = np.zeros(M.shape[0])
-    bounds = [(-1.0, 1.0)] * p.n
-    kwargs = {}
-    if F is not None:
-        kwargs = {"A_eq": F, "b_eq": np.zeros(F.shape[0])}
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", **kwargs)
-    if res.success and -res.fun > 1e-11:
-        a = np.asarray(res.x)
+    s_star, a = _steepest_lp(M, F)
+    if s_star > 1e-11:
         a = a / np.max(np.abs(a))
         return DescentDirection(a=a, active=active, margins=M @ a, neutral=False)
 
-    # no direction with positive total slack: look for a neutral one
+    # no direction lowers every active maximum: look for a neutral one
     rows = [M, -M]
     if F is not None:
         rows += [F, -F]
@@ -721,7 +673,7 @@ def descent_direction(
         a = a / np.max(np.abs(a))
         return DescentDirection(a=a, active=active, margins=M @ a, neutral=True)
     raise NoAdmissibleDirection(
-        "no nonzero direction keeps all active maxima non-increasing"
+        "no direction lowers every active maximum or leaves them all unchanged"
     )
 
 

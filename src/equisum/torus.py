@@ -133,6 +133,16 @@ class Permutation:
         """Arc labels in traversal order: sigma(0), sigma(1), ..., sigma(n)."""
         return (0,) + self.sigma
 
+    def slots(self, values) -> np.ndarray:
+        """Per-node values (node j at position j-1) rearranged in slot order."""
+        return np.asarray(values, dtype=float)[np.asarray(self.sigma) - 1]
+
+    def nodes(self, slots) -> np.ndarray:
+        """Inverse of slots: slot k's value goes to node sigma(k)."""
+        out = np.empty(self.n)
+        out[np.asarray(self.sigma) - 1] = slots
+        return out
+
 
 def as_permutation(sigma, n=None) -> Permutation:
     if isinstance(sigma, Permutation):
@@ -249,10 +259,8 @@ def arcs(y, sigma, tol: float = ANGLE_TOL) -> ArcPartition:
     sig = as_permutation(sigma, ns.n)
     if sig.n != ns.n:
         raise ValidationError(f"sigma has size {sig.n}, node system has {ns.n}")
-    vals = ns.array
     pos = [0.0]
-    for k in range(1, ns.n + 1):
-        v = vals[sig.sigma[k - 1] - 1]
+    for k, v in enumerate(sig.slots(ns.values), start=1):
         if v < pos[-1] - tol:
             raise ValidationError(
                 f"ordering incompatible with angles: slot {k} has {v} < {pos[-1]}"

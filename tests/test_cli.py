@@ -1,11 +1,14 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import equisum
 from equisum.cli import run
 
 PI = math.pi
@@ -244,18 +247,23 @@ def test_error_paths_exit_one(tmp_path, capsys):
                 "--check", "bogus"]) == 1
     assert "error:" in capsys.readouterr().err
 
-    # unknown solver option
-    cfg = {"kernels": LOGSINE_CONFIG["kernels"], "options": {"bogus_knob": 1}}
-    assert run(["minimax", "--config", write_config(tmp_path, cfg, "c4.json")]) == 1
-    assert "error:" in capsys.readouterr().err
+    # unknown solver option, and a tuning that is a module constant, not an option
+    for knob in ("bogus_knob", "probe_h"):
+        cfg = {"kernels": LOGSINE_CONFIG["kernels"], "options": {knob: 1}}
+        assert run(["minimax", "--config", write_config(tmp_path, cfg, "c4.json")]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_installed_script_smoke(tmp_path):
     cfg = dict(EX_CONFIG, t=0.0)
     path = write_config(tmp_path, cfg)
+    # the child imports the same package as this process, installed or not
+    src = str(Path(equisum.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "equisum", "eval", "--config", path, "--no-timestamp"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

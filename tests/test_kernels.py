@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from equisum.kernels import (
-    CapabilityError,
     approximant,
     from_config,
     kernel_sum,
@@ -47,14 +46,6 @@ def test_known_slopes():
     assert math.isclose(log_sine().deriv(PI), 0.0, abs_tol=1e-15)
 
 
-def test_second_derivs():
-    assert parabola().second_deriv(1.234) == -2.0
-    with pytest.raises(CapabilityError):
-        tent().second_deriv(1.0)
-    # log_sine: K'' = -1/(4 sin^2(t/2))
-    assert math.isclose(log_sine().second_deriv(PI), -0.25)
-
-
 def test_endpoint_behaviour():
     assert log_sine().value(0.0) == -math.inf
     assert riesz(2.0).value(0.0) == -math.inf
@@ -68,7 +59,7 @@ def test_endpoint_behaviour():
 
 def test_classify_table():
     ls = log_sine().classify()
-    assert ls.cond_inf and ls.cond_inf_prime and ls.c2 and ls.strictly_concave
+    assert ls.cond_inf and ls.cond_inf_prime and ls.c1 and ls.strictly_concave
     assert not ls.finite_at_zero
 
     pb = parabola().classify()
@@ -116,19 +107,6 @@ def test_deriv_matches_fd_where_c1():
             assert math.isclose(k.deriv(t), fd, rel_tol=1e-5, abs_tol=1e-5)
 
 
-def test_second_deriv_matches_fd_where_c2():
-    rng = np.random.default_rng(29)
-    h = 1e-5
-    for k in ALL_FAMILIES:
-        cls = k.classify()
-        if not cls.c2:
-            continue
-        for _ in range(50):
-            t = rng.uniform(0.2, TWO_PI - 0.2)
-            fd = (k.value(t + h) - 2 * k.value(t) + k.value(t - h)) / h**2
-            assert math.isclose(k.second_deriv(t), fd, rel_tol=1e-4, abs_tol=1e-4)
-
-
 def test_left_right_slopes_agree_where_smooth():
     rng = np.random.default_rng(31)
     for _ in range(50):
@@ -147,7 +125,6 @@ def test_weighted_scales_everything():
     ts = np.linspace(0.1, TWO_PI - 0.1, 20)
     assert np.allclose(k.value(ts), 0.25 * base.value(ts))
     assert np.allclose(k.deriv(ts), 0.25 * base.deriv(ts))
-    assert np.allclose(k.second_deriv(ts), 0.25 * base.second_deriv(ts))
     assert kernel_weight(k) == 0.25
     with pytest.raises(ValidationError):
         weighted(base, -1.0)
@@ -159,7 +136,7 @@ def test_sum_kernel_adds():
     assert np.allclose(k.value(ts), tent().value(ts) + parabola().value(ts))
     cls = k.classify()
     assert cls.strictly_concave  # one strictly concave term is enough
-    assert not cls.c2  # the tent term spoils C2
+    assert not cls.c1  # the tent term spoils C1
 
 
 def test_table_kernel_interpolates():

@@ -10,6 +10,7 @@ from equisum.solver import (
     CONVERGED,
     NoAdmissibleDirection,
     SolveOptions,
+    _secant_stage,
     descent_direction,
     equidistant_nodes,
     maximin,
@@ -107,6 +108,14 @@ def test_solve_flat_cell_is_honest():
     assert math.isfinite(rep.residual)
 
 
+@pytest.mark.parametrize("sweeps", (2, 4, 5))
+def test_secant_stage_returns_profile_of_its_nodes(sweeps):
+    sig = Permutation((1, 2, 3))
+    start = equidistant_nodes(3, sig).array
+    y, _, _, prof = _secant_stage(EX_P, sig, start, SolveOptions(secant_sweeps=sweeps))
+    assert np.array_equal(prof.m_trav, profile(EX_P, y, sig).m_trav)
+
+
 def test_minimax_smooth_certifies():
     p = unit_problem(3)
     sig = Permutation((1, 2))
@@ -193,6 +202,27 @@ def test_descent_direction_respects_frozen():
     sig = Permutation((1, 2, 3))
     d = descent_direction(p, y, sig, frozen=[[0.0, 1.0, 0.0]])
     assert abs(d.a[1]) <= 1e-12
+
+
+def test_descent_direction_lowers_every_active_maximum():
+    """Random weighted log-sine problems with explicit active arcs: a
+    direction that is not neutral has every margin positive."""
+    rng = np.random.default_rng(2024)
+    nonneutral = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        p = Problem(tuple(weighted(log_sine(), w) for w in rng.uniform(0.2, 5.0, n + 1)))
+        sig = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
+        y = sig.nodes(np.sort(rng.uniform(0.3, TWO_PI - 0.3, n)))
+        active = rng.choice(n + 1, size=int(rng.integers(2, n + 1)), replace=False)
+        try:
+            d = descent_direction(p, y, sig, active=active)
+        except NoAdmissibleDirection:
+            continue
+        if not d.neutral:
+            nonneutral += 1
+            assert np.all(d.margins > 0), d.margins
+    assert nonneutral > 50
 
 
 def test_pull_apart_increases_gap():
