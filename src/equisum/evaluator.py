@@ -12,11 +12,12 @@ m's taken in traversal order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .kernels import CapabilityError, Kernel
+from .kernels import CapabilityError, Kernel, Weighted, kernel_weight
 from .torus import (
     ANGLE_TOL,
     TWO_PI,
@@ -33,6 +34,12 @@ INF = math.inf
 
 # endpoint bisection resolution: absolute angle tolerance
 TOL_Z = 1e-12 * TWO_PI
+
+# A bracket wider than this, inside an arc with no node in its interior,
+# keeps its midpoint t so far from every node y_j that t - y_j never reduces
+# to the glue point: the rounding of the subtraction and of reduce_angle is
+# a few ulps of 2*pi.
+_GLUE_CLEAR = 16.0 * float(np.spacing(TWO_PI))
 
 
 class JacobianUnavailableError(RuntimeError):
@@ -64,6 +71,30 @@ class Problem:
     def spec(self):
         return [k.spec() for k in self.kernels]
 
+    @cached_property
+    def slope_plan(self):
+        """Kernels grouped by base kernel, built on first use.
+
+        A tuple of (base, kernel indices, weights): kernel idx[i] equals
+        weights[i] * base, with a leading Weighted unwrapped.  Bases with the
+        same type and spec behave alike, so one deriv call serves a group.
+        """
+        groups = {}
+        for j, k in enumerate(self.kernels):
+            base = k.base if isinstance(k, Weighted) else k
+            key = (type(base), repr(base.spec()))
+            _, idx, w = groups.setdefault(key, (base, [], []))
+            idx.append(j)
+            w.append(kernel_weight(k))
+        return tuple(
+            (base, np.asarray(idx), np.asarray(w, dtype=float))
+            for base, idx, w in groups.values()
+        )
+
+    @cached_property
+    def all_c1(self) -> bool:
+        return all(c.c1 for c in self.classifications())
+
 
 def sum_translates(p: Problem, y, t):
     """F(y, t); scalar or array t.  -inf at singular nodes."""
@@ -89,13 +120,27 @@ def sum_translates_full(p: Problem, positions, t):
     return acc
 
 
-def _slope_sum(p: Problem, pos, ts, side):
-    """One-sided slope of t -> F(y, t) at each entry of ts."""
+def _slopes(p: Problem, pos, ts, side):
+    """Per-kernel one-sided slopes K_j'(t - pos_j): shape (n+1,) + shape of ts.
+
+    One deriv call per group of p.slope_plan, on the (group, points) grid.
+    """
     ts = np.asarray(ts, dtype=float)
-    acc = np.zeros(ts.shape, dtype=float)
-    for j, k in enumerate(p.kernels):
-        acc = acc + np.asarray(k.deriv(ts - pos[j], side))
-    return acc
+    col = (-1,) + (1,) * ts.ndim
+    out = np.empty((len(p.kernels),) + ts.shape, dtype=float)
+    for base, idx, w in p.slope_plan:
+        grid = ts - pos[idx].reshape(col)
+        out[idx] = w.reshape(col) * np.asarray(base.deriv(grid, side))
+    return out
+
+
+def _slope_sum(p: Problem, pos, ts, side):
+    """One-sided slope of t -> F(y, t) at each entry of ts.
+
+    The running sum adds the kernels in index order, one at a time, so the
+    result does not depend on how the slopes were grouped.
+    """
+    return np.cumsum(_slopes(p, pos, ts, side), axis=0)[-1]
 
 
 @dataclass
@@ -177,30 +222,13 @@ class ArcProfile:
         }
 
 
-def _bisect_mask(p, pos, lo, hi, mask, side, want_positive, iters):
-    """Vectorized bisection for the edge of {slope > 0} (or {slope >= 0}).
-
-    Maintains pred(lo)=True, pred(hi)=False on masked entries; predicates are
-    evaluated with the requested one-sided slope.
-    """
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        s = _slope_sum(p, pos, mid, side)
-        pred = (s > 0.0) if want_positive else (s >= 0.0)
-        take = mask & pred
-        lo = np.where(take, mid, lo)
-        hi = np.where(mask & ~pred, mid, hi)
-    return 0.5 * (lo + hi)
-
-
 def _arc_maxima(p: Problem, pos, los, his, tol_z):
     """Maximizing set edges for each arc, by bisection on one-sided slopes.
 
     For concave F the set of maximizers of an arc is [t_left, t_right] with
     t_left the edge of {D+ F > 0} and t_right the edge of {D- F >= 0}; either
-    may sit on the arc boundary.  Returns (z, m, on_boundary, unique) arrays.
+    may sit on the arc boundary.  Both edges of every arc that needs one are
+    bisected in one loop.  Returns (z, m, on_boundary, unique) arrays.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
@@ -218,32 +246,46 @@ def _arc_maxima(p: Problem, pos, los, his, tol_z):
         iters = max(8, int(math.ceil(math.log2(max(span / max(tol_z, 1e-300), 2.0)))) + 2)
 
         # left edge: lo if already non-increasing, hi if still increasing at hi
-        at_lo = active & (dpa <= 0.0)
-        at_hi = active & (dmb > 0.0)
-        mid_mask = active & ~at_lo & ~at_hi
-        tl = np.where(at_lo, los, np.where(at_hi, his, los))
-        if np.any(mid_mask):
-            tl_b = _bisect_mask(p, pos, los, his, mid_mask, "right", True, iters)
-            tl = np.where(mid_mask, tl_b, tl)
-        t_left = np.where(active, tl, t_left)
-
+        at_lo, at_hi = dpa <= 0.0, dmb > 0.0
+        t_left = np.where(active & ~at_lo & at_hi, his, los)
+        L = np.flatnonzero(active & ~at_lo & ~at_hi)
         # right edge: hi if still non-decreasing at hi, lo if decreasing at lo
-        at_hi_r = active & (dmb >= 0.0)
-        at_lo_r = active & (dpa < 0.0)
-        mid_mask_r = active & ~at_hi_r & ~at_lo_r
-        tr = np.where(at_hi_r, his, np.where(at_lo_r, los, his))
-        if np.any(mid_mask_r):
-            tr_b = _bisect_mask(p, pos, los, his, mid_mask_r, "left", False, iters)
-            tr = np.where(mid_mask_r, tr_b, tr)
-        t_right = np.where(active, tr, t_right)
+        at_lo, at_hi = dpa < 0.0, dmb >= 0.0
+        t_right = np.where(active & ~at_hi & at_lo, los, his)
+        R = np.flatnonzero(active & ~at_hi & ~at_lo)
+
+        # one bracket per edge: the left edges first, then the right edges;
+        # pred(lo) stays True and pred(hi) False, with pred D+ F > 0 on the
+        # left edges and D- F >= 0 on the right edges
+        nl = len(L)
+        lo = np.concatenate((los[L], los[R]))
+        hi = np.concatenate((his[L], his[R]))
+        # For C1 kernels D- F equals D+ F off the glue point, so one "right"
+        # call serves both edges while no right-edge midpoint can meet a node.
+        shared = p.all_c1 and bool(np.all(
+            (pos[None, :] <= los[R, None]) | (pos[None, :] >= his[R, None])))
+        for _ in range(iters if len(lo) else 0):
+            mid = 0.5 * (lo + hi)
+            if shared and float(np.min(hi[nl:] - lo[nl:], initial=INF)) > _GLUE_CLEAR:
+                s = _slope_sum(p, pos, mid, "right")
+            else:
+                s = np.empty_like(mid)
+                if nl:
+                    s[:nl] = _slope_sum(p, pos, mid[:nl], "right")
+                if len(R):
+                    s[nl:] = _slope_sum(p, pos, mid[nl:], "left")
+            pred = s >= 0.0
+            pred[:nl] = s[:nl] > 0.0
+            lo = np.where(pred, mid, lo)
+            hi = np.where(pred, hi, mid)
+        edge = 0.5 * (lo + hi)
+        t_left[L] = edge[:nl]
+        t_right[R] = edge[nl:]
 
     t_right = np.maximum(t_right, t_left)
     z = 0.5 * (t_left + t_right)
     z = np.where(degenerate, los, z)
-
-    m = np.zeros_like(z)
-    for j, k in enumerate(p.kernels):
-        m = m + np.asarray(k.value(z - pos[j]))
+    m = sum_translates_full(p, pos, z)
 
     b_tol = max(4.0 * tol_z, 1e-12)
     on_boundary = degenerate | (z - los <= b_tol) | (his - z <= b_tol)
@@ -319,15 +361,11 @@ def _slope_rows(p: Problem, y, sigma, prof, relaxed: bool, tol_z: float):
             )
     positions = ns.full_positions()
     z = prof.z_trav
-    rows = np.empty((p.n + 1, p.n), dtype=float)
-    for r in range(1, p.n + 1):
-        k = p.kernels[r]
-        argd = z - positions[r]
-        if relaxed:
-            d = 0.5 * (np.asarray(k.deriv(argd, "left")) + np.asarray(k.deriv(argd, "right")))
-        else:
-            d = np.asarray(k.deriv(argd, "right"))
-        rows[:, r - 1] = -d
+    if relaxed:
+        d = 0.5 * (_slopes(p, positions, z, "left") + _slopes(p, positions, z, "right"))
+    else:
+        d = _slopes(p, positions, z, "right")
+    rows = -d[1:].T
     return rows, prof
 
 

@@ -8,7 +8,13 @@ and may be +/-inf at the glue point: deriv(0, "right") is the limit slope
 coming in from above 0, deriv(0, "left") the limit slope going out below
 2*pi.
 
-All value/derivative methods accept scalars or numpy arrays.
+A kernel whose classify().c1 is true returns bit-identical deriv(t, "left")
+and deriv(t, "right") at every t that does not reduce to the glue point;
+profile() relies on this to bisect both edges of every arc with one
+"right" slope call per step.
+
+All value/derivative methods accept scalars or numpy arrays, and work
+elementwise: a point's result does not depend on the array it sits in.
 """
 from __future__ import annotations
 

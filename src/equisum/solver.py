@@ -20,6 +20,7 @@ from .evaluator import (
     Problem,
     ArcProfile,
     TOL_Z,
+    _slopes,
     delta,
     jacobian_delta,
     jacobian_m,
@@ -119,10 +120,15 @@ def _project_cell(y_vec: np.ndarray, sig: Permutation, margin: float) -> np.ndar
     return sig.nodes(v)
 
 
-def _residual(p: Problem, sig: Permutation, y_vec: np.ndarray, tol_z: float = TOL_Z):
-    """(max |Delta|, Delta, profile) at y; the max is inf when Delta is not finite."""
+def _residual(p: Problem, sig: Permutation, y_vec: np.ndarray, tol_z: float = TOL_Z,
+              prof: ArcProfile | None = None):
+    """(max |Delta|, Delta, profile) at y; the max is inf when Delta is not finite.
+
+    A given prof must be the profile at y; it is used instead of a new one.
+    """
     ns = NodeSystem(tuple(y_vec))
-    prof = profile(p, ns, sig, tol_z=tol_z)
+    if prof is None:
+        prof = profile(p, ns, sig, tol_z=tol_z)
     d = delta(p, ns, sig, prof)
     if not np.all(np.isfinite(d)):
         return INF, d, prof
@@ -314,7 +320,6 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
     """
     opts = opts or SolveOptions()
     sig = as_permutation(sigma, p.n)
-    all_c1 = all(c.c1 for c in p.classifications())
 
     trace = []
     iterations = 0
@@ -327,31 +332,32 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
             if level is not None and math.isfinite(level):
                 yield f"level:{level:g}", Problem(
                     tuple(approximant(k, level, HOMOTOPY_KIND) for k in p.kernels))
-        if all_c1:
+        if p.all_c1:
             yield "exact", p
 
     def pipeline(y):
+        """(y, status, profile at y on p; None when the last stage was a rung)."""
         nonlocal iterations
         for label, q in stages():
-            y, status, tr, _ = _newton_stage(q, sig, y, opts, label)
+            y, status, tr, prof = _newton_stage(q, sig, y, opts, label)
             trace.extend(tr)
             iterations += len(tr)
             # a ladder rung only warm-starts the next; the exact problem can stop
             if status == BOUNDARY_SUSPECTED or (status == CONVERGED and q is p):
-                return y, status
-        y, status, tr, _ = _secant_stage(p, sig, y, opts)
+                return y, status, (prof if q is p else None)
+        y, status, tr, prof = _secant_stage(p, sig, y, opts)
         trace.extend(tr)
         iterations += len(tr)
-        return y, status
+        return y, status, prof
 
-    y, status = pipeline(_initial_nodes(p, sig, opts))
+    y, status, prof = pipeline(_initial_nodes(p, sig, opts))
     restarts = 0
     while status == BOUNDARY_SUSPECTED and restarts < 2:
         restarts += 1
         trace.append({"stage": "restart", "iter": restarts, "note": "nodes spread apart"})
-        y, status = pipeline(_spread_nodes(y, sig))
+        y, status, prof = pipeline(_spread_nodes(y, sig))
 
-    res, _, prof = _residual(p, sig, y)
+    res, _, prof = _residual(p, sig, y, prof=prof)
     ns = NodeSystem(tuple(y))
     interior = min_gap(ns) >= COLLAPSE_TOL
     final = CONVERGED if (_settled(res, prof, opts) and interior) else status
@@ -498,9 +504,11 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     trace = []
     status = MAX_ITER
     polish_used = False
+    prof = None  # profile at y, when already known
     for it in range(opts.max_iter):
         ns = NodeSystem(tuple(y))
-        prof = profile(p, ns, sig)
+        if prof is None:
+            prof = profile(p, ns, sig)
         m_ind = prof.m
         m_under = prof.m_under
         spread = prof.m_bar - m_under
@@ -516,7 +524,7 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
             polish_used = True
             cand = solve_equioscillation(p, sig, replace(opts, start=ns.values))
             if cand.converged and cand.profile.m_under >= m_under - 1e-12:
-                y = cand.nodes.array
+                y, prof = cand.nodes.array, cand.profile
                 continue
 
         act_tol = max(10.0 * opts.tol_residual, 0.25 * spread)
@@ -538,7 +546,7 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
             y_try = _project_cell(y + alpha * a, sig, margin)
             prof_try = profile(p, NodeSystem(tuple(y_try)), sig)
             if prof_try.m_under > m_under + 1e-6 * alpha * s_star:
-                y = y_try
+                y, prof = y_try, prof_try
                 accepted = True
                 break
             alpha *= 0.5
@@ -547,7 +555,7 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
             status = CONVERGED if spread <= 1e-6 else MAX_ITER
             break
 
-    res, _, prof = _residual(p, sig, y)
+    res, _, prof = _residual(p, sig, y, prof=prof)
     return SolveReport(
         status=status,
         nodes=NodeSystem(tuple(y)),
@@ -588,13 +596,16 @@ def _supporting_slopes(p: Problem, positions, t):
     Each slope is taken inside [D+ K_j, D- K_j] at t - y_j, interpolated with
     a common parameter; at a maximizer zero lies between the one-sided sums.
     """
-    dplus = np.asarray([k.deriv(t - positions[j], "right") for j, k in enumerate(p.kernels)])
-    dminus = np.asarray([k.deriv(t - positions[j], "left") for j, k in enumerate(p.kernels)])
+    dplus = _slopes(p, positions, t, "right")
+    dminus = _slopes(p, positions, t, "left")
     if not (np.all(np.isfinite(dplus)) and np.all(np.isfinite(dminus))):
         raise ValidationError("supporting slopes unavailable: t collides with a singular node")
     lo = float(np.sum(dplus))
     hi = float(np.sum(dminus))
-    if lo > 1e-9 or hi < -1e-9:
+    # the bisection leaves the maximizer within an angle tolerance, so the
+    # slope sums miss 0 by up to that tolerance times the slopes' size
+    tol = 1e-9 * max(1.0, float(np.sum(np.abs(dplus))), float(np.sum(np.abs(dminus))))
+    if lo > tol or hi < -tol:
         raise ValidationError(f"not a maximizer: slope interval [{lo}, {hi}] misses 0")
     lam = 0.0 if hi == lo else np.clip(-lo / (hi - lo), 0.0, 1.0)
     return dplus + lam * (dminus - dplus)

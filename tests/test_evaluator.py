@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from equisum.evaluator import (
+    TOL_Z,
     JacobianUnavailableError,
     Problem,
+    _slope_sum,
+    _slopes,
     arc_max,
     delta,
     jacobian_delta,
@@ -16,13 +19,16 @@ from equisum.evaluator import (
 )
 from equisum.kernels import (
     CapabilityError,
+    approximant,
+    kernel_sum,
     log_sine,
     parabola,
     riesz,
+    table,
     tent,
     weighted,
 )
-from equisum.torus import TWO_PI, Permutation, ValidationError
+from equisum.torus import ANGLE_TOL, TWO_PI, NodeSystem, Permutation, ValidationError, arcs
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -204,3 +210,138 @@ def test_jacobian_delta_is_row_difference():
 def test_profile_requires_compatible_sigma():
     with pytest.raises(ValidationError):
         profile(EX_P, E_POINT, Permutation((1, 2, 3)))
+
+
+# --- per-kernel reference: one deriv call per kernel, two bisections -------
+
+def _ref_slope_sum(p, pos, ts, side):
+    ts = np.asarray(ts, dtype=float)
+    acc = np.zeros(ts.shape, dtype=float)
+    for j, k in enumerate(p.kernels):
+        acc = acc + np.asarray(k.deriv(ts - pos[j], side))
+    return acc
+
+
+def _ref_bisect_mask(p, pos, lo, hi, mask, side, want_positive, iters):
+    lo = lo.copy()
+    hi = hi.copy()
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        s = _ref_slope_sum(p, pos, mid, side)
+        pred = (s > 0.0) if want_positive else (s >= 0.0)
+        lo = np.where(mask & pred, mid, lo)
+        hi = np.where(mask & ~pred, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def _ref_arc_maxima(p, pos, los, his, tol_z=TOL_Z):
+    length = his - los
+    degenerate = length <= ANGLE_TOL
+    active = ~degenerate
+    t_left = los.copy()
+    t_right = his.copy()
+    if np.any(active):
+        dpa = _ref_slope_sum(p, pos, los, "right")
+        dmb = _ref_slope_sum(p, pos, his, "left")
+        span = float(np.max(length[active]))
+        iters = max(8, int(math.ceil(math.log2(max(span / max(tol_z, 1e-300), 2.0)))) + 2)
+        at_lo = active & (dpa <= 0.0)
+        at_hi = active & (dmb > 0.0)
+        mask = active & ~at_lo & ~at_hi
+        tl = np.where(at_lo, los, np.where(at_hi, his, los))
+        if np.any(mask):
+            tl = np.where(mask, _ref_bisect_mask(p, pos, los, his, mask, "right", True, iters), tl)
+        t_left = np.where(active, tl, t_left)
+        at_hi_r = active & (dmb >= 0.0)
+        at_lo_r = active & (dpa < 0.0)
+        mask = active & ~at_hi_r & ~at_lo_r
+        tr = np.where(at_hi_r, his, np.where(at_lo_r, los, his))
+        if np.any(mask):
+            tr = np.where(mask, _ref_bisect_mask(p, pos, los, his, mask, "left", False, iters), tr)
+        t_right = np.where(active, tr, t_right)
+    t_right = np.maximum(t_right, t_left)
+    z = np.where(degenerate, los, 0.5 * (t_left + t_right))
+    m = np.zeros_like(z)
+    for j, k in enumerate(p.kernels):
+        m = m + np.asarray(k.value(z - pos[j]))
+    b_tol = max(4.0 * tol_z, 1e-12)
+    on_boundary = degenerate | (z - los <= b_tol) | (his - z <= b_tol)
+    unique = degenerate | ((t_right - t_left) <= max(8.0 * tol_z, 1e-10))
+    return z, m, on_boundary, unique
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+C1_BASES = (log_sine(), riesz(1.5), riesz(3.0), parabola(),
+            approximant(parabola(), 8, "bump"))
+KINKED_BASES = (tent(), approximant(tent(), 8, "bump"), approximant(log_sine(), 8, "log_cusp"),
+                approximant(parabola(), 8, "sqrt_cusp"),
+                table([0.0, 1.0, 3.0, TWO_PI], [0.0, 1.0, 1.5, 0.0]))
+
+
+def _random_case(rng, bases):
+    n = int(rng.integers(1, 7))
+    ks = []
+    for _ in range(n + 1):
+        k = bases[int(rng.integers(len(bases)))]
+        ks.append(weighted(k, float(rng.uniform(0.2, 5.0))) if rng.random() < 0.6 else k)
+    v = np.sort(rng.uniform(0.0, TWO_PI, n))
+    if rng.random() < 0.5:
+        # squeeze one gap, possibly the one next to the fixed node, to 1e-12..1e-10
+        slots = np.concatenate(([0.0], v, [TWO_PI]))
+        k = int(rng.integers(n + 1))
+        gap = 10.0 ** rng.uniform(-12, -10)
+        if k == n:
+            slots[n] = TWO_PI - gap
+        else:
+            slots[k + 1] = slots[k] + gap
+        v = np.sort(np.clip(slots[1:-1], 0.0, np.nextafter(TWO_PI, 0.0)))
+    sig = Permutation(tuple(int(i) for i in rng.permutation(n) + 1))
+    return Problem(tuple(ks)), sig.nodes(v), sig
+
+
+@pytest.mark.parametrize("bases", [C1_BASES, KINKED_BASES], ids=["c1", "kinked"])
+def test_profile_matches_per_kernel_reference(bases):
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        p, y, sig = _random_case(rng, bases)
+        ns = NodeSystem(tuple(y))
+        part = arcs(ns, sig)
+        los = np.asarray([a.lo for a in part.arcs])
+        his = np.asarray([a.hi for a in part.arcs])
+        prof = profile(p, ns, sig)
+        got = (prof.z_trav, prof.m_trav, prof.z_on_boundary_trav, prof.unique_trav)
+        assert _bits(*got) == _bits(*_ref_arc_maxima(p, ns.full_positions(), los, his))
+
+
+def test_slopes_match_per_kernel_deriv():
+    """_slopes groups kernels by base; each row equals that kernel's own
+    deriv bit for bit, for scalar, 1-d and 2-d points and both sides."""
+    tab = table([0.0, 1.0, 3.0, TWO_PI], [0.0, 1.0, 1.5, 0.0])
+    ks = (
+        log_sine(), weighted(log_sine(), 2.5), weighted(log_sine(), 2.5),
+        weighted(log_sine(), 0.3), weighted(weighted(log_sine(), 2.0), 0.7),
+        riesz(1.5), riesz(3.0), weighted(riesz(1.5), 4.0),
+        tent(), weighted(tent(), 0.5), parabola(), weighted(parabola(), 0.1),
+        tab, weighted(tab, 3.0), kernel_sum(tent(), weighted(parabola(), 0.5)),
+        approximant(tent(), 10, "bump"), approximant(tent(), 10, "log_cusp"),
+        weighted(approximant(tent(), 10, "sqrt_cusp"), 2.0),
+        approximant(tent(), 4, "sqrt_cusp"),
+    )
+    p = Problem(ks)
+    # equal bases share one group, so there are fewer groups than kernels
+    assert len(p.slope_plan) < len(ks)
+    rng = np.random.default_rng(5)
+    pos = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, len(ks) - 1)))
+    pts = np.concatenate((rng.uniform(0.0, TWO_PI, 10), pos[:3], [PI, 1.0, TWO_PI]))
+    for ts in (float(pts[0]), float(pos[2]), pts, pts.reshape(4, 4)):
+        for side in ("left", "right"):
+            S = _slopes(p, pos, ts, side)
+            assert S.shape == (len(ks),) + np.shape(ts)
+            for j, k in enumerate(ks):
+                ref = np.asarray(k.deriv(ts - pos[j], side))
+                assert S[j].tobytes() == ref.tobytes(), (j, k, side)
+            total = _slope_sum(p, pos, ts, side)
+            assert total.tobytes() == _ref_slope_sum(p, pos, ts, side).tobytes()

@@ -15,7 +15,7 @@ from equisum.kernels import (
     tent,
     weighted,
 )
-from equisum.torus import TWO_PI, ValidationError
+from equisum.torus import TWO_PI, ValidationError, reduce_angle
 
 PI = math.pi
 
@@ -117,6 +117,26 @@ def test_left_right_slopes_agree_where_smooth():
     # and disagree exactly at the kink
     assert tent().deriv(PI, "left") == 1.0
     assert tent().deriv(PI, "right") == -1.0
+
+
+def test_c1_kernels_have_one_slope_off_the_glue_point():
+    """The contract that lets profile() bisect both arc edges with one
+    "right" slope call: for a C1 kernel the two one-sided slopes agree at
+    every t whose reduced angle is not 0, including t next to 0 and 2*pi."""
+    c1 = [k for k in ALL_FAMILIES + [
+        riesz(0.5), riesz(7.0), weighted(weighted(log_sine(), 2.0), 0.3),
+        approximant(parabola(), 10, "bump"), approximant(log_sine(), 3, "bump"),
+        kernel_sum(log_sine(), riesz(1.0), weighted(parabola(), 0.2)),
+    ] if k.classify().c1]
+    assert len(c1) >= 9
+    rng = np.random.default_rng(43)
+    ts = np.concatenate((rng.uniform(0.0, TWO_PI, 400), [
+        5e-324, 1e-300, 1e-12, PI, np.nextafter(TWO_PI, 0.0), TWO_PI - 1e-12,
+        -1e-12, -3.0, TWO_PI + 1e-9, 20.0]))
+    ts = ts[reduce_angle(ts) != 0.0]
+    for k in c1:
+        left, right = k.deriv(ts, "left"), k.deriv(ts, "right")
+        assert left.tobytes() == right.tobytes(), k
 
 
 def test_weighted_scales_everything():

@@ -225,6 +225,21 @@ def test_descent_direction_lowers_every_active_maximum():
     assert nonneutral > 50
 
 
+def test_descent_direction_accepts_maximizer_between_close_nodes():
+    """Nodes 4.2e-3 apart: the bisection leaves slope sums of about 1e-9 at
+    the maximizers, which is within tolerance for slopes this large."""
+    w = (4.815954529586176, 3.6789917157129617, 2.7978889066276844,
+         1.52907777941778, 0.971129642120609)
+    y = np.array([0.9584857464012457, 3.2329134028826556, 3.2371394094847616,
+                  5.812265857450013])
+    p = Problem(tuple(weighted(log_sine(), v) for v in w))
+    sig = Permutation((1, 2, 3, 4))
+    d = descent_direction(p, y, sig, active=[0, 1, 2, 3])
+    assert not d.neutral and np.all(d.margins > 0)
+    base = profile(p, y, sig).m[:4]
+    assert np.all(profile(p, y + 1e-6 * d.a, sig).m[:4] < base)
+
+
 def test_pull_apart_increases_gap():
     p = unit_problem(3)
     y = np.array([2.0, 2.05])
