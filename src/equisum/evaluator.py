@@ -362,7 +362,8 @@ def _slope_rows(p: Problem, y, sigma, prof, relaxed: bool, tol_z: float):
     positions = ns.full_positions()
     z = prof.z_trav
     if relaxed:
-        d = 0.5 * (_slopes(p, positions, z, "left") + _slopes(p, positions, z, "right"))
+        with np.errstate(invalid="ignore"):
+            d = 0.5 * (_slopes(p, positions, z, "left") + _slopes(p, positions, z, "right"))
     else:
         d = _slopes(p, positions, z, "right")
     rows = -d[1:].T

@@ -60,7 +60,7 @@ MULTISTART = 3  # seeded restarts after a failed certificate
 class SolveOptions:
     tol_residual: float = 1e-10
     max_iter: int = 200
-    homotopy_levels: tuple = (4, 16, 64, 256, None)
+    homotopy_levels: tuple = (4, 16, 64, 256)
     start: object = "equidistant"  # "equidistant" | "coarse_grid" | node angles
     seed: int = 12345
     secant_sweeps: int = 80
@@ -392,10 +392,6 @@ def minimax(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     opts = opts or SolveOptions()
     sig = as_permutation(sigma, p.n)
     rep = solve_equioscillation(p, sig, opts)
-    cls = p.classifications()
-    rep.flags["preconditions_met"] = all(c.strictly_concave for c in cls) and (
-        all(c.cond_inf_prime for c in cls) or all(c.c1 for c in cls)
-    )
 
     def certify(r: SolveReport):
         base = r.profile.m_bar
@@ -411,9 +407,8 @@ def minimax(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
         return failures
 
     failures = certify(rep)
-    rep.flags["local_min_certified"] = not failures
+    improved = False
     if failures:
-        rep.flags["certificate_failures"] = failures
         # seeded multistart: maybe a different equioscillation point exists
         rng = np.random.default_rng(opts.seed)
         best = rep
@@ -426,9 +421,17 @@ def minimax(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
             if alt.converged and alt.objective < best.objective - 1e-12:
                 best = alt
         if best is not rep:
-            best.flags["local_min_certified"] = not certify(best)
-            best.flags["multistart_improved"] = True
-            return best
+            rep, failures, improved = best, certify(best), True
+
+    cls = p.classifications()
+    rep.flags["preconditions_met"] = all(c.strictly_concave for c in cls) and (
+        all(c.cond_inf_prime for c in cls) or all(c.c1 for c in cls)
+    )
+    rep.flags["local_min_certified"] = not failures
+    if failures:
+        rep.flags["certificate_failures"] = failures
+    if improved:
+        rep.flags["multistart_improved"] = True
     return rep
 
 
@@ -493,18 +496,20 @@ def _steepest_lp(G, F=None):
 def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     """Maximize the smallest arc maximum over one ordering cell.
 
-    Ascends m_under along directions that raise every nearly-active arc at
-    once (a small linear program); when all arcs become active the iterate
-    is polished by the equioscillation solver.  The LP value doubles as the
-    stationarity certificate.
+    Starts at the equioscillation point when the solver finds one (for
+    singular kernels it is the maximin point), else at the configured start,
+    and ascends m_under along directions that raise every nearly-active arc
+    at once (a small linear program).  The LP value doubles as the stationarity
+    certificate; the trace opens with the equioscillation solve's.
     """
     opts = opts or SolveOptions()
     sig = as_permutation(sigma, p.n)
-    y = _initial_nodes(p, sig, opts)
-    trace = []
+    equi = solve_equioscillation(p, sig, opts)
+    trace = equi.trace
+    y, prof = equi.nodes.array, equi.profile  # prof: profile at y, when known
+    if not equi.converged:
+        y, prof = _initial_nodes(p, sig, opts), None
     status = MAX_ITER
-    polish_used = False
-    prof = None  # profile at y, when already known
     for it in range(opts.max_iter):
         ns = NodeSystem(tuple(y))
         if prof is None:
@@ -517,15 +522,6 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
         if not math.isfinite(m_under):
             status = BOUNDARY_SUSPECTED
             break
-
-        # near-equioscillation accelerator: jump to the equioscillation
-        # point when it loses no height; stationarity still decides below
-        if not polish_used and 0.0 < spread <= max(100.0 * opts.tol_residual, 1e-7):
-            polish_used = True
-            cand = solve_equioscillation(p, sig, replace(opts, start=ns.values))
-            if cand.converged and cand.profile.m_under >= m_under - 1e-12:
-                y, prof = cand.nodes.array, cand.profile
-                continue
 
         act_tol = max(10.0 * opts.tol_residual, 0.25 * spread)
         active = [j for j in range(p.n + 1) if m_ind[j] <= m_under + act_tol]
@@ -552,7 +548,8 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
             alpha *= 0.5
         if not accepted:
             # no line-search progress at a positive LP rate: numerical floor
-            status = CONVERGED if spread <= 1e-6 else MAX_ITER
+            res = _residual(p, sig, y, prof=prof)[0]
+            status = CONVERGED if _settled(res, prof, opts) else MAX_ITER
             break
 
     res, _, prof = _residual(p, sig, y, prof=prof)

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from equisum import (
     BojanovProblem,
@@ -115,6 +116,7 @@ def test_criterion_02_example_boundary_profile(capsys):
     _report(capsys, 2, "example boundary profile", checks, elapsed, 1.0)
 
 
+@pytest.mark.slow
 def test_criterion_03_smoothed_cell_dependence(capsys):
     t0 = time.perf_counter()
     p = Problem(tuple(approximant(k, 50, "bump") for k in EX_KERNELS))
@@ -245,6 +247,7 @@ def test_criterion_07_jacobian_suite(capsys):
     _report(capsys, 7, "jacobian property suite", checks, elapsed, 60.0)
 
 
+@pytest.mark.slow
 def test_criterion_08_sandwich_and_majorization(capsys):
     t0 = time.perf_counter()
     heavy_mix = Problem((weighted(log_sine(), 2.0), log_sine(), log_sine(), log_sine()))

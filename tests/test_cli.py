@@ -154,6 +154,23 @@ def test_sample_csv_file(tmp_path, capsys):
     assert len(lines) == 101
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["minimax", "--sigma", "1,2"], "t,F"),
+    (["gtp", "--exponents", "1,1,1"], "t,T"),
+    (["bojanov", "--interval=-1,1", "--exponents", "1,1"], "x,P"),
+])
+def test_emit_samples_beside_report(tmp_path, capsys, argv, header):
+    target = tmp_path / "curve.csv"
+    config = ["--config", write_config(tmp_path, LOGSINE_CONFIG)] if argv[0] == "minimax" else []
+    code, doc = run_json(capsys, argv + config + ["--resolution", "50",
+                                                  "--emit-samples", str(target)])
+    assert code == 0
+    assert doc["result"]["samples_written"] == 50
+    lines = target.read_text().strip().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 51
+
+
 def test_verify_sandwich_clean(tmp_path, capsys):
     cfg = dict(LOGSINE_CONFIG, m_estimate=-2 * math.log(2.0), samples=20)
     code, doc = run_json(capsys, ["verify", "--config", write_config(tmp_path, cfg),

@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from equisum.evaluator import Problem, profile, jacobian_delta
-from equisum.kernels import approximant, log_sine, parabola, tent, weighted
+from equisum.kernels import approximant, log_sine, parabola, table, tent, weighted
 from equisum.oracle import check_mmatrix, grid_minimax
 from equisum.solver import (
     CONVERGED,
+    MAX_ITER,
     NoAdmissibleDirection,
     SolveOptions,
     _secant_stage,
@@ -116,6 +118,48 @@ def test_secant_stage_returns_profile_of_its_nodes(sweeps):
     assert np.array_equal(prof.m_trav, profile(EX_P, y, sig).m_trav)
 
 
+def test_node_spread_restart_recovers_from_collapse():
+    """Both nodes start on one point: the first pass collapses them and the
+    spread-apart restart finds the interior solution."""
+    p = Problem((weighted(log_sine(), 0.40262226273469925),
+                 weighted(parabola(), 4.4793591385824785),
+                 weighted(log_sine(), 1.1138282570095432)))
+    start = (3.8400739768867376, 3.8400739768867376)
+    rep = solve_equioscillation(p, Permutation((2, 1)), SolveOptions(start=start))
+    assert any(e["stage"] == "restart" for e in rep.trace)
+    assert rep.status == CONVERGED
+
+
+def test_coarse_grid_start_matches_equidistant():
+    p = Problem(tuple(weighted(log_sine(), w) for w in (1.0, 1.6, 0.7)))
+    sig = Permutation((1, 2))
+    grid = solve_equioscillation(p, sig, SolveOptions(start="coarse_grid"))
+    equi = solve_equioscillation(p, sig)
+    assert grid.status == CONVERGED and equi.status == CONVERGED
+    assert math.isclose(grid.objective, equi.objective, abs_tol=1e-9)
+
+
+def test_homotopy_levels_skip_non_finite():
+    opts = SolveOptions(max_iter=2, secant_sweeps=1)
+    with_none = solve_equioscillation(EX_P, Permutation((3, 2, 1)),
+                                      replace(opts, homotopy_levels=(4, None)))
+    without = solve_equioscillation(EX_P, Permutation((3, 2, 1)),
+                                    replace(opts, homotopy_levels=(4,)))
+    assert any(e["stage"] == "level:4" for e in without.trace)
+    assert with_none.to_dict() == without.to_dict()
+
+
+@pytest.mark.filterwarnings("error")
+def test_relaxed_jacobian_at_singular_node_is_silent():
+    """A maximizer on the log-sine node makes the relaxed slope +inf + -inf;
+    the nan ends direct Newton without a RuntimeWarning and the ladder
+    takes over."""
+    p = Problem((weighted(log_sine(), 3.3332789317528775), tent(), tent()))
+    start = (0.7271015297493361, 0.7271015297493361)
+    rep = solve_equioscillation(p, Permutation((2, 1)), SolveOptions(start=start))
+    assert rep.status == CONVERGED
+
+
 def test_minimax_smooth_certifies():
     p = unit_problem(3)
     sig = Permutation((1, 2))
@@ -133,6 +177,31 @@ def test_minimax_preconditions_flag_for_tent_mix():
     assert not rep.flags["preconditions_met"]
     # e is a genuine local minimum inside this cell
     assert rep.flags["local_min_certified"]
+
+
+def test_minimax_flags_survive_multistart():
+    """The multistart report carries every flag, not only its own two."""
+    p = Problem((table([0, 2.924865122344172, 5.494740058217614, TWO_PI],
+                       [0, 4.291894072194975, 5.342795065782247, 0]),
+                 tent(),
+                 weighted(parabola(), 1.5320965858668274),
+                 weighted(log_sine(), 0.002508212516841592)))
+    rep = minimax(p, Permutation((2, 3, 1)))
+    assert rep.flags["multistart_improved"]
+    assert rep.flags["preconditions_met"] is False
+    assert rep.flags["local_min_certified"] == ("certificate_failures" not in rep.flags)
+
+
+def test_minimax_failed_certificate_is_flagged():
+    p = Problem((weighted(table([0, 2.6982200315014477, 5.745752213661757, TWO_PI],
+                                [0, 5.007477049120271, 3.781253103975902, 0]),
+                          4.480089939041198),
+                 weighted(tent(), 0.05401640372287535),
+                 weighted(parabola(), 0.07341934827781785)))
+    rep = minimax(p, Permutation((1, 2)))
+    assert not rep.flags["local_min_certified"]
+    assert len(rep.flags["certificate_failures"]) == 1
+    assert rep.status == MAX_ITER
 
 
 def test_minimax_equals_maximin_smooth():
@@ -156,6 +225,7 @@ def test_maximin_from_bad_start():
     assert rep.flags["objective_kind"] == "m_under"
 
 
+@pytest.mark.slow
 def test_maximin_example_exceeds_minimax():
     """In the Example's cell the maximin value sits strictly above the
     minimax value; the equioscillation value lower-bounds the former."""
@@ -163,6 +233,38 @@ def test_maximin_example_exceeds_minimax():
     assert rep.objective >= E_VALUE - 1e-9
     gm = grid_minimax(EX_P, E_SIGMA, node_resolution=60)
     assert gm.value < rep.objective
+
+
+@pytest.mark.parametrize("kernels, sigma, floor", [
+    # active maximizers on tent kinks, where the relaxed slope LP stalls
+    ((weighted(parabola(), 0.11), tent(), tent()), (2, 1), 4.0770),
+    # a 2001-point node grid of oracle.grid_profile reaches 6.85008
+    ((table([0, 1.5577036703507876, 4.9750406710964645, TWO_PI],
+            [0, 2.6922960206142297, 3.30089515788466, 0]),
+      weighted(tent(), 2.1011967870864185)), (1,), 6.8500),
+    # random sampling of the cell reaches 46.33
+    ((weighted(parabola(), 3.546804628089854), parabola(), parabola(), parabola()),
+     (1, 3, 2), 46.33),
+], ids=["tent_kinks", "table_n1", "parabolas"])
+def test_maximin_reaches_brute_force_height(kernels, sigma, floor):
+    opts = SolveOptions()
+    rep = maximin(Problem(kernels), Permutation(sigma), opts)
+    assert rep.objective >= floor
+    if rep.converged:
+        assert rep.profile.m_bar - rep.profile.m_under <= 2.0 * opts.tol_residual
+
+
+def test_maximin_starts_at_equioscillation_point():
+    """Singular kernels: the equioscillation point is the maximin point, so
+    one ascent step certifies it."""
+    count = 7
+    p = Problem(tuple(weighted(log_sine(), w) for w in (1.0, 1.6, 0.7, 1.3, 0.8, 1.2, 0.9)))
+    sig = Permutation.identity(count - 1)
+    lo = maximin(p, sig)
+    hi = minimax(p, sig)
+    assert lo.status == CONVERGED
+    assert math.isclose(lo.objective, hi.objective, abs_tol=1e-10)
+    assert [e["stage"] for e in lo.trace].count("ascent") == 1
 
 
 def test_minimax_global_sweeps_cells():
@@ -251,6 +353,7 @@ def test_pull_apart_increases_gap():
         pull_apart(p, y, 0, 2, 0.1)  # the anchor never moves
 
 
+@pytest.mark.slow
 def test_smoothed_example_solver_matches_grid():
     """Bump-smoothed Example, sigma=(2,1,3): interior minimax from the solver
     agrees with the brute-force oracle at grid accuracy."""
