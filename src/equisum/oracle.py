@@ -4,6 +4,14 @@ Everything here recomputes values from kernel evaluations alone — grids
 plus golden-section refinement — deliberately sharing no search code with
 the evaluator or the solvers, so agreement between the two is evidence
 rather than tautology.
+
+The oracles work in lockstep batches: one grid over every arc of every
+node system in a batch, then one golden-section loop that refines all
+those arcs together, each stopping on its own width test.  A step costs
+one Kernel.value call per kernel, whatever the batch size.  This relies on
+the elementwise contract stated in kernels.py: a point's value does not
+depend on the array it sits in, so each batch row reproduces, bit for bit,
+what it would give on its own.
 """
 from __future__ import annotations
 
@@ -14,42 +22,86 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluator import Problem
-from .torus import TWO_PI, NodeSystem, ValidationError, as_node_system, as_permutation
+from .torus import (
+    TWO_PI,
+    NodeSystem,
+    ValidationError,
+    as_node_system,
+    as_permutation,
+    reduce_angle,
+)
 
 DEFAULT_SEED = 12345
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _F(p: Problem, positions, ts):
-    """Sum of translated kernel values; oracle-local assembly."""
+    """Sum of translated kernel values; oracle-local assembly.
+
+    positions is a batch (B, n+1) of full node vectors; row b is evaluated
+    at the points ts[b] (ts of shape (B, ...)).
+    """
     ts = np.asarray(ts, dtype=float)
+    # node j's position in each row, shaped to broadcast against ts
+    cols = np.asarray(positions, dtype=float).T
+    cols = cols.reshape(cols.shape + (1,) * (ts.ndim - 1))
     acc = np.zeros(ts.shape)
     for j, k in enumerate(p.kernels):
-        acc = acc + k.value(ts - positions[j])
+        acc = acc + k.value(ts - cols[j])
     return acc
 
 
 def _golden_max(p: Problem, positions, lo, hi, iters=80):
-    """Golden-section maximum of F on [lo, hi] (concave there)."""
-    a, b = float(lo), float(hi)
+    """Golden-section maxima of F on the intervals [lo[b], hi[b]] (F concave
+    on each), row b against positions[b]: arrays (x, F(x)).
+
+    All intervals step together; each stops on its own width test, so its
+    iterates are those of a golden run on that interval alone.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = float(_F(p, positions, np.array([x1]))[0])
-    f2 = float(_F(p, positions, np.array([x2]))[0])
+    f = _F(p, positions, np.stack((x1, x2), axis=1))
+    f1, f2 = f[:, 0].copy(), f[:, 1].copy()
     for _ in range(iters):
-        if b - a < 1e-14:
+        live = np.flatnonzero(~(b - a < 1e-14))
+        if not live.size:
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = float(_F(p, positions, np.array([x2]))[0])
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = float(_F(p, positions, np.array([x1]))[0])
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+        a_, b_, x1_, x2_, f1_, f2_ = a[live], b[live], x1[live], x2[live], f1[live], f2[live]
+        up = f1_ < f2_  # the max lies right of x1: drop [a, x1]
+        a_ = np.where(up, x1_, a_)
+        b_ = np.where(up, b_, x2_)
+        x_new = np.where(up, a_ + _GOLDEN * (b_ - a_), b_ - _GOLDEN * (b_ - a_))
+        f_new = _F(p, positions[live], x_new[:, None])[:, 0]
+        a[live], b[live] = a_, b_
+        x1[live] = np.where(up, x2_, x_new)
+        x2[live] = np.where(up, x_new, x1_)
+        f1[live] = np.where(up, f2_, f_new)
+        f2[live] = np.where(up, f_new, f1_)
+    first = f1 >= f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
+
+
+def _grid_sups(p: Problem, positions, resolution: int, refine: bool):
+    """grid_sup for each row of positions (B, n+1), full node vectors with
+    node 0 first."""
+    ts = np.arange(resolution) * (TWO_PI / resolution)
+    B = len(positions)
+    best = np.max(_F(p, positions, np.broadcast_to(ts, (B, resolution))), axis=1)
+    if not refine:
+        return best
+    # F is concave between consecutive nodes, so one golden run per arc
+    # nails every mode -- including narrow kink spikes the grid undersamples
+    cuts = np.concatenate((np.zeros((B, 1)), np.sort(positions, axis=1),
+                           np.full((B, 1), TWO_PI)), axis=1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    row, arc = np.nonzero(np.isfinite(best)[:, None] & ~(hi - lo <= 1e-13))
+    _, refined = _golden_max(p, positions[row], lo[row, arc], hi[row, arc])
+    per_arc = np.full(lo.shape, -math.inf)
+    per_arc[row, arc] = np.where(np.isnan(refined), -math.inf, refined)
+    top = np.max(per_arc, axis=1)
+    return np.where(top > best, top, best)
 
 
 def grid_sup(p: Problem, y, resolution: int = 4096, refine: bool = True) -> float:
@@ -65,57 +117,61 @@ def grid_sup(p: Problem, y, resolution: int = 4096, refine: bool = True) -> floa
         raise ValidationError(
             f"resolution {resolution} too coarse; need at least {10 * (p.n + 1)}"
         )
-    positions = ns.full_positions()
-    ts = np.arange(resolution) * (TWO_PI / resolution)
-    vals = _F(p, positions, ts)
-    best = float(np.max(vals))
-    if not refine or not math.isfinite(best):
-        return best
-    # F is concave between consecutive nodes, so one golden run per arc
-    # nails every mode -- including narrow kink spikes the grid undersamples
-    cuts = np.unique(np.concatenate(([0.0], np.sort(positions), [TWO_PI])))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo <= 1e-13:
-            continue
-        _, refined = _golden_max(p, positions, lo, hi)
-        if refined > best:
-            best = refined
-    return best
+    return float(_grid_sups(p, ns.full_positions()[None, :], resolution, refine)[0])
 
 
-def _arc_sup(p: Problem, positions, lo, hi, resolution=512):
-    """Grid + golden maximum of F over one arc [lo, hi]."""
-    if hi - lo <= 1e-13:
-        return float(lo), float(_F(p, positions, np.array([lo]))[0])
-    ts = np.linspace(lo, hi, resolution)
-    vals = _F(p, positions, ts)
-    i = int(np.argmax(vals))
-    best_t, best = float(ts[i]), float(vals[i])
-    if math.isfinite(best):
-        a = ts[max(i - 1, 0)]
-        b = ts[min(i + 1, resolution - 1)]
-        t2, v2 = _golden_max(p, positions, a, b)
-        if v2 > best:
-            best_t, best = t2, v2
-    return best_t, best
+def _check_arc_resolution(resolution):
+    # one point per arc is the arc's left end: no maximum is located
+    if resolution < 2:
+        raise ValidationError(f"resolution {resolution} too coarse; need at least 2 per arc")
+
+
+def _arc_sups(p: Problem, positions, lo, hi, resolution):
+    """Grid + golden maxima of F over the arcs [lo[b], hi[b]], row b against
+    positions[b]: arrays (t, F(t))."""
+    t = np.array(lo, dtype=float)
+    v = np.empty(len(t))
+    flat = hi - lo <= 1e-13  # a collapsed arc reports its left end
+    v[flat] = _F(p, positions[flat], t[flat, None])[:, 0]
+    wide = np.flatnonzero(~flat)
+    ts = np.linspace(lo[wide], hi[wide], resolution, axis=1)
+    vals = _F(p, positions[wide], ts)
+    i = np.argmax(vals, axis=1)
+    rows = np.arange(len(wide))
+    t[wide], v[wide] = ts[rows, i], vals[rows, i]
+    fin = np.flatnonzero(np.isfinite(v[wide]))
+    a = ts[fin, np.maximum(i[fin] - 1, 0)]
+    b = ts[fin, np.minimum(i[fin] + 1, resolution - 1)]
+    t2, v2 = _golden_max(p, positions[wide[fin]], a, b)
+    better = v2 > v[wide[fin]]
+    t[wide[fin[better]]], v[wide[fin[better]]] = t2[better], v2[better]
+    return t, v
+
+
+def _profiles(p: Problem, systems, sig, resolution):
+    """Arc maxima (z, m), each (len(systems), n+1) in traversal order, of
+    node systems in the closed cell of sig, all arcs in one batch."""
+    positions, cuts = [], []
+    for ns in systems:
+        slots = np.concatenate(([0.0], sig.slots(ns.values), [TWO_PI]))
+        if np.any(np.diff(slots) < -1e-9):
+            raise ValidationError("node system does not lie in the closed cell of sigma")
+        positions.append(ns.full_positions())
+        cuts.append(np.maximum.accumulate(slots))
+    cuts = np.array(cuts)
+    arcs = cuts.shape[1] - 1
+    z, m = _arc_sups(p, np.repeat(positions, arcs, axis=0), cuts[:, :-1].ravel(),
+                     cuts[:, 1:].ravel(), resolution)
+    return z.reshape(-1, arcs), m.reshape(-1, arcs)
 
 
 def grid_profile(p: Problem, y, sigma, resolution: int = 512):
     """Arc-wise grid maxima: (labels, z, m) in traversal order."""
+    _check_arc_resolution(resolution)
     ns = as_node_system(y)
     sig = as_permutation(sigma, ns.n)
-    positions = ns.full_positions()
-    slots = np.concatenate(([0.0], sig.slots(ns.values), [TWO_PI]))
-    if np.any(np.diff(slots) < -1e-9):
-        raise ValidationError("node system does not lie in the closed cell of sigma")
-    slots = np.maximum.accumulate(slots)
-    labels = (0,) + sig.sigma
-    zs, ms = [], []
-    for k in range(ns.n + 1):
-        t, v = _arc_sup(p, positions, slots[k], slots[k + 1], resolution)
-        zs.append(t)
-        ms.append(v)
-    return labels, np.asarray(zs), np.asarray(ms)
+    z, m = _profiles(p, [ns], sig, resolution)
+    return (0,) + sig.sigma, z[0], m[0]
 
 
 @dataclass
@@ -218,8 +274,12 @@ def grid_minimax(
     ts_fine = np.arange(2048) * (TWO_PI / 2048)
     base_fine = p.kernels[0].value(ts_fine)
 
-    def exact(slot_vec):
-        return grid_sup(p, nodes_of(slot_vec), 4096, refine=True)
+    def exact(cand):
+        # grid_sup(p, nodes_of(c), 4096) of every candidate row c in one batch
+        nodes = np.empty_like(cand)
+        nodes[:, np.asarray(sig.sigma) - 1] = cand
+        positions = np.concatenate((np.zeros((len(cand), 1)), reduce_angle(nodes)), axis=1)
+        return _grid_sups(p, positions, 4096, refine=True)
 
     def cell_mask(cand):
         ok = np.all((cand > 1e-9) & (cand < TWO_PI - 1e-9), axis=1)
@@ -245,15 +305,12 @@ def grid_minimax(
             acc += kernels_in_slots[k].value(ts_fine[None, :] - cand[:, k, None])
         sup = np.max(acc, axis=1)
         top = np.argsort(sup, kind="stable")[:rescores]
-        moved = False
-        for i in top:
-            v_exact = exact(cand[int(i)])
-            if v_exact < value - 1e-15:
-                value = v_exact
-                slots = cand[int(i)]
-                moved = True
-                break
-        if not moved:
+        vals = exact(cand[top])
+        better = np.flatnonzero(vals < value - 1e-15)
+        if better.size:  # the first improvement in rank order
+            value = float(vals[better[0]])
+            slots = cand[int(top[better[0]])]
+        else:
             h *= 0.5
 
     # phase 2: compass steps, every neighbour scored exactly; extra seeded
@@ -269,7 +326,7 @@ def grid_minimax(
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         cand = slots[None, :] + h * np.vstack((offsets, extra))
         cand = cand[cell_mask(cand)]
-        vals = np.array([exact(c) for c in cand]) if len(cand) else np.array([])
+        vals = exact(cand)
         if len(vals) and float(np.min(vals)) < value - 1e-15:
             i = int(np.argmin(vals))
             value = float(vals[i])
@@ -330,6 +387,7 @@ def check_sandwich(
     always among the tested points, plus any in `include`; each violation
     is reported with its margin.
     """
+    _check_arc_resolution(resolution)
     sig = as_permutation(sigma, p.n)
     if m_estimate is None:
         gm = grid_minimax(p, sig)
@@ -346,10 +404,10 @@ def check_sandwich(
     for i in range(samples):
         tested.append((f"sample[{i}]", _sample_cell(rng, n)))
 
+    systems = [NodeSystem(tuple(sig.nodes(slots))) for _, slots in tested]
+    _, profiles = _profiles(p, systems, sig, resolution)
     violations = []
-    for name, slots in tested:
-        ns = NodeSystem(tuple(sig.nodes(slots)))
-        _, _, ms = grid_profile(p, ns, sig, resolution)
+    for (name, _), ns, ms in zip(tested, systems, profiles):
         m_lo = float(np.min(ms))
         m_hi = float(np.max(ms))
         if m_lo > m_estimate + tol:
@@ -478,18 +536,16 @@ def convergence_probe(
     """
     from .kernels import approximant
 
+    _check_arc_resolution(resolution)
     ns = as_node_system(y)
     positions = ns.full_positions()
     cuts = np.concatenate((np.sort(positions), [TWO_PI]))
+    wide = ~(np.diff(cuts) <= 1e-13)
+    lo, hi = cuts[:-1][wide], cuts[1:][wide]
+    batch = np.broadcast_to(positions, (len(lo), len(positions)))
 
     def sorted_m(q: Problem):
-        ms = []
-        for k in range(len(cuts) - 1):
-            if cuts[k + 1] - cuts[k] <= 1e-13:
-                continue
-            _, v = _arc_sup(q, positions, cuts[k], cuts[k + 1], resolution)
-            ms.append(v)
-        return np.sort(np.asarray(ms))
+        return np.sort(_arc_sups(q, batch, lo, hi, resolution)[1])
 
     base = sorted_m(p)
     rows = []

@@ -1,11 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import equisum.oracle
 from equisum.evaluator import Problem, profile
-from equisum.kernels import log_sine, parabola, tent, weighted
+from equisum.kernels import log_sine, parabola, riesz, tent, weighted
 from equisum.oracle import (
+    _golden_max,
     check_majorization,
     check_mmatrix,
     check_sandwich,
@@ -15,7 +19,7 @@ from equisum.oracle import (
     grid_sup,
     interval_gap_minimax,
 )
-from equisum.torus import Permutation, ValidationError
+from equisum.torus import TWO_PI, Permutation, ValidationError
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -226,3 +230,113 @@ def test_interval_gap_validates():
         interval_gap_minimax(1.0, -1.0, (1, 1))
     with pytest.raises(ValidationError):
         interval_gap_minimax(-1.0, 1.0, (1, -1))
+
+
+@pytest.mark.parametrize("p, sigma, node_resolution", [
+    (Problem((weighted(log_sine(), 1.3), tent())), (1,), 24),
+    (LOGSINE_3, (1, 2), 20),
+    (Problem((tent(), weighted(parabola(), 0.2), log_sine())), (2, 1), 16),
+], ids=["n1", "log_sine_n2", "kinked_n2"])
+def test_grid_minimax_value_is_grid_sup_at_its_nodes(p, sigma, node_resolution):
+    # the search scores candidates in batches; its answer must be exactly
+    # what the public grid_sup reports for the returned nodes
+    gm = grid_minimax(p, sigma, node_resolution=node_resolution)
+    assert gm.value == grid_sup(p, gm.nodes, 4096)
+
+
+@pytest.mark.parametrize("p", [EX_P, LOGSINE_3], ids=["example", "log_sine"])
+def test_sandwich_margins_match_single_profiles(p):
+    """check_sandwich profiles all its points in one batch.  At M = 0 every
+    margin is an arc maximum itself, so each must equal, bit for bit, the
+    one from grid_profile on that point alone."""
+    sig = Permutation.identity(p.n)
+    rep = check_sandwich(p, sig, m_estimate=0.0, samples=30, tol=0.0)
+    assert len(rep.violations) == 31  # every tested point: equidistant + samples
+    for v in rep.violations:
+        _, _, m = grid_profile(p, v["nodes"], sig)
+        if v["kind"] == "min_arc_max_above_M":
+            assert v["margin"] == float(np.min(m))
+        else:
+            assert v["margin"] == -float(np.max(m))
+
+
+def _golden_reference(p, positions, lo, hi, iters=80):
+    """One golden-section run on one interval, a point at a time."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def f(t):
+        acc = np.zeros(1)
+        for j, k in enumerate(p.kernels):
+            acc = acc + k.value(np.array([t]) - positions[j])
+        return float(acc[0])
+
+    a, b = float(lo), float(hi)
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if b - a < 1e-14:
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def test_lockstep_golden_matches_scalar_reference():
+    rng = np.random.default_rng(20261018)
+    p = Problem((log_sine(), weighted(tent(), 0.7), riesz(1.5), weighted(parabola(), 0.2)))
+    positions = np.concatenate((np.zeros((60, 1)),
+                                np.sort(rng.uniform(0.0, TWO_PI, (60, 3)), axis=1)), axis=1)
+    cuts = np.concatenate((positions, np.full((60, 1), TWO_PI)), axis=1)
+    arc = rng.integers(0, 4, 60)
+    left, right = cuts[np.arange(60), arc], cuts[np.arange(60), arc + 1]
+    lo = left + rng.uniform(0.0, 0.5, 60) * (right - left)
+    hi = lo + rng.uniform(0.0, 1.0, 60) * (right - lo)
+    hi[:10] = lo[:10] + 5e-15     # narrower than the stopping width
+    lo[10:20] = left[10:20]       # starting on a node ...
+    hi[20:30] = right[20:30]      # ... or ending on one
+    lo[30:33], hi[30:33] = 0.0, cuts[30:33, 1]  # log-sine is -inf at node 0
+    x, fx = _golden_max(p, positions, lo, hi)
+    for b in range(60):
+        want = _golden_reference(p, positions[b], lo[b], hi[b])
+        assert (float(x[b]).hex(), float(fx[b]).hex()) == (want[0].hex(), want[1].hex())
+
+
+def test_arc_resolutions_below_two_are_rejected():
+    # one point per arc is the arc's left end: on the Example the arcs that
+    # peak mid-arc would read 4.12855 instead of pi + 0.15 pi^2
+    for bad in (1, 0):
+        with pytest.raises(ValidationError):
+            grid_profile(EX_P, E_POINT, E_SIGMA, resolution=bad)
+        with pytest.raises(ValidationError):
+            check_sandwich(EX_P, E_SIGMA, samples=2, resolution=bad)
+        with pytest.raises(ValidationError):
+            convergence_probe(EX_P, E_POINT, resolution=bad)
+    _, _, m = grid_profile(EX_P, E_POINT, E_SIGMA, resolution=2)
+    assert np.allclose(m, E_VALUE, atol=1e-9)
+
+
+def test_oracle_imports_no_solver_code():
+    """The oracles stay independent: from the rest of the package they take
+    only Problem, torus geometry and the approximant factory."""
+    allowed = {"equisum.evaluator": {"Problem"}, "equisum.kernels": {"approximant"},
+               "equisum.torus": None}
+    tree = ast.parse(Path(equisum.oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "equisum" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = ".".join(filter(None, ["equisum", node.module]))
+            elif (node.module or "").split(".")[0] == "equisum":
+                module = node.module
+            else:
+                continue
+            assert module in allowed, module
+            names = {a.name for a in node.names}
+            assert allowed[module] is None or names <= allowed[module], (module, names)

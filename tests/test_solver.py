@@ -225,7 +225,6 @@ def test_maximin_from_bad_start():
     assert rep.flags["objective_kind"] == "m_under"
 
 
-@pytest.mark.slow
 def test_maximin_example_exceeds_minimax():
     """In the Example's cell the maximin value sits strictly above the
     minimax value; the equioscillation value lower-bounds the former."""
@@ -353,7 +352,6 @@ def test_pull_apart_increases_gap():
         pull_apart(p, y, 0, 2, 0.1)  # the anchor never moves
 
 
-@pytest.mark.slow
 def test_smoothed_example_solver_matches_grid():
     """Bump-smoothed Example, sigma=(2,1,3): interior minimax from the solver
     agrees with the brute-force oracle at grid accuracy."""
