@@ -51,8 +51,11 @@ HOMOTOPY_KIND = "bump"  # regularization of the ladder's kernels
 MARGIN_FRACTION = 1e-3  # cell projection margin, fraction of min gap
 MIN_STEP = 2.0 ** -30  # smallest Newton line-search step
 COND_LIMIT = 1e12  # a worse-conditioned Jacobian ends a Newton stage
+# the axis probes certify minimax only where Gordan's test has no verdict
 PROBE_H = 1e-4  # node displacement of the minimax certificate probes
 CERTIFICATE_SLACK = 1e-9  # m_bar drop a certificate probe may show
+GORDAN_RANK_TOL = 1e-10  # sigma_min / sigma_max of Jm at or below which rank Jm < n
+GORDAN_SIGN_TOL = 1e-8  # |lambda_j| / max |lambda| at or below which lambda_j has no sign
 MULTISTART = 3  # seeded restarts after a failed certificate
 
 
@@ -236,7 +239,7 @@ def _secant_stage(p, sig, y_vec, opts: SolveOptions, label="secant"):
                 v2 = v1 - g1 * (v1 - v0) / (g1 - g0)
                 y[idx] = float(np.clip(v2, lo + pad, hi - pad))
                 res_new, d_new, prof_new = _residual(p, sig, y)
-                accept = accept or res_new <= res
+                accept = accept or res_new < res
             if accept:
                 res, d, prof = res_new, d_new, prof_new
                 improved = True
@@ -381,32 +384,82 @@ def _mbar_closure(p, sig, y_vec):
     return profile(p, NodeSystem(tuple(_project_cell(y_vec, sig, 0.0))), sig).m_bar
 
 
+def _probe_failures(p, sig, rep: SolveReport):
+    """The single-node displacements y +/- h e_r (projected onto the closed
+    cell) whose m_bar drops by more than the slack: 2n profiles."""
+    base = rep.profile.m_bar
+    y = rep.nodes.array
+    failures = []
+    for ridx in range(1, p.n + 1):
+        for s in (+PROBE_H, -PROBE_H):
+            y_p = y.copy()
+            y_p[ridx - 1] += s
+            mb = _mbar_closure(p, sig, y_p)
+            if mb < base - CERTIFICATE_SLACK:
+                failures.append({"node": ridx, "shift": s, "m_bar": mb})
+    return failures
+
+
+def _gordan(p, sig, rep: SolveReport):
+    """Gordan's alternative on the arc-maxima Jacobian Jm ((n+1) x n).
+
+    At a converged equioscillation point of C1 kernels with every maximizer
+    inside its arc, Jm is the first-order change of the arc maxima.  When Jm
+    has rank n its left null space is one line, spanned by lam.  If lam has
+    one strict sign, every direction a != 0 gives rates Jm a of both signs
+    (lam . Jm a = 0 and Jm a != 0): m_bar has a sharp local minimum there,
+    and m_under a sharp local maximum.  The verdict is [] (no failures).
+    If lam has both signs, some direction lowers every arc maximum at once;
+    the verdict is one failure holding that direction and its rates.
+    Anything else (a kink, a maximizer on a node, a rank-deficient Jm, an
+    entry of lam too small to sign) is no verdict: None.
+    """
+    prof = rep.profile
+    if not (rep.converged and p.all_c1) or np.any(prof.z_on_boundary_trav):
+        return None
+    Jm = jacobian_m(p, rep.nodes, sig, prof)
+    if not np.all(np.isfinite(Jm)):
+        return None
+    u, s, vt = np.linalg.svd(Jm)
+    if s[-1] <= GORDAN_RANK_TOL * s[0]:
+        return None
+    lam = u[:, -1] if np.sum(u[:, -1]) >= 0.0 else -u[:, -1]
+    tol = GORDAN_SIGN_TOL * np.max(np.abs(lam))
+    neg = lam < -tol
+    if not np.any(neg):
+        return [] if np.all(lam > tol) else None
+    # w > 0 with lam . w = 0 lies in the range of Jm; a solves Jm a = -w
+    w = 1.0 + neg * (np.sum(lam) / -np.sum(lam[neg]))
+    a = vt.T @ ((u[:, :-1].T @ -w) / s)
+    a = a / np.max(np.abs(a))
+    return [{"direction": [float(v) for v in a], "rates": [float(v) for v in Jm @ a]}]
+
+
 def minimax(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     """Equioscillation solve plus a local-minimality certificate for m_bar.
 
-    The certificate probes the 2n single-node displacements y +/- h e_r
+    Where every kernel is C1, the solve converged and every maximizer lies
+    inside its arc, Gordan's alternative on the arc-maxima Jacobian decides
+    local minimality with one SVD (see _gordan).  Otherwise (a kink, no
+    convergence, a maximizer on a node, a rank-deficient Jacobian) the
+    certificate probes the 2n single-node displacements y +/- h e_r
     (projected onto the closed cell) and requires m_bar not to drop by more
-    than the slack.  On certificate failure the report is flagged and a few
-    seeded restarts are tried.
+    than the slack.  flags["certificate"] names the test that ran
+    ("gordan" or "probes").  On certificate failure the report is flagged
+    and a few seeded restarts are tried.
     """
     opts = opts or SolveOptions()
     sig = as_permutation(sigma, p.n)
     rep = solve_equioscillation(p, sig, opts)
 
     def certify(r: SolveReport):
-        base = r.profile.m_bar
-        y = r.nodes.array
-        failures = []
-        for ridx in range(1, p.n + 1):
-            for s in (+PROBE_H, -PROBE_H):
-                y_p = y.copy()
-                y_p[ridx - 1] += s
-                mb = _mbar_closure(p, sig, y_p)
-                if mb < base - CERTIFICATE_SLACK:
-                    failures.append({"node": ridx, "shift": s, "m_bar": mb})
-        return failures
+        """(failures, kind of certificate); an empty list certifies."""
+        failures = _gordan(p, sig, r)
+        if failures is None:
+            return _probe_failures(p, sig, r), "probes"
+        return failures, "gordan"
 
-    failures = certify(rep)
+    failures, kind = certify(rep)
     improved = False
     if failures:
         # seeded multistart: maybe a different equioscillation point exists
@@ -421,13 +474,15 @@ def minimax(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
             if alt.converged and alt.objective < best.objective - 1e-12:
                 best = alt
         if best is not rep:
-            rep, failures, improved = best, certify(best), True
+            rep, improved = best, True
+            failures, kind = certify(best)
 
     cls = p.classifications()
     rep.flags["preconditions_met"] = all(c.strictly_concave for c in cls) and (
         all(c.cond_inf_prime for c in cls) or all(c.c1 for c in cls)
     )
     rep.flags["local_min_certified"] = not failures
+    rep.flags["certificate"] = kind
     if failures:
         rep.flags["certificate_failures"] = failures
     if improved:
@@ -500,7 +555,9 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     singular kernels it is the maximin point), else at the configured start,
     and ascends m_under along directions that raise every nearly-active arc
     at once (a small linear program).  The LP value doubles as the stationarity
-    certificate; the trace opens with the equioscillation solve's.
+    certificate.  A start with a Gordan certificate (see _gordan) is a sharp
+    local maximum of m_under and converges with no LP; its ascent entry is
+    marked.  The trace opens with the equioscillation solve's.
     """
     opts = opts or SolveOptions()
     sig = as_permutation(sigma, p.n)
@@ -509,6 +566,7 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     y, prof = equi.nodes.array, equi.profile  # prof: profile at y, when known
     if not equi.converged:
         y, prof = _initial_nodes(p, sig, opts), None
+    certified = _gordan(p, sig, equi) == []
     status = MAX_ITER
     for it in range(opts.max_iter):
         ns = NodeSystem(tuple(y))
@@ -521,6 +579,10 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
 
         if not math.isfinite(m_under):
             status = BOUNDARY_SUSPECTED
+            break
+        if certified:
+            trace[-1]["note"] = "gordan certificate"
+            status = CONVERGED
             break
 
         act_tol = max(10.0 * opts.tol_residual, 0.25 * spread)

@@ -6,25 +6,30 @@ built on it, so the hooks are checked here against the package itself.
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
+import pytest
+
+import equisum.solver as solver
 from equisum.evaluator import Problem
-from equisum.kernels import log_sine, parabola, tent, weighted
+from equisum.kernels import from_config, log_sine, parabola, tent, weighted
 from equisum.solver import SolveOptions, _newton_stage, minimax, solve_equioscillation
 from equisum.torus import Permutation
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up here
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_every_wrapped_function_exists():
-    for modname, attr, _ in _spans()._FUNCTIONS:
+    for modname, attr, _ in _load("spans")._FUNCTIONS:
         assert hasattr(importlib.import_module(modname), attr), f"{modname}.{attr}"
 
 
@@ -36,17 +41,38 @@ def test_newton_stage_label_is_fifth_argument():
 def test_ladder_and_certificate_counters_fire():
     """The spans behind solver.ladder_iters and solver.certificate_profiles."""
     example = Problem((tent(), tent(), weighted(parabola(), 0.1), weighted(parabola(), 0.1)))
-    tr = _spans().Tracer()
+    tr = _load("spans").Tracer()
     tr.install()
     try:
         tr.begin_task(0)
         # a boundary cell: direct Newton stops at max_iter, the ladder follows
         solve_equioscillation(example, Permutation((3, 2, 1)),
                               SolveOptions(max_iter=2, homotopy_levels=(4,), secant_sweeps=1))
-        minimax(Problem((log_sine(), log_sine(), log_sine())), Permutation((1, 2)))
+        # tent kinks: no Gordan verdict, so the axis probes certify
+        minimax(example, Permutation((2, 1, 3)))
         tr.end_task()
     finally:
         tr.uninstall()
     assert not tr.missing
     assert tr.pair("evaluator.jacobian_delta", "solver.ladder_stage") > 0
     assert tr.pair("evaluator.profile", "solver.certificate_probe") > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_solve_workload_keeps_a_kinked_minimax(seed):
+    """bench/run.py requires solver.certificate_profiles > 0 on `solve`; only
+    a minimax on a kernel that is not C1 still runs the probes."""
+    tasks = _load("workloads").build("solve", seed)
+    assert any(t.command[0] == "minimax"
+               and not Problem(tuple(from_config(k) for k in t.config["kernels"])).all_c1
+               for t in tasks)
+
+
+def test_c1_minimax_runs_no_probe(monkeypatch):
+    calls = []
+    original = solver._mbar_closure
+    monkeypatch.setattr(solver, "_mbar_closure",
+                        lambda *args: calls.append(1) or original(*args))
+    rep = minimax(Problem((log_sine(), weighted(log_sine(), 1.6), log_sine())), Permutation((2, 1)))
+    assert rep.flags["local_min_certified"]
+    assert calls == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from equisum.evaluator import Problem, profile, jacobian_delta
-from equisum.kernels import approximant, log_sine, parabola, table, tent, weighted
+from equisum.kernels import approximant, log_sine, parabola, riesz, table, tent, weighted
 from equisum.oracle import check_mmatrix, grid_minimax
 from equisum.solver import (
     CONVERGED,
@@ -130,6 +130,16 @@ def test_node_spread_restart_recovers_from_collapse():
     assert rep.status == CONVERGED
 
 
+def test_secant_stage_stops_when_a_sweep_only_ties():
+    """riesz(40) x 4 stalls at the float floor; a sweep whose best move only
+    ties the residual is no progress, so the polish stops there."""
+    p = Problem((riesz(40.0),) * 4)
+    rep = solve_equioscillation(p, Permutation.identity(3))
+    assert rep.status == MAX_ITER
+    assert rep.residual == 5.093170329928398e-10
+    assert sum(e["stage"] == "secant" for e in rep.trace) <= 2
+
+
 def test_coarse_grid_start_matches_equidistant():
     p = Problem(tuple(weighted(log_sine(), w) for w in (1.0, 1.6, 0.7)))
     sig = Permutation((1, 2))
@@ -167,6 +177,7 @@ def test_minimax_smooth_certifies():
     assert rep.status == CONVERGED
     assert rep.flags["preconditions_met"]
     assert rep.flags["local_min_certified"]
+    assert rep.flags["certificate"] == "gordan"
     assert math.isclose(rep.objective, -2 * math.log(2.0), abs_tol=1e-10)
     target = equidistant_nodes(2, sig)
     assert node_dist(rep.nodes, target) < 1e-8
@@ -177,6 +188,7 @@ def test_minimax_preconditions_flag_for_tent_mix():
     assert not rep.flags["preconditions_met"]
     # e is a genuine local minimum inside this cell
     assert rep.flags["local_min_certified"]
+    assert rep.flags["certificate"] == "probes"
 
 
 def test_minimax_flags_survive_multistart():
