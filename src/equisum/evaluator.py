@@ -41,6 +41,10 @@ TOL_Z = 1e-12 * TWO_PI
 # a few ulps of 2*pi.
 _GLUE_CLEAR = 16.0 * float(np.spacing(TWO_PI))
 
+# Kernel-point budget of one bisection-tree pass: brackets x kernels x tree
+# points.  Below it a slope call costs mostly its fixed numpy overhead.
+_TREE_POINTS = 1024
+
 
 class JacobianUnavailableError(RuntimeError):
     """The slope formula for the profile Jacobian does not apply here."""
@@ -222,13 +226,88 @@ class ArcProfile:
         }
 
 
+def _tree_depth(brackets, kernels):
+    """Largest d >= 1 with brackets * kernels * (2^d - 1) <= _TREE_POINTS."""
+    d = 1
+    while brackets * kernels * (2 ** (d + 1) - 1) <= _TREE_POINTS:
+        d += 1
+    return d
+
+
+def _step_preds(p: Problem, pos, pts, nl, shared):
+    """The bisection predicate at pts, one column per bracket: D+ F > 0 in
+    the first nl columns (the left edges), D- F >= 0 in the rest (the right
+    edges).
+
+    shared: the right-edge points are clear of every node, so one "right"
+    call, which equals "left" there for C1 kernels, serves both kinds.
+    """
+    if shared:
+        s = _slope_sum(p, pos, pts, "right")
+    else:
+        s = np.empty_like(pts)
+        if nl:
+            s[..., :nl] = _slope_sum(p, pos, pts[..., :nl], "right")
+        if nl < pts.shape[-1]:
+            s[..., nl:] = _slope_sum(p, pos, pts[..., nl:], "left")
+    pred = s >= 0.0
+    pred[..., :nl] = s[..., :nl] > 0.0
+    return pred
+
+
+def _bisect_levels(p: Problem, pos, lo, hi, nl, shared, d):
+    """The next d bisection steps of every bracket, from one slope call.
+
+    Column c of E lists the points of the first d levels of bracket c's
+    bisection tree in order, between lo[c] and hi[c]; each point is
+    0.5 * (a + b) of its own parent interval [a, b].  All 2^d - 1 points of
+    every column are evaluated in one call, or one per side when the right
+    edges cannot share the "right" call.  Each column then walks down its
+    tree with the predicate of one step, so it visits exactly the midpoints,
+    and ends on exactly the bracket, that d one-level steps give.  The right
+    edges share the "right" call while every interval that gets a midpoint
+    is wider than _GLUE_CLEAR; the deepest of them are the narrowest.
+    """
+    if d == 1:  # the plain step: no tree to build or walk
+        mid = 0.5 * (lo + hi)
+        shared = shared and float(np.min(hi[nl:] - lo[nl:], initial=INF)) > _GLUE_CLEAR
+        go = _step_preds(p, pos, mid, nl, shared)
+        return np.where(go, mid, lo), np.where(go, hi, mid)
+    w, cols = 2**d, len(lo)
+    E = np.empty((w + 1, cols))
+    E[0] = lo
+    E[w] = hi
+    for k in range(d):
+        s = w >> k
+        E[s // 2::s] = 0.5 * (E[:-1:s] + E[s::s])
+    shared = shared and float(np.min(E[2::2, nl:] - E[:-2:2, nl:], initial=INF)) > _GLUE_CLEAR
+    go = _step_preds(p, pos, E[1:w], nl, shared).ravel()
+    # a bracket that starts at E[i, c] tests E[i + h, c] at depth k,
+    # h = 2^(d-1-k), and moves its start there when the predicate holds;
+    # E[i, c] is E.flat[i * cols + c] and go[(i - 1) * cols + c]
+    at = np.arange(cols)
+    for k in range(d):
+        jump = (w >> (k + 1)) * cols  # h rows of E
+        at += jump * go[at + (jump - cols)]
+    E = E.ravel()
+    return E[at], E[at + cols]
+
+
 def _arc_maxima(p: Problem, pos, los, his, tol_z):
     """Maximizing set edges for each arc, by bisection on one-sided slopes.
 
     For concave F the set of maximizers of an arc is [t_left, t_right] with
     t_left the edge of {D+ F > 0} and t_right the edge of {D- F >= 0}; either
     may sit on the arc boundary.  Both edges of every arc that needs one are
-    bisected in one loop.  Returns (z, m, on_boundary, unique) arrays.
+    bisected in lockstep, a fixed number of steps.  The steps are taken d at
+    a time as a bisection tree (_bisect_levels): one slope call settles d
+    levels of every bracket.  Each tree point is the midpoint of its own
+    parent interval and each bracket's walk applies the same predicate to
+    the same slope bits as a one-level step would, so the brackets, and the
+    results, are bit for bit those of one-level bisection whatever the sign
+    pattern of the slopes, monotone or not.  The depth d is the largest
+    that keeps a call within _TREE_POINTS kernel points, at least 1.
+    Returns (z, m, on_boundary, unique) arrays.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
@@ -255,29 +334,18 @@ def _arc_maxima(p: Problem, pos, los, his, tol_z):
         R = np.flatnonzero(active & ~at_hi & ~at_lo)
 
         # one bracket per edge: the left edges first, then the right edges;
-        # pred(lo) stays True and pred(hi) False, with pred D+ F > 0 on the
-        # left edges and D- F >= 0 on the right edges
+        # pred(lo) stays True and pred(hi) False
         nl = len(L)
         lo = np.concatenate((los[L], los[R]))
         hi = np.concatenate((his[L], his[R]))
         # For C1 kernels D- F equals D+ F off the glue point, so one "right"
-        # call serves both edges while no right-edge midpoint can meet a node.
+        # call serves both edges while no right-edge point can meet a node.
         shared = p.all_c1 and bool(np.all(
             (pos[None, :] <= los[R, None]) | (pos[None, :] >= his[R, None])))
-        for _ in range(iters if len(lo) else 0):
-            mid = 0.5 * (lo + hi)
-            if shared and float(np.min(hi[nl:] - lo[nl:], initial=INF)) > _GLUE_CLEAR:
-                s = _slope_sum(p, pos, mid, "right")
-            else:
-                s = np.empty_like(mid)
-                if nl:
-                    s[:nl] = _slope_sum(p, pos, mid[:nl], "right")
-                if len(R):
-                    s[nl:] = _slope_sum(p, pos, mid[nl:], "left")
-            pred = s >= 0.0
-            pred[:nl] = s[:nl] > 0.0
-            lo = np.where(pred, mid, lo)
-            hi = np.where(pred, hi, mid)
+        if len(lo):
+            d = _tree_depth(len(lo), len(p.kernels))
+            for done in range(0, iters, d):
+                lo, hi = _bisect_levels(p, pos, lo, hi, nl, shared, min(d, iters - done))
         edge = 0.5 * (lo + hi)
         t_left[L] = edge[:nl]
         t_right[R] = edge[nl:]
@@ -350,11 +418,11 @@ def _slope_rows(p: Problem, y, sigma, prof, relaxed: bool, tol_z: float):
     if prof is None:
         prof = profile(p, ns, sig, tol_z=tol_z)
     if not relaxed:
-        for k in p.kernels:
-            if not k.classify().c1:
-                raise CapabilityError(
-                    f"jacobian slope formula needs C1 kernels; {k.family} is not"
-                )
+        if not p.all_c1:
+            k = next(k for k in p.kernels if not k.classify().c1)
+            raise CapabilityError(
+                f"jacobian slope formula needs C1 kernels; {k.family} is not"
+            )
         if bool(np.any(prof.z_on_boundary_trav)):
             raise JacobianUnavailableError(
                 "a maximizer sits on an arc boundary; the slope formula fails there"

@@ -13,8 +13,12 @@ and deriv(t, "right") at every t that does not reduce to the glue point;
 profile() relies on this to bisect both edges of every arc with one
 "right" slope call per step.
 
-All value/derivative methods accept scalars or numpy arrays, and work
-elementwise: a point's result does not depend on the array it sits in.
+All value/derivative methods accept scalars or numpy arrays of any shape,
+and work elementwise: a point's result does not depend on the array it sits
+in, its position there or the array's shape.  profile() relies on this too:
+it evaluates the points of several bisection steps as one 2-D (tree points,
+brackets) grid, which is a 3-D array per kernel group, and expects the bits
+that one step at a time would give.
 """
 from __future__ import annotations
 

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from equisum import evaluator
 from equisum.evaluator import (
     TOL_Z,
+    _GLUE_CLEAR,
+    _TREE_POINTS,
     JacobianUnavailableError,
     Problem,
+    _arc_maxima,
     _slope_sum,
     _slopes,
+    _tree_depth,
     arc_max,
     delta,
     jacobian_delta,
@@ -345,3 +350,148 @@ def test_slopes_match_per_kernel_deriv():
                 assert S[j].tobytes() == ref.tobytes(), (j, k, side)
             total = _slope_sum(p, pos, ts, side)
             assert total.tobytes() == _ref_slope_sum(p, pos, ts, side).tobytes()
+
+
+# --- bisection tree: replays the one-level lockstep loop bit for bit ---------
+
+def _one_level_arc_maxima(p, pos, los, his, tol_z=TOL_Z, log=None):
+    """The lockstep loop as it was before the tree: one slope call (two when
+    the right edges cannot share the "right" call) per bisection step.
+    Calls evaluator._slope_sum through the module, so a monkeypatch reaches
+    it.  log, when given, collects whether each step shared its call."""
+    length = his - los
+    degenerate = length <= ANGLE_TOL
+    active = ~degenerate
+    t_left = los.copy()
+    t_right = his.copy()
+    if np.any(active):
+        dpa = evaluator._slope_sum(p, pos, los, "right")
+        dmb = evaluator._slope_sum(p, pos, his, "left")
+        span = float(np.max(length[active]))
+        iters = max(8, int(math.ceil(math.log2(max(span / max(tol_z, 1e-300), 2.0)))) + 2)
+        at_lo, at_hi = dpa <= 0.0, dmb > 0.0
+        t_left = np.where(active & ~at_lo & at_hi, his, los)
+        L = np.flatnonzero(active & ~at_lo & ~at_hi)
+        at_lo, at_hi = dpa < 0.0, dmb >= 0.0
+        t_right = np.where(active & ~at_hi & at_lo, los, his)
+        R = np.flatnonzero(active & ~at_hi & ~at_lo)
+        nl = len(L)
+        lo = np.concatenate((los[L], los[R]))
+        hi = np.concatenate((his[L], his[R]))
+        shared = p.all_c1 and bool(np.all(
+            (pos[None, :] <= los[R, None]) | (pos[None, :] >= his[R, None])))
+        for _ in range(iters if len(lo) else 0):
+            mid = 0.5 * (lo + hi)
+            one = shared and float(np.min(hi[nl:] - lo[nl:], initial=math.inf)) > _GLUE_CLEAR
+            if log is not None:
+                log.append(one)
+            if one:
+                s = evaluator._slope_sum(p, pos, mid, "right")
+            else:
+                s = np.empty_like(mid)
+                if nl:
+                    s[:nl] = evaluator._slope_sum(p, pos, mid[:nl], "right")
+                if len(R):
+                    s[nl:] = evaluator._slope_sum(p, pos, mid[nl:], "left")
+            pred = s >= 0.0
+            pred[:nl] = s[:nl] > 0.0
+            lo = np.where(pred, mid, lo)
+            hi = np.where(pred, hi, mid)
+        edge = 0.5 * (lo + hi)
+        t_left[L] = edge[:nl]
+        t_right[R] = edge[nl:]
+    t_right = np.maximum(t_right, t_left)
+    z = np.where(degenerate, los, 0.5 * (t_left + t_right))
+    m = sum_translates_full(p, pos, z)
+    b_tol = max(4.0 * tol_z, 1e-12)
+    on_boundary = degenerate | (z - los <= b_tol) | (his - z <= b_tol)
+    unique = degenerate | ((t_right - t_left) <= max(8.0 * tol_z, 1e-10))
+    return z, m, on_boundary, unique
+
+
+def _arc_bounds(y, sig):
+    ns = NodeSystem(tuple(y))
+    part = arcs(ns, sig)
+    los = np.asarray([a.lo for a in part.arcs])
+    his = np.asarray([a.hi for a in part.arcs])
+    return ns.full_positions(), los, his
+
+
+def test_tree_depth_fills_the_point_budget():
+    for brackets in range(1, 90):
+        for kernels in (2, 4, 11, 40):
+            d = _tree_depth(brackets, kernels)
+            assert d >= 1
+            assert d == 1 or brackets * kernels * (2**d - 1) <= _TREE_POINTS
+            assert brackets * kernels * (2 ** (d + 1) - 1) > _TREE_POINTS
+    assert _tree_depth(6, 3) == 5 and _tree_depth(80, 40) == 1
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+@pytest.mark.parametrize("bases", [C1_BASES, KINKED_BASES], ids=["c1", "kinked"])
+def test_tree_matches_one_level_loop(monkeypatch, bases, depth):
+    """Every forced depth gives the one-level loop's bits, also when the
+    last pass is short (iters % depth != 0) and when a right-edge bracket
+    narrows below _GLUE_CLEAR, which ends the shared call, inside a pass."""
+    monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
+    rng = np.random.default_rng(7000 + depth)
+    short_last_pass = shared_ends = 0
+    for _ in range(30):
+        p, y, sig = _random_case(rng, bases)
+        pos, los, his = _arc_bounds(y, sig)
+        log = []
+        want = _one_level_arc_maxima(p, pos, los, his, log=log)
+        assert _bits(*_arc_maxima(p, pos, los, his, TOL_Z)) == _bits(*want)
+        short_last_pass += len(log) % depth != 0
+        shared_ends += log[:1] == [True] and not log[-1]
+    assert short_last_pass or depth in (1, 2)
+    assert shared_ends or bases is KINKED_BASES
+
+
+def _signs_without_order(p, pos, ts, side):
+    """Slope signs that jump around at random along every bracket, with
+    zeros, so the tree's walk leaves the path a monotone row would take."""
+    ts = np.asarray(ts, dtype=float)
+    u = np.sin(7919.0 * ts + (0.0 if side == "right" else 1.0))
+    return np.where(np.abs(u) < 0.2, 0.0, np.sign(u))
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_tree_replays_a_non_monotone_sign_pattern(monkeypatch, depth):
+    monkeypatch.setattr(evaluator, "_slope_sum", _signs_without_order)
+    p = Problem((log_sine(), weighted(riesz(1.5), 2.0), parabola(), log_sine()))
+    pos, los, his = _arc_bounds(np.array([1.1, 2.9, 4.0]), Permutation((1, 2, 3)))
+    want = _one_level_arc_maxima(p, pos, los, his)
+    monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
+    assert _bits(*_arc_maxima(p, pos, los, his, TOL_Z)) == _bits(*want)
+
+
+def _sides_differ_next_to(y):
+    """A slope sum, falling left to right, whose two sides differ only
+    1e-15 to 6e-15 below the node y, where "right" reads 0 and "left" -1, as
+    the true sides of a C1 sum differ only a few ulps from a node.  So the
+    right edge of the maximizing set is y - 1e-15 by "right" slopes and
+    y - 6e-15 by "left" ones; the left edge is y - 5e-12 by either."""
+    def slope_sum(p, pos, ts, side):
+        u = y - np.asarray(ts, dtype=float)
+        s = np.where(u > 5e-12, 1.0, np.where(u > 6e-15, 0.0, -1.0))
+        return np.where((u > 1e-15) & (u <= 6e-15), 0.0, s) if side == "right" else s
+    return slope_sum
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_tree_shares_the_right_call_only_on_clear_brackets(monkeypatch, depth):
+    """The right edges share the "right" call only while every interval of
+    the pass that gets a midpoint is wider than _GLUE_CLEAR; past that the
+    one-level loop reads "left", and so must the tree."""
+    p = Problem((log_sine(), riesz(1.5), log_sine()))
+    assert p.all_c1
+    # arc 1 is 1e-11 wide, so its brackets narrow past _GLUE_CLEAR
+    y = np.array([2.0, 2.0 + 1e-11])
+    pos, los, his = _arc_bounds(y, Permutation((1, 2)))
+    monkeypatch.setattr(evaluator, "_slope_sum", _sides_differ_next_to(y[1]))
+    log = []
+    want = _one_level_arc_maxima(p, pos, los, his, log=log)
+    assert log[0] and not log[-1]
+    monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
+    assert _bits(*_arc_maxima(p, pos, los, his, TOL_Z)) == _bits(*want)

@@ -8,10 +8,13 @@ from equisum.evaluator import Problem, profile, jacobian_delta
 from equisum.kernels import approximant, log_sine, parabola, riesz, table, tent, weighted
 from equisum.oracle import check_mmatrix, grid_minimax
 from equisum.solver import (
+    BOUNDARY_SUSPECTED,
     CONVERGED,
+    JACOBIAN_SINGULAR,
     MAX_ITER,
     NoAdmissibleDirection,
     SolveOptions,
+    _newton_stage,
     _secant_stage,
     descent_direction,
     equidistant_nodes,
@@ -138,6 +141,31 @@ def test_secant_stage_stops_when_a_sweep_only_ties():
     assert rep.status == MAX_ITER
     assert rep.residual == 5.093170329928398e-10
     assert sum(e["stage"] == "secant" for e in rep.trace) <= 2
+
+
+def test_newton_stage_ends_jacobian_singular_on_tents():
+    """Three tents in cell (1,2) from [2, 4]: the midpoint slopes make the
+    Jacobian of Delta singular within a few steps, which ends the stage."""
+    p = Problem((tent(),) * 3)
+    y, status, trace, _ = _newton_stage(p, Permutation((1, 2)), np.array([2.0, 4.0]),
+                                        SolveOptions(), "direct")
+    assert status == JACOBIAN_SINGULAR
+    assert 1 <= len(trace) < SolveOptions().max_iter
+    assert all(math.isfinite(e["residual"]) for e in trace)
+    assert np.all(np.isfinite(y))
+
+
+def test_newton_stage_ends_boundary_suspected_at_fixed_node():
+    """Three log-sines in cell (1,2) with node 1 on the fixed node: an arc
+    maximum is -inf, so the stage stops at once; the solve then restarts
+    from spread-apart nodes."""
+    p = unit_problem(3)
+    sig = Permutation((1, 2))
+    _, status, trace, _ = _newton_stage(p, sig, np.array([0.0, 3.0]), SolveOptions(), "direct")
+    assert status == BOUNDARY_SUSPECTED
+    assert [e["residual"] for e in trace] == [math.inf]
+    rep = solve_equioscillation(p, sig, SolveOptions(start=(0.0, 3.0)))
+    assert rep.trace[1] == {"stage": "restart", "iter": 1, "note": "nodes spread apart"}
 
 
 def test_coarse_grid_start_matches_equidistant():
