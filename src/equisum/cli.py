@@ -167,17 +167,18 @@ def _options_from(cfg, args) -> SolveOptions:
     return opts
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
+def _write_csv(path, header, columns):
+    """Write equal-length columns as CSV rows, every value as %.17g (the
+    bytes of f"{v:.17g}", inf and nan included); returns the row count."""
+    fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*[np.asarray(c).tolist() for c in columns])
+    text = ",".join(header) + "\n" + "".join(map(fmt.__mod__, rows))
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return len(rows)
+    return len(columns[0])
 
 
 def _curve_rows(p, ns, resolution):
@@ -287,8 +288,7 @@ def _cmd_sample(cfg, args):
     ts, vals = _curve_rows(p, ns, resolution)
     if args.degrees:
         ts = ts * 180.0 / math.pi
-    rows = list(zip(ts, vals))
-    count = _write_csv(args.emit_samples, ["t", "F"], rows)
+    count = _write_csv(args.emit_samples, ["t", "F"], (ts, vals))
     if args.emit_samples is None:
         return None, OK, p, ns  # CSV already on stdout
     return {"rows": count, "path": args.emit_samples}, OK, p, ns
@@ -373,16 +373,15 @@ def _emit_solution_samples(args, p, nodes_like):
     if isinstance(nodes_like, tuple) and nodes_like and nodes_like[0] == "bojanov":
         poly = nodes_like[1]
         xs = np.linspace(poly.problem.a, poly.problem.b, resolution)
-        rows = list(zip(xs, eval_gap(xs, poly)))
-        return _write_csv(args.emit_samples, ["x", "P"], rows)
+        return _write_csv(args.emit_samples, ["x", "P"], (xs, eval_gap(xs, poly)))
     if isinstance(nodes_like, tuple) and nodes_like and nodes_like[0] == "gtp":
         res = nodes_like[1]
         ts = np.arange(resolution) * (TWO_PI / resolution)
-        rows = list(zip(ts, gtp_value(ts, res.nodes, res.problem.exponents)))
-        return _write_csv(args.emit_samples, ["t", "T"], rows)
+        return _write_csv(args.emit_samples, ["t", "T"],
+                          (ts, gtp_value(ts, res.nodes, res.problem.exponents)))
     if p is not None and nodes_like is not None:
         ts, vals = _curve_rows(p, as_node_system(nodes_like), resolution)
-        return _write_csv(args.emit_samples, ["t", "F"], rows=list(zip(ts, vals)))
+        return _write_csv(args.emit_samples, ["t", "F"], (ts, vals))
     return None
 
 

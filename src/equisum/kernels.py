@@ -13,6 +13,15 @@ and deriv(t, "right") at every t that does not reduce to the glue point;
 profile() relies on this to bisect both edges of every arc with one
 "right" slope call per step.
 
+The public value(t) and deriv(t, side) live on Kernel: they check the
+side, reduce t into [0, 2*pi) once and hand the reduced float array to
+the private pair _value(tt) and _deriv(tt, side), which is all a family
+implements.  Wrappers (Weighted, Smoothed, SumKernel) call the private
+pair of their base or terms, so a wrapped kernel still costs one angle
+reduction per call.  Every concrete class also lists value and deriv in
+its own namespace (value = Kernel.value), so that per-class hooks can
+find them.
+
 All value/derivative methods accept scalars or numpy arrays of any shape,
 and work elementwise: a point's result does not depend on the array it sits
 in, its position there or the array's shape.  profile() relies on this too:
@@ -94,14 +103,25 @@ def make_class(
 
 
 class Kernel:
-    """Base class.  Subclasses implement value/deriv/classify/spec."""
+    """Base class.  Subclasses implement _value/_deriv/classify/spec."""
 
     family = "abstract"
 
     def value(self, t):
-        raise NotImplementedError
+        tt = np.asarray(reduce_angle(t), dtype=float)
+        return _out(self._value(tt), t)
 
     def deriv(self, t, side="right"):
+        _check_side(side)
+        tt = np.asarray(reduce_angle(t), dtype=float)
+        return _out(self._deriv(tt, side), t)
+
+    def _value(self, tt):
+        """Values at angles tt already reduced into [0, 2*pi)."""
+        raise NotImplementedError
+
+    def _deriv(self, tt, side):
+        """One-sided slopes at reduced angles tt; side is already checked."""
         raise NotImplementedError
 
     def classify(self) -> KernelClass:
@@ -123,20 +143,16 @@ class LogSine(Kernel):
     """K(t) = log|sin(t/2)|: -inf at the glue point, C2 and strictly concave."""
 
     family = "log_sine"
+    value, deriv = Kernel.value, Kernel.deriv
 
-    def value(self, t):
-        tt = np.asarray(reduce_angle(t), dtype=float)
+    def _value(self, tt):
         with np.errstate(divide="ignore"):
-            v = np.log(np.abs(np.sin(tt / 2.0)))
-        return _out(v, t)
+            return np.log(np.abs(np.sin(tt / 2.0)))
 
-    def deriv(self, t, side="right"):
-        _check_side(side)
-        tt = np.asarray(reduce_angle(t), dtype=float)
+    def _deriv(self, tt, side):
         with np.errstate(divide="ignore"):
             d = 0.5 / np.tan(tt / 2.0)
-        d = np.where(tt == 0.0, INF if side == "right" else -INF, d)
-        return _out(d, t)
+        return np.where(tt == 0.0, INF if side == "right" else -INF, d)
 
     def classify(self):
         return make_class(
@@ -152,6 +168,7 @@ class Riesz(Kernel):
     """K(t) = -(2 sin(t/2))^(-p), p > 0.  Values beyond float range clamp to -inf."""
 
     family = "riesz"
+    value, deriv = Kernel.value, Kernel.deriv
 
     def __init__(self, p: float):
         p = float(p)
@@ -159,25 +176,21 @@ class Riesz(Kernel):
             raise ValidationError(f"riesz exponent must be finite and > 0, got {p}")
         self.p = p
 
-    def value(self, t):
-        tt = np.asarray(reduce_angle(t), dtype=float)
+    def _value(self, tt):
         s = 2.0 * np.sin(tt / 2.0)
         with np.errstate(divide="ignore", over="ignore"):
             v = -np.power(s, -self.p)
-        v = np.where(np.isfinite(v), v, -INF)
-        return _out(v, t)
+        return np.where(np.isfinite(v), v, -INF)
 
-    def deriv(self, t, side="right"):
-        _check_side(side)
-        tt = np.asarray(reduce_angle(t), dtype=float)
+    def _deriv(self, tt, side):
         s = 2.0 * np.sin(tt / 2.0)
+        c = np.cos(tt / 2.0)
         with np.errstate(divide="ignore", over="ignore"):
-            d = self.p * np.cos(tt / 2.0) * np.power(s, -self.p - 1.0)
+            d = self.p * c * np.power(s, -self.p - 1.0)
         d = np.where(np.isnan(d), 0.0, d)
         d = np.where(tt == 0.0, INF if side == "right" else -INF, d)
         # overflow keeps the sign of cos(t/2)
-        d = np.where(np.isposinf(d) & (np.cos(tt / 2.0) < 0), -INF, d)
-        return _out(d, t)
+        return np.where(np.isposinf(d) & (c < 0), -INF, d)
 
     def classify(self):
         return make_class(
@@ -193,19 +206,15 @@ class Tent(Kernel):
     """K(t) = pi - |t - pi|: the concave roof with a kink at pi, zero at the glue."""
 
     family = "tent"
+    value, deriv = Kernel.value, Kernel.deriv
 
-    def value(self, t):
-        tt = np.asarray(reduce_angle(t), dtype=float)
-        return _out(PI - np.abs(tt - PI), t)
+    def _value(self, tt):
+        return PI - np.abs(tt - PI)
 
-    def deriv(self, t, side="right"):
-        _check_side(side)
-        tt = np.asarray(reduce_angle(t), dtype=float)
+    def _deriv(self, tt, side):
         if side == "right":
-            d = np.where(tt < PI, 1.0, -1.0)
-        else:
-            d = np.where((tt > PI) | (tt == 0.0), -1.0, 1.0)
-        return _out(d, t)
+            return np.where(tt < PI, 1.0, -1.0)
+        return np.where((tt > PI) | (tt == 0.0), -1.0, 1.0)
 
     def classify(self):
         return make_class(
@@ -221,18 +230,16 @@ class Parabola(Kernel):
     """K(t) = t (2*pi - t): smooth, strictly concave, zero at the glue point."""
 
     family = "parabola"
+    value, deriv = Kernel.value, Kernel.deriv
 
-    def value(self, t):
-        tt = np.asarray(reduce_angle(t), dtype=float)
-        return _out(tt * (TWO_PI - tt), t)
+    def _value(self, tt):
+        return tt * (TWO_PI - tt)
 
-    def deriv(self, t, side="right"):
-        _check_side(side)
-        tt = np.asarray(reduce_angle(t), dtype=float)
+    def _deriv(self, tt, side):
         d = TWO_PI - 2.0 * tt
         if side == "left":
             d = np.where(tt == 0.0, -TWO_PI, d)
-        return _out(d, t)
+        return d
 
     def classify(self):
         return make_class(
@@ -252,6 +259,7 @@ class TableKernel(Kernel):
     """
 
     family = "table"
+    value, deriv = Kernel.value, Kernel.deriv
 
     def __init__(self, ts, vs):
         ts = np.asarray(ts, dtype=float)
@@ -278,13 +286,10 @@ class TableKernel(Kernel):
         self.vs = vs
         self.slopes = slopes
 
-    def value(self, t):
-        tt = np.asarray(reduce_angle(t), dtype=float)
-        return _out(np.interp(tt, self.ts, self.vs), t)
+    def _value(self, tt):
+        return np.interp(tt, self.ts, self.vs)
 
-    def deriv(self, t, side="right"):
-        _check_side(side)
-        tt = np.asarray(reduce_angle(t), dtype=float)
+    def _deriv(self, tt, side):
         if side == "right":
             idx = np.searchsorted(self.ts, tt, side="right") - 1
         else:
@@ -292,7 +297,7 @@ class TableKernel(Kernel):
             # t = 0 from the left means the slope coming into 2*pi
             idx = np.where(tt == 0.0, len(self.slopes) - 1, idx)
         idx = np.clip(idx, 0, len(self.slopes) - 1)
-        return _out(self.slopes[idx], t)
+        return self.slopes[idx]
 
     def classify(self):
         sym = bool(
@@ -312,6 +317,7 @@ class Weighted(Kernel):
     """r * K for a positive weight r."""
 
     family = "weighted"
+    value, deriv = Kernel.value, Kernel.deriv
 
     def __init__(self, base: Kernel, weight: float):
         weight = float(weight)
@@ -320,11 +326,11 @@ class Weighted(Kernel):
         self.base = base
         self.weight = weight
 
-    def value(self, t):
-        return _out(self.weight * np.asarray(self.base.value(t)), t)
+    def _value(self, tt):
+        return self.weight * self.base._value(tt)
 
-    def deriv(self, t, side="right"):
-        return _out(self.weight * np.asarray(self.base.deriv(t, side)), t)
+    def _deriv(self, tt, side):
+        return self.weight * self.base._deriv(tt, side)
 
     def classify(self):
         return self.base.classify()  # positive scaling preserves every flag
@@ -337,6 +343,7 @@ class SumKernel(Kernel):
     """Pointwise sum of kernels."""
 
     family = "sum"
+    value, deriv = Kernel.value, Kernel.deriv
 
     def __init__(self, terms):
         terms = tuple(terms)
@@ -344,17 +351,19 @@ class SumKernel(Kernel):
             raise ValidationError("sum kernel needs at least one term")
         self.terms = terms
 
-    def value(self, t):
-        acc = np.asarray(self.terms[0].value(t), dtype=float)
+    # np.asarray keeps a scalar call on numpy's array add, so even the NaN
+    # that an infinite t gives has the bits of a term-by-term sum
+    def _value(self, tt):
+        acc = np.asarray(self.terms[0]._value(tt))
         for k in self.terms[1:]:
-            acc = acc + np.asarray(k.value(t))
-        return _out(acc, t)
+            acc = acc + np.asarray(k._value(tt))
+        return acc
 
-    def deriv(self, t, side="right"):
-        acc = np.asarray(self.terms[0].deriv(t, side), dtype=float)
+    def _deriv(self, tt, side):
+        acc = np.asarray(self.terms[0]._deriv(tt, side))
         for k in self.terms[1:]:
-            acc = acc + np.asarray(k.deriv(t, side))
-        return _out(acc, t)
+            acc = acc + np.asarray(k._deriv(tt, side))
+        return acc
 
     def classify(self):
         cs = [k.classify() for k in self.terms]
@@ -389,6 +398,7 @@ class Smoothed(Kernel):
     """
 
     family = "smoothed"
+    value, deriv = Kernel.value, Kernel.deriv
     KINDS = ("bump", "log_cusp", "sqrt_cusp")
 
     def __init__(self, base: Kernel, level: float, kind: str = "bump"):
@@ -438,14 +448,11 @@ class Smoothed(Kernel):
         return d
 
     # --- kernel interface -----------------------------------------------
-    def value(self, t):
-        tt = np.asarray(reduce_angle(t), dtype=float)
-        return _out(np.asarray(self.base.value(tt)) + self._term_value(tt), t)
+    def _value(self, tt):  # np.asarray: see SumKernel
+        return np.asarray(self.base._value(tt)) + self._term_value(tt)
 
-    def deriv(self, t, side="right"):
-        _check_side(side)
-        tt = np.asarray(reduce_angle(t), dtype=float)
-        return _out(np.asarray(self.base.deriv(tt, side)) + self._term_deriv(tt, side), t)
+    def _deriv(self, tt, side):
+        return np.asarray(self.base._deriv(tt, side)) + self._term_deriv(tt, side)
 
     def classify(self):
         b = self.base.classify()

@@ -56,7 +56,9 @@ def _golden_max(p: Problem, positions, lo, hi, iters=80):
     on each), row b against positions[b]: arrays (x, F(x)).
 
     All intervals step together; each stops on its own width test, so its
-    iterates are those of a golden run on that interval alone.
+    iterates are those of a golden run on that interval alone.  While every
+    interval is still live the step works on the whole arrays; once some
+    have stopped it gathers the live rows and scatters them back.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
@@ -68,6 +70,15 @@ def _golden_max(p: Problem, positions, lo, hi, iters=80):
         live = np.flatnonzero(~(b - a < 1e-14))
         if not live.size:
             break
+        if live.size == a.size:
+            up = f1 < f2  # the max lies right of x1: drop [a, x1]
+            a = np.where(up, x1, a)
+            b = np.where(up, b, x2)
+            x_new = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+            f_new = _F(p, positions, x_new[:, None])[:, 0]
+            x1, x2 = np.where(up, x2, x_new), np.where(up, x_new, x1)
+            f1, f2 = np.where(up, f2, f_new), np.where(up, f_new, f1)
+            continue
         a_, b_, x1_, x2_, f1_, f2_ = a[live], b[live], x1[live], x2[live], f1[live], f2[live]
         up = f1_ < f2_  # the max lies right of x1: drop [a, x1]
         a_ = np.where(up, x1_, a_)

@@ -29,13 +29,39 @@ class ValidationError(ValueError):
     """Bad input: malformed node system, permutation, kernel config, ..."""
 
 
+# arrays at least this long take the cheap branch of reduce_angle when they
+# fit in (-2*pi, 2*pi); below it the range test and the masked add cost more
+# than np.mod saves (crossover measured at 600-800 points)
+_CHEAP_MIN = 1024
+
+
 def reduce_angle(t):
-    """Map angles into [0, 2*pi).  Works on scalars and arrays."""
-    r = np.mod(t, TWO_PI)
-    # rounding can land a tiny negative exactly on 2*pi
-    r = np.where(r >= TWO_PI, r - TWO_PI, r)
+    """Map angles into [0, 2*pi).  Works on scalars and arrays.
+
+    Scalars return a Python float, arrays a new array.  Every branch gives
+    the bits of np.mod(t, 2*pi) followed by the >= 2*pi fix below, which an
+    array skips when its maximum is below 2*pi:
+
+    - scalars use float %, which is fmod plus the same sign adjustment as
+      np.mod, and maps -0.0 to +0.0 as np.mod does;
+    - a float64 array of at least _CHEAP_MIN points that lies in
+      (-2*pi, 2*pi) skips np.mod: there fmod(t, 2*pi) is t exactly, so
+      np.mod gives t + 2*pi for t < 0 and t otherwise, and t + 0.0 turns
+      -0.0 into +0.0.  NaN and inf fail the range test and take np.mod.
+    """
     if np.ndim(t) == 0:
-        return float(r)
+        r = float(t) % TWO_PI
+        # rounding can land a tiny negative exactly on 2*pi
+        return r - TWO_PI if r >= TWO_PI else r
+    t = np.asarray(t)
+    if (t.size >= _CHEAP_MIN and t.dtype == np.float64
+            and -TWO_PI < t.min() and t.max() < TWO_PI):
+        r = t + 0.0
+        np.add(r, TWO_PI, out=r, where=r < 0.0)
+    else:
+        r = np.mod(t, TWO_PI)
+    if r.size and not r.max() < TWO_PI:  # a NaN maximum also takes the fix
+        np.subtract(r, TWO_PI, out=r, where=r >= TWO_PI)
     return r
 
 

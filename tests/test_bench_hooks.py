@@ -9,11 +9,12 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import equisum.solver as solver
 from equisum.evaluator import Problem
-from equisum.kernels import from_config, log_sine, parabola, tent, weighted
+from equisum.kernels import Kernel, approximant, from_config, log_sine, parabola, tent, weighted
 from equisum.solver import SolveOptions, _newton_stage, minimax, solve_equioscillation
 from equisum.torus import Permutation
 
@@ -31,6 +32,29 @@ def _load(name):
 def test_every_wrapped_function_exists():
     for modname, attr, _ in _load("spans")._FUNCTIONS:
         assert hasattr(importlib.import_module(modname), attr), f"{modname}.{attr}"
+
+
+def test_every_kernel_class_owns_value_and_deriv():
+    # the tracer wraps value/deriv found in each subclass's own namespace
+    classes = _load("spans")._subclasses(Kernel)
+    assert len(classes) >= 8
+    for cls in classes:
+        assert "value" in cls.__dict__ and "deriv" in cls.__dict__, cls.__name__
+
+
+def test_wrapped_kernel_call_reduces_angles_once():
+    k = approximant(weighted(tent(), 2.0), 8)
+    tr = _load("spans").Tracer()
+    tr.install()
+    try:
+        tr.begin_task(0)
+        k.value(np.linspace(-1.0, 7.0, 50))
+        tr.end_task()
+    finally:
+        tr.uninstall()
+    assert not tr.missing
+    assert tr.n("torus.reduce_angle") == 1
+    assert tr.n("kernels.value") == 1
 
 
 def test_newton_stage_label_is_fifth_argument():

@@ -15,6 +15,7 @@ from equisum.kernels import (
     tent,
     weighted,
 )
+from equisum import torus
 from equisum.torus import TWO_PI, ValidationError, reduce_angle
 
 PI = math.pi
@@ -137,6 +138,43 @@ def test_c1_kernels_have_one_slope_off_the_glue_point():
     for k in c1:
         left, right = k.deriv(ts, "left"), k.deriv(ts, "right")
         assert left.tobytes() == right.tobytes(), k
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+_TABLE = table([0.0, 1.0, PI, 5.0, TWO_PI], [0.0, 0.9, 1.2, 0.7, 0.0])
+_REDUCE_ONCE = ALL_FAMILIES + [
+    riesz(0.5), _TABLE, weighted(riesz(3.0), 2.0),
+    approximant(weighted(log_sine(), 2.0), 8, "bump"),
+    approximant(riesz(1.0), 5, "log_cusp"), approximant(_TABLE, 4, "sqrt_cusp"),
+    kernel_sum(log_sine(), _TABLE, approximant(parabola(), 3, "sqrt_cusp")),
+]
+
+
+@pytest.mark.parametrize("k", _REDUCE_ONCE, ids=lambda k: k.family)
+def test_public_calls_equal_calls_at_reduced_angles(k):
+    """value/deriv reduce t once and evaluate there: the same bits as a call
+    at reduce_angle(t), for scalars and for arrays on both sides of the
+    reduction's size threshold."""
+    rng = np.random.default_rng(59)
+    edges = [0.0, -0.0, -1e-300, 5e-324, PI, -PI, TWO_PI, -TWO_PI,
+             np.nextafter(TWO_PI, 0.0), np.nextafter(-TWO_PI, 0.0), 3 * TWO_PI + 1.0, -20.0]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for t in edges:
+            assert _same_bits(k.value(t), k.value(reduce_angle(t)))
+            for side in ("left", "right"):
+                assert _same_bits(k.deriv(t, side), k.deriv(reduce_angle(t), side))
+        for size, scale in ((40, 20.0), (torus._CHEAP_MIN, TWO_PI), (torus._CHEAP_MIN, 20.0)):
+            ts = rng.uniform(-scale, scale, size)
+            ts[:4] = [-0.0, -1e-300, np.nextafter(-TWO_PI, 0.0), np.nextafter(TWO_PI, 0.0)]
+            ts = ts.reshape(2, -1)
+            assert _same_bits(k.value(ts), k.value(reduce_angle(ts)))
+            for side in ("left", "right"):
+                assert _same_bits(k.deriv(ts, side), k.deriv(reduce_angle(ts), side))
 
 
 def test_weighted_scales_everything():

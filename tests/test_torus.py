@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from equisum import torus
 from equisum.torus import (
     TWO_PI,
     NodeSystem,
@@ -32,6 +33,69 @@ def test_reduce_angle_array():
     out = reduce_angle(np.array([-1.0, 0.0, TWO_PI + 1.0]))
     assert out.shape == (3,)
     assert np.all((out >= 0.0) & (out < TWO_PI))
+
+
+def _reference_reduce(t):
+    """np.mod plus the >= 2*pi fix: the bits every branch of reduce_angle keeps."""
+    with np.errstate(invalid="ignore"):
+        r = np.mod(np.asarray(t, dtype=float), TWO_PI)
+    return np.where(r >= TWO_PI, r - TWO_PI, r)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+_EDGES = [
+    -0.0, 0.0, -1e-300, 1e-300, -5e-324, 5e-324, 1.0, -1.0, math.pi, -math.pi,
+    TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(-TWO_PI, 0.0),
+    2 * TWO_PI, -2 * TWO_PI, 1e300, -1e300,
+]
+_NONFINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("v", _EDGES + _NONFINITE)
+@pytest.mark.parametrize("kind", [float, np.float64, np.array])
+def test_reduce_angle_scalar_bits(v, kind):
+    with np.errstate(invalid="ignore"):
+        out = reduce_angle(kind(v))
+    assert type(out) is float
+    assert _same_bits(out, _reference_reduce(v))
+
+
+@pytest.mark.parametrize("size", [1, 7, torus._CHEAP_MIN - 1, torus._CHEAP_MIN,
+                                  3 * torus._CHEAP_MIN + 5])
+@pytest.mark.parametrize("spread", ["in_range", "below", "above", "wide", "nonfinite"])
+def test_reduce_angle_array_bits(size, spread):
+    """Below and above the cheap branch's size threshold, inside (-2*pi, 2*pi)
+    (where the cheap branch applies) and outside it, the bits are np.mod's."""
+    rng = np.random.default_rng(size)
+    inside = [v for v in _EDGES if abs(v) < TWO_PI]
+    # one side at most one turn out: the range test alone must send it to np.mod
+    edges, lo, hi = {
+        "in_range": (inside, -TWO_PI, TWO_PI),
+        "below": (inside + [-TWO_PI, -2 * TWO_PI], -2 * TWO_PI, TWO_PI),
+        "above": (inside + [TWO_PI, 2 * TWO_PI], -TWO_PI, 2 * TWO_PI),
+        "wide": (_EDGES, -50.0, 50.0),
+        "nonfinite": (_EDGES + _NONFINITE, -50.0, 50.0),
+    }[spread]
+    t = rng.uniform(lo, hi, size)
+    t[:min(size, len(edges))] = edges[:size]
+    rng.shuffle(t)
+    with np.errstate(invalid="ignore"):
+        out = reduce_angle(t)
+        assert _same_bits(out, _reference_reduce(t))
+        assert _same_bits(reduce_angle(t.reshape(1, -1, 1)), out.reshape(1, -1, 1))
+
+
+def test_reduce_angle_array_leaves_input_alone():
+    t = np.linspace(-1.0, 1.0, 2 * torus._CHEAP_MIN)
+    before = t.copy()
+    out = reduce_angle(t)
+    assert out is not t and _same_bits(t, before)
+    assert reduce_angle(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_torus_dist_symmetry_and_wrap():
