@@ -51,6 +51,17 @@ def _F(p: Problem, positions, ts):
     return acc
 
 
+def _golden_step(p: Problem, positions, a, b, x1, x2, f1, f2):
+    """One golden-section step of every interval: the new (a, b, x1, x2, f1, f2)."""
+    up = f1 < f2  # the max lies right of x1: drop [a, x1]
+    a = np.where(up, x1, a)
+    b = np.where(up, b, x2)
+    x_new = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+    f_new = _F(p, positions, x_new[:, None])[:, 0]
+    return (a, b, np.where(up, x2, x_new), np.where(up, x_new, x1),
+            np.where(up, f2, f_new), np.where(up, f_new, f1))
+
+
 def _golden_max(p: Problem, positions, lo, hi, iters=80):
     """Golden-section maxima of F on the intervals [lo[b], hi[b]] (F concave
     on each), row b against positions[b]: arrays (x, F(x)).
@@ -71,25 +82,10 @@ def _golden_max(p: Problem, positions, lo, hi, iters=80):
         if not live.size:
             break
         if live.size == a.size:
-            up = f1 < f2  # the max lies right of x1: drop [a, x1]
-            a = np.where(up, x1, a)
-            b = np.where(up, b, x2)
-            x_new = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
-            f_new = _F(p, positions, x_new[:, None])[:, 0]
-            x1, x2 = np.where(up, x2, x_new), np.where(up, x_new, x1)
-            f1, f2 = np.where(up, f2, f_new), np.where(up, f_new, f1)
-            continue
-        a_, b_, x1_, x2_, f1_, f2_ = a[live], b[live], x1[live], x2[live], f1[live], f2[live]
-        up = f1_ < f2_  # the max lies right of x1: drop [a, x1]
-        a_ = np.where(up, x1_, a_)
-        b_ = np.where(up, b_, x2_)
-        x_new = np.where(up, a_ + _GOLDEN * (b_ - a_), b_ - _GOLDEN * (b_ - a_))
-        f_new = _F(p, positions[live], x_new[:, None])[:, 0]
-        a[live], b[live] = a_, b_
-        x1[live] = np.where(up, x2_, x_new)
-        x2[live] = np.where(up, x_new, x1_)
-        f1[live] = np.where(up, f2_, f_new)
-        f2[live] = np.where(up, f_new, f1_)
+            a, b, x1, x2, f1, f2 = _golden_step(p, positions, a, b, x1, x2, f1, f2)
+        else:
+            a[live], b[live], x1[live], x2[live], f1[live], f2[live] = _golden_step(
+                p, positions[live], a[live], b[live], x1[live], x2[live], f1[live], f2[live])
     first = f1 >= f2
     return np.where(first, x1, x2), np.where(first, f1, f2)
 
