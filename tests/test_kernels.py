@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from equisum import torus
 from equisum.kernels import (
     approximant,
     from_config,
@@ -15,7 +16,6 @@ from equisum.kernels import (
     tent,
     weighted,
 )
-from equisum import torus
 from equisum.torus import TWO_PI, ValidationError, reduce_angle
 
 PI = math.pi
