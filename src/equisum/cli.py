@@ -8,6 +8,7 @@ flagged (non-converged status, failed property check, uncertified minimum),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -413,8 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser run() uses, built once per process: parse_args keeps no
+    state in the parser, and building it costs far more than a parse."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         result, code, p, nodes_like = _COMMANDS[args.command](cfg, args)

@@ -8,6 +8,12 @@ a concave function on each arc cut out by the nodes.  For an ordering sigma
 the profile collects, per arc, the maximum m_j and a maximizer z_j; the
 interior solvers work with the vector of consecutive differences of the
 m's taken in traversal order.
+
+profile() also takes a batch: a (B, n) array of node systems in one cell
+gives B profiles from one lockstep bisection over the arcs of all of them,
+each bit for bit the profile of its system alone.  The solvers profile
+their line-search trials, certificate probes and coarse-grid candidates
+this way.
 """
 from __future__ import annotations
 
@@ -127,19 +133,22 @@ def sum_translates_full(p: Problem, positions, t):
 def _slopes(p: Problem, pos, ts, side):
     """Per-kernel one-sided slopes K_j'(t - pos_j): shape (n+1,) + shape of ts.
 
-    One deriv call per group of p.slope_plan, on the (group, points) grid.
+    pos is (n+1,), one node system for every point, or (n+1, c): the node
+    system of each of the c columns of ts (its last axis).  One deriv call
+    per group of p.slope_plan, on the (group, points) grid.
     """
     ts = np.asarray(ts, dtype=float)
     col = (-1,) + (1,) * ts.ndim
+    at = col if pos.ndim == 1 else col[:-1] + (pos.shape[1],)
     out = np.empty((len(p.kernels),) + ts.shape, dtype=float)
     for base, idx, w in p.slope_plan:
-        grid = ts - pos[idx].reshape(col)
+        grid = ts - pos[idx].reshape(at)
         out[idx] = w.reshape(col) * np.asarray(base.deriv(grid, side))
     return out
 
 
 def _slope_sum(p: Problem, pos, ts, side):
-    """One-sided slope of t -> F(y, t) at each entry of ts.
+    """One-sided slope of t -> F(y, t) at each entry of ts (pos as in _slopes).
 
     The running sum adds the kernels in index order, one at a time, so the
     result does not depend on how the slopes were grouped.
@@ -237,7 +246,7 @@ def _tree_depth(brackets, kernels):
 def _step_preds(p: Problem, pos, pts, nl, shared):
     """The bisection predicate at pts, one column per bracket: D+ F > 0 in
     the first nl columns (the left edges), D- F >= 0 in the rest (the right
-    edges).
+    edges).  pos: the node positions of each column, as in _slopes.
 
     shared: the right-edge points are clear of every node, so one "right"
     call, which equals "left" there for C1 kernels, serves both kinds.
@@ -246,10 +255,12 @@ def _step_preds(p: Problem, pos, pts, nl, shared):
         s = _slope_sum(p, pos, pts, "right")
     else:
         s = np.empty_like(pts)
+        # one system's positions serve every column
+        left, right = (pos, pos) if pos.ndim == 1 else (pos[:, :nl], pos[:, nl:])
         if nl:
-            s[..., :nl] = _slope_sum(p, pos, pts[..., :nl], "right")
+            s[..., :nl] = _slope_sum(p, left, pts[..., :nl], "right")
         if nl < pts.shape[-1]:
-            s[..., nl:] = _slope_sum(p, pos, pts[..., nl:], "left")
+            s[..., nl:] = _slope_sum(p, right, pts[..., nl:], "left")
     pred = s >= 0.0
     pred[..., :nl] = s[..., :nl] > 0.0
     return pred
@@ -258,6 +269,7 @@ def _step_preds(p: Problem, pos, pts, nl, shared):
 def _bisect_levels(p: Problem, pos, lo, hi, nl, shared, d):
     """The next d bisection steps of every bracket, from one slope call.
 
+    pos: the node positions of each bracket's system, as in _slopes.
     Column c of E lists the points of the first d levels of bracket c's
     bisection tree in order, between lo[c] and hi[c]; each point is
     0.5 * (a + b) of its own parent interval [a, b].  All 2^d - 1 points of
@@ -294,35 +306,46 @@ def _bisect_levels(p: Problem, pos, lo, hi, nl, shared, d):
 
 
 def _arc_maxima(p: Problem, pos, los, his, tol_z):
-    """Maximizing set edges for each arc, by bisection on one-sided slopes.
+    """Maximizing set edges for each arc of B node systems, by bisection on
+    one-sided slopes.
 
-    For concave F the set of maximizers of an arc is [t_left, t_right] with
-    t_left the edge of {D+ F > 0} and t_right the edge of {D- F >= 0}; either
-    may sit on the arc boundary.  Both edges of every arc that needs one are
-    bisected in lockstep, a fixed number of steps.  The steps are taken d at
-    a time as a bisection tree (_bisect_levels): one slope call settles d
-    levels of every bracket.  Each tree point is the midpoint of its own
-    parent interval and each bracket's walk applies the same predicate to
-    the same slope bits as a one-level step would, so the brackets, and the
-    results, are bit for bit those of one-level bisection whatever the sign
-    pattern of the slopes, monotone or not.  The depth d is the largest
-    that keeps a call within _TREE_POINTS kernel points, at least 1.
-    Returns (z, m, on_boundary, unique) arrays.
+    pos, los, his: (B, n+1) node positions and arc bounds, one row per
+    system.  For concave F the set of maximizers of an arc is
+    [t_left, t_right] with t_left the edge of {D+ F > 0} and t_right the
+    edge of {D- F >= 0}; either may sit on the arc boundary.  The arcs of
+    all systems are worked on as one flat list, each with its own system's
+    node positions.  Both edges of every arc that needs one are bisected in
+    lockstep, each bracket the fixed number of steps of its own system.
+    The steps are taken d at a time as a bisection tree (_bisect_levels):
+    one slope call settles d levels of every bracket.  Each tree point is
+    the midpoint of its own parent interval and each bracket's walk applies
+    the same predicate to the same slope bits as a one-level step would, so
+    the brackets, and the results, are bit for bit those of one-level
+    bisection of each system alone, whatever the sign pattern of the
+    slopes.  The depth d is the largest that keeps a call within
+    _TREE_POINTS kernel points, at least 1, counted over all brackets.
+    Returns (z, m, on_boundary, unique) arrays of shape (B, n+1).
     """
-    los = np.asarray(los, dtype=float)
-    his = np.asarray(his, dtype=float)
+    B, k = los.shape
+    los = los.reshape(-1)
+    his = his.reshape(-1)
     length = his - los
     degenerate = length <= ANGLE_TOL
     active = ~degenerate
+    # the node positions of each arc's system, as in _slopes; one system
+    # serves every arc
+    cols = pos[0] if B == 1 else pos.T[:, np.repeat(np.arange(B), k)]
 
     t_left = los.copy()
     t_right = his.copy()
 
     if np.any(active):
-        dpa = _slope_sum(p, pos, los, "right")
-        dmb = _slope_sum(p, pos, his, "left")
-        span = float(np.max(length[active]))
-        iters = max(8, int(math.ceil(math.log2(max(span / max(tol_z, 1e-300), 2.0)))) + 2)
+        dpa = _slope_sum(p, cols, los, "right")
+        dmb = _slope_sum(p, cols, his, "left")
+        span = np.where(active, length, 0.0).reshape(B, k).max(axis=1)
+        iters = np.array([
+            max(8, int(math.ceil(math.log2(max(s / max(tol_z, 1e-300), 2.0)))) + 2)
+            for s in span.tolist()])
 
         # left edge: lo if already non-increasing, hi if still increasing at hi
         at_lo, at_hi = dpa <= 0.0, dmb > 0.0
@@ -336,16 +359,28 @@ def _arc_maxima(p: Problem, pos, los, his, tol_z):
         # one bracket per edge: the left edges first, then the right edges;
         # pred(lo) stays True and pred(hi) False
         nl = len(L)
-        lo = np.concatenate((los[L], los[R]))
-        hi = np.concatenate((his[L], his[R]))
+        edges = np.concatenate((L, R))
+        lo = los[edges]
+        hi = his[edges]
         # For C1 kernels D- F equals D+ F off the glue point, so one "right"
         # call serves both edges while no right-edge point can meet a node.
-        shared = p.all_c1 and bool(np.all(
-            (pos[None, :] <= los[R, None]) | (pos[None, :] >= his[R, None])))
+        nodes = pos[R // k]
+        shared = p.all_c1 and bool(np.all((nodes <= lo[nl:, None]) | (nodes >= hi[nl:, None])))
         if len(lo):
             d = _tree_depth(len(lo), len(p.kernels))
-            for done in range(0, iters, d):
-                lo, hi = _bisect_levels(p, pos, lo, hi, nl, shared, min(d, iters - done))
+            steps = iters[edges // k]
+            done, keep, nkeep = 0, slice(None), nl
+            # the brackets of the systems with the fewest steps stop first
+            for stop in sorted(set(steps.tolist())):
+                if done:
+                    keep = np.flatnonzero(steps > done)
+                    nkeep = int(np.count_nonzero(keep < nl))
+                at = cols if B == 1 else cols[:, edges[keep]]
+                blo, bhi = lo[keep], hi[keep]
+                for start in range(done, stop, d):
+                    blo, bhi = _bisect_levels(p, at, blo, bhi, nkeep, shared, min(d, stop - start))
+                lo[keep], hi[keep] = blo, bhi
+                done = stop
         edge = 0.5 * (lo + hi)
         t_left[L] = edge[:nl]
         t_right[R] = edge[nl:]
@@ -353,34 +388,42 @@ def _arc_maxima(p: Problem, pos, los, his, tol_z):
     t_right = np.maximum(t_right, t_left)
     z = 0.5 * (t_left + t_right)
     z = np.where(degenerate, los, z)
-    m = sum_translates_full(p, pos, z)
+    # F at z: sum_translates_full's sum, in its kernel order
+    m = np.zeros(z.shape)
+    for kern, at in zip(p.kernels, cols):
+        m = m + np.asarray(kern.value(z - at))
 
     b_tol = max(4.0 * tol_z, 1e-12)
     on_boundary = degenerate | (z - los <= b_tol) | (his - z <= b_tol)
     unique = degenerate | ((t_right - t_left) <= max(8.0 * tol_z, 1e-10))
-    return z, m, on_boundary, unique
+    return tuple(a.reshape(B, k) for a in (z, m, on_boundary, unique))
 
 
-def profile(p: Problem, y, sigma, *, tol_z: float = TOL_Z) -> ArcProfile:
-    """Arc maxima, maximizers and aggregates of F(y, .) under sigma."""
-    ns = as_node_system(y)
-    if ns.n != p.n:
-        raise ValidationError(f"node system has {ns.n} nodes, problem expects {p.n}")
-    sig = as_permutation(sigma, ns.n)
-    part = arcs(ns, sig)
-    pos = ns.full_positions()
-    los = np.asarray([a.lo for a in part.arcs])
-    his = np.asarray([a.hi for a in part.arcs])
-    z, m, onb, uni = _arc_maxima(p, pos, los, his, tol_z)
-    return ArcProfile(
-        sigma=sig,
-        partition=part,
-        labels=sig.labels(),
-        z_trav=z,
-        m_trav=m,
-        z_on_boundary_trav=onb,
-        unique_trav=uni,
-    )
+def profile(p: Problem, y, sigma, *, tol_z: float = TOL_Z):
+    """Arc maxima, maximizers and aggregates of F(y, .) under sigma.
+
+    y is one node system, and the result one ArcProfile; or y is a 2-D
+    (B, n) array of B node systems, and the result a list of B ArcProfiles,
+    all computed by one lockstep bisection.  Each of them is bit for bit the
+    profile of its system alone.
+    """
+    batch = isinstance(y, np.ndarray) and y.ndim == 2
+    systems = [as_node_system(v) for v in (y if batch else (y,))]
+    for ns in systems:
+        if ns.n != p.n:
+            raise ValidationError(f"node system has {ns.n} nodes, problem expects {p.n}")
+    sig = as_permutation(sigma, p.n)
+    parts = [arcs(ns, sig) for ns in systems]
+    pos = np.array([(0.0,) + ns.values for ns in systems])  # full_positions()
+    bounds = np.array([[(a.lo, a.hi) for a in part.arcs] for part in parts])
+    z, m, onb, uni = _arc_maxima(p, pos, bounds[..., 0], bounds[..., 1], tol_z)
+    labels = sig.labels()
+    profs = [
+        ArcProfile(sigma=sig, partition=part, labels=labels, z_trav=z[b], m_trav=m[b],
+                   z_on_boundary_trav=onb[b], unique_trav=uni[b])
+        for b, part in enumerate(parts)
+    ]
+    return profs if batch else profs[0]
 
 
 def arc_max(p: Problem, y, sigma, j: int, *, tol_z: float = TOL_Z) -> ArcMax:

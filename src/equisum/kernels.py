@@ -415,7 +415,14 @@ class Smoothed(Kernel):
     def _term_value(self, tt):
         if self.kind == "bump":
             u = tt - PI
-            return np.sqrt(np.maximum(PI * PI - u * u, 0.0)) / self.level
+            if np.ndim(u) == 0:
+                return np.sqrt(np.maximum(PI * PI - u * u, 0.0)) / self.level
+            # the same ufuncs in the same order, in place in one array
+            np.multiply(u, u, out=u)
+            np.subtract(PI * PI, u, out=u)
+            np.maximum(u, 0.0, out=u)
+            np.sqrt(u, out=u)
+            return np.divide(u, self.level, out=u)
         d = _circle_dist0(tt)
         if self.kind == "log_cusp":
             with np.errstate(divide="ignore"):
@@ -424,11 +431,23 @@ class Smoothed(Kernel):
 
     def _term_deriv(self, tt, side):
         if self.kind == "bump":
+            glue = INF if side == "right" else -INF
             u = tt - PI
+            if np.ndim(u) == 0:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    d = -u / (self.level * np.sqrt(np.maximum(PI * PI - u * u, 0.0)))
+                return np.where(tt == 0.0, glue, d)
+            # the same ufuncs in the same order, in place in two arrays
+            s = np.multiply(u, u)
+            np.subtract(PI * PI, s, out=s)
+            np.maximum(s, 0.0, out=s)
+            np.sqrt(s, out=s)
+            np.multiply(self.level, s, out=s)
+            np.negative(u, out=u)
             with np.errstate(divide="ignore", invalid="ignore"):
-                d = -u / (self.level * np.sqrt(np.maximum(PI * PI - u * u, 0.0)))
-            d = np.where(tt == 0.0, INF if side == "right" else -INF, d)
-            return d
+                np.divide(u, s, out=u)
+            u[tt == 0.0] = glue
+            return u
         lo_thr = (1.0 / self.level) if self.kind == "log_cusp" else 1.0 / self.level**2
         hi_thr = TWO_PI - lo_thr
         with np.errstate(divide="ignore"):

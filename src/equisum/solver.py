@@ -32,6 +32,7 @@ from .torus import (
     NodeSystem,
     Permutation,
     ValidationError,
+    arcs,
     as_node_system,
     as_permutation,
     locate,
@@ -50,6 +51,9 @@ COLLAPSE_TOL = 1e-9
 HOMOTOPY_KIND = "bump"  # regularization of the ladder's kernels
 MARGIN_FRACTION = 1e-3  # cell projection margin, fraction of min gap
 MIN_STEP = 2.0 ** -30  # smallest Newton line-search step
+# trial points profiled together by a line search: the first alone (most
+# searches stop there), then the next four, then all the rest
+LINE_SEARCH_BATCHES = ((0, 1), (1, 5), (5, None))
 COND_LIMIT = 1e12  # a worse-conditioned Jacobian ends a Newton stage
 # the axis probes certify minimax only where Gordan's test has no verdict
 PROBE_H = 1e-4  # node displacement of the minimax certificate probes
@@ -123,16 +127,32 @@ def _project_cell(y_vec: np.ndarray, sig: Permutation, margin: float) -> np.ndar
     return sig.nodes(v)
 
 
+def _line_search(p, sig, y, step, margin, alpha, floor):
+    """(alpha, trial point, its profile) for alpha, alpha/2, ... down to
+    floor, in that order; the trial point is y + alpha * step projected into
+    the cell.  The trials are independent and a search keeps only the first
+    that passes its test, so they are profiled in the batches of
+    LINE_SEARCH_BATCHES, each with one profile() call.
+    """
+    alphas = []
+    while alpha >= floor:
+        alphas.append(alpha)
+        alpha *= 0.5
+    for lo, hi in LINE_SEARCH_BATCHES:
+        ys = np.array([_project_cell(y + a * step, sig, margin) for a in alphas[lo:hi]])
+        if len(ys):
+            yield from zip(alphas[lo:hi], ys, profile(p, ys, sig))
+
+
 def _residual(p: Problem, sig: Permutation, y_vec: np.ndarray, tol_z: float = TOL_Z,
               prof: ArcProfile | None = None):
     """(max |Delta|, Delta, profile) at y; the max is inf when Delta is not finite.
 
     A given prof must be the profile at y; it is used instead of a new one.
     """
-    ns = NodeSystem(tuple(y_vec))
     if prof is None:
-        prof = profile(p, ns, sig, tol_z=tol_z)
-    d = delta(p, ns, sig, prof)
+        prof = profile(p, NodeSystem(tuple(y_vec)), sig, tol_z=tol_z)
+    d = delta(p, y_vec, sig, prof)
     if not np.all(np.isfinite(d)):
         return INF, d, prof
     return float(np.max(np.abs(d))), d, prof
@@ -176,16 +196,13 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label):
             return y, JACOBIAN_SINGULAR, trace, prof
 
         margin = MARGIN_FRACTION * min_gap(NodeSystem(tuple(y)))
-        alpha = 1.0
         accepted = False
-        while alpha >= MIN_STEP:
-            y_try = _project_cell(y + alpha * step, sig, margin)
-            res_try, d_try, prof_try = _residual(p, sig, y_try)
+        for alpha, y_try, prof_try in _line_search(p, sig, y, step, margin, 1.0, MIN_STEP):
+            res_try, d_try, _ = _residual(p, sig, y_try, prof=prof_try)
             if res_try < res * (1.0 - 1e-4 * alpha):
                 y, res, d, prof = y_try, res_try, d_try, prof_try
                 accepted = True
                 break
-            alpha *= 0.5
         if not accepted:
             trace.append({"stage": label, "iter": it + 1, "residual": res, "note": "stalled"})
             return y, MAX_ITER, trace, prof
@@ -265,17 +282,23 @@ def _coarse_grid_start(p, sig, opts: SolveOptions) -> np.ndarray:
             v = np.sort(rng.uniform(0.05, TWO_PI - 0.05, n))
             if np.min(np.diff(np.concatenate(([0.0], v, [TWO_PI])))) > 0.05:
                 candidates.append(v)
-    best = None
-    best_res = INF
+    valid = []
     for v in candidates:
         y = sig.nodes(v)
         try:
-            res, _, _ = _residual(p, sig, y, tol_z=1e-9)  # coarse ranking only
+            arcs(y, sig)  # the checks profile makes
         except ValidationError:
             continue
-        if res < best_res:
-            best_res = res
-            best = y
+        valid.append(y)
+    best = None
+    best_res = INF
+    if valid:
+        # coarse ranking only
+        for y, prof in zip(valid, profile(p, np.array(valid), sig, tol_z=1e-9)):
+            res = _residual(p, sig, y, prof=prof)[0]
+            if res < best_res:
+                best_res = res
+                best = y
     if best is None:
         return equidistant_nodes(n, sig).array
     return best
@@ -379,25 +402,24 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
     )
 
 
-def _mbar_closure(p, sig, y_vec):
-    """m_bar at y projected onto the closed cell (degenerate arcs allowed)."""
-    return profile(p, NodeSystem(tuple(_project_cell(y_vec, sig, 0.0))), sig).m_bar
+def _mbar_closure(p, sig, ys):
+    """m_bar at each node vector of ys (a 2-D array, one per row) projected
+    onto the closed cell (degenerate arcs allowed), from one batch profile."""
+    closed = np.array([_project_cell(y, sig, 0.0) for y in ys])
+    return [prof.m_bar for prof in profile(p, closed, sig)]
 
 
 def _probe_failures(p, sig, rep: SolveReport):
     """The single-node displacements y +/- h e_r (projected onto the closed
-    cell) whose m_bar drops by more than the slack: 2n profiles."""
+    cell) whose m_bar drops by more than the slack: 2n profiled systems."""
     base = rep.profile.m_bar
-    y = rep.nodes.array
-    failures = []
-    for ridx in range(1, p.n + 1):
-        for s in (+PROBE_H, -PROBE_H):
-            y_p = y.copy()
-            y_p[ridx - 1] += s
-            mb = _mbar_closure(p, sig, y_p)
-            if mb < base - CERTIFICATE_SLACK:
-                failures.append({"node": ridx, "shift": s, "m_bar": mb})
-    return failures
+    moves = [(ridx, s) for ridx in range(1, p.n + 1) for s in (+PROBE_H, -PROBE_H)]
+    ys = np.repeat(rep.nodes.array[None, :], len(moves), axis=0)
+    for row, (ridx, s) in zip(ys, moves):
+        row[ridx - 1] += s
+    return [{"node": ridx, "shift": s, "m_bar": mb}
+            for (ridx, s), mb in zip(moves, _mbar_closure(p, sig, ys))
+            if mb < base - CERTIFICATE_SLACK]
 
 
 def _gordan(p, sig, rep: SolveReport):
@@ -597,17 +619,14 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
         if s_star <= 1e-11 * scale:
             status = CONVERGED
             break
-        alpha = min(0.49 * min_gap(ns), 0.5)
         margin = MARGIN_FRACTION * min_gap(ns)
         accepted = False
-        while alpha >= 1e-14:
-            y_try = _project_cell(y + alpha * a, sig, margin)
-            prof_try = profile(p, NodeSystem(tuple(y_try)), sig)
+        for alpha, y_try, prof_try in _line_search(p, sig, y, a, margin,
+                                                   min(0.49 * min_gap(ns), 0.5), 1e-14):
             if prof_try.m_under > m_under + 1e-6 * alpha * s_star:
                 y, prof = y_try, prof_try
                 accepted = True
                 break
-            alpha *= 0.5
         if not accepted:
             # no line-search progress at a positive LP rate: numerical floor
             res = _residual(p, sig, y, prof=prof)[0]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import equisum
+from equisum import cli
 from equisum.cli import run
 
 PI = math.pi
@@ -46,6 +47,23 @@ def test_version_exits_zero(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert "equisum" in capsys.readouterr().out
+
+
+def test_run_reuses_one_parser(capsys):
+    """run() parses with one parser built per process; build_parser() still
+    returns a fresh one, and both give the same namespaces and usage errors."""
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    argv = ["minimax", "--sigma", "2,1", "--all-sigma", "--tol", "1e-9", "--no-timestamp"]
+    assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    errors = []
+    for parse in (run, run, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(["bogus"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == errors[2]
+    assert errors[0].startswith("usage: equisum")
 
 
 def test_eval_at_known_point(tmp_path, capsys):

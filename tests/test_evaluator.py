@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from equisum import evaluator
 from equisum.evaluator import (
@@ -441,7 +443,7 @@ def test_tree_matches_one_level_loop(monkeypatch, bases, depth):
         pos, los, his = _arc_bounds(y, sig)
         log = []
         want = _one_level_arc_maxima(p, pos, los, his, log=log)
-        assert _bits(*_arc_maxima(p, pos, los, his, TOL_Z)) == _bits(*want)
+        assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
         short_last_pass += len(log) % depth != 0
         shared_ends += log[:1] == [True] and not log[-1]
     assert short_last_pass or depth in (1, 2)
@@ -463,7 +465,7 @@ def test_tree_replays_a_non_monotone_sign_pattern(monkeypatch, depth):
     pos, los, his = _arc_bounds(np.array([1.1, 2.9, 4.0]), Permutation((1, 2, 3)))
     want = _one_level_arc_maxima(p, pos, los, his)
     monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
-    assert _bits(*_arc_maxima(p, pos, los, his, TOL_Z)) == _bits(*want)
+    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
 
 
 def _sides_differ_next_to(y):
@@ -494,4 +496,73 @@ def test_tree_shares_the_right_call_only_on_clear_brackets(monkeypatch, depth):
     want = _one_level_arc_maxima(p, pos, los, his, log=log)
     assert log[0] and not log[-1]
     monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
-    assert _bits(*_arc_maxima(p, pos, los, his, TOL_Z)) == _bits(*want)
+    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
+
+
+# --- batches: one lockstep bisection over many node systems -----------------
+
+_LAST = float(np.nextafter(TWO_PI, 0.0))
+
+
+@st.composite
+def _kernel(draw, bases):
+    k = draw(st.sampled_from(bases))
+    return weighted(k, draw(st.floats(0.2, 5.0))) if draw(st.booleans()) else k
+
+
+@st.composite
+def _slots(draw, n):
+    """Sorted slot angles of one system: spread over the circle, squeezed
+    into a narrow window (one long arc, so a longer span and more bisection
+    steps than a spread system), on the closed cell's faces (ties and nodes
+    on the fixed node: degenerate arcs, -inf maxima next to log-sines), or
+    with one pair collapsed to 1e-12..1e-10."""
+    kind = draw(st.sampled_from(("spread", "narrow", "closed", "collapsed")))
+    u = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if kind == "narrow":
+        width = 10.0 ** draw(st.floats(-11.0, -1.0))
+        return np.minimum(draw(st.floats(0.0, TWO_PI - 0.1)) + width * u, _LAST)
+    v = np.minimum(TWO_PI * u, _LAST)
+    if kind == "closed":
+        for k in range(n):
+            if draw(st.integers(0, 2)) == 0:
+                v[k] = v[k - 1] if k else 0.0
+    elif kind == "collapsed" and n >= 2:
+        k = draw(st.integers(0, n - 2))
+        v[k + 1] = min(v[k] + 10.0 ** draw(st.floats(-12.0, -10.0)), _LAST)
+    return np.maximum.accumulate(v)
+
+
+@st.composite
+def _batch(draw, first):
+    """Kernel 0 from first; the others from first, or from every base when
+    first is KINKED_BASES."""
+    n = draw(st.integers(1, 5))
+    bases = first if first is C1_BASES else KINKED_BASES + C1_BASES
+    p = Problem((draw(_kernel(first)),) + tuple(draw(_kernel(bases)) for _ in range(n)))
+    sig = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    size = draw(st.integers(1, 40))
+    rows = draw(st.lists(_slots(n), min_size=size, max_size=size))
+    return p, sig, np.array([sig.nodes(v) for v in rows])
+
+
+@pytest.mark.parametrize("first", [C1_BASES, KINKED_BASES], ids=["c1", "kinked"])
+@settings(max_examples=20, deadline=None, database=None)
+@seed(20261018)
+@given(data=st.data())
+def test_batch_profile_is_each_system_alone(first, data):
+    """profile(p, Y, sig)[b] is profile(p, Y[b], sig) bit for bit: the
+    brackets of every system are bisected in one lockstep loop, each for its
+    own system's steps, under a tree depth and a shared call decided for the
+    whole batch."""
+    p, sig, ys = data.draw(_batch(first))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        batch = profile(p, ys, sig)
+        assert len(batch) == len(ys)
+        for y, got in zip(ys, batch):
+            want = profile(p, y, sig)
+            assert [v.hex() for v in got.z_trav.tolist()] == [v.hex() for v in want.z_trav.tolist()]
+            assert [v.hex() for v in got.m_trav.tolist()] == [v.hex() for v in want.m_trav.tolist()]
+            assert np.array_equal(got.z_on_boundary_trav, want.z_on_boundary_trav)
+            assert np.array_equal(got.unique_trav, want.unique_trav)
+            assert got.partition == want.partition and got.labels == want.labels

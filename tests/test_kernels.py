@@ -221,6 +221,25 @@ def test_bump_peak_value():
     assert math.isclose(k2.value(PI), PI + PI / 4)
 
 
+def test_bump_term_in_place_keeps_the_expression_bits():
+    """On arrays the bump term is computed in place; it must give the bits of
+    the one-line expression, which scalars still use, at every point."""
+    k = approximant(weighted(parabola(), 0.1), 7, "bump")  # 1/7 rounds
+    rng = np.random.default_rng(61)
+    ts = np.concatenate(([0.0, 5e-324, PI, np.nextafter(TWO_PI, 0.0)],
+                         rng.uniform(0.0, TWO_PI, 60))).reshape(4, -1)
+    u = ts - PI
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.sqrt(np.maximum(PI * PI - u * u, 0.0)) / k.level
+        slope = -u / (k.level * np.sqrt(np.maximum(PI * PI - u * u, 0.0)))
+        assert _same_bits(k._term_value(ts), value)
+        assert all(_same_bits(k._term_value(t), v) for t, v in zip(ts.flat, value.flat))
+        for side, glue in (("right", math.inf), ("left", -math.inf)):
+            want = np.where(ts == 0.0, glue, slope)
+            assert _same_bits(k._term_deriv(ts, side), want)
+            assert all(_same_bits(k._term_deriv(t, side), w) for t, w in zip(ts.flat, want.flat))
+
+
 def test_sqrt_cusp_outside_window_is_exact():
     base = parabola()
     for level in (3, 10, 50):
