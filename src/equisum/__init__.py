@@ -46,11 +46,9 @@ from .kernels import (
     weighted,
 )
 from .evaluator import (
-    ArcMax,
     ArcProfile,
     JacobianUnavailableError,
     Problem,
-    arc_max,
     delta,
     jacobian_delta,
     jacobian_m,
@@ -63,17 +61,13 @@ from .solver import (
     CONVERGED,
     JACOBIAN_SINGULAR,
     MAX_ITER,
-    DescentDirection,
     GlobalReport,
-    NoAdmissibleDirection,
     SolveOptions,
     SolveReport,
-    descent_direction,
     equidistant_nodes,
     maximin,
     minimax,
     minimax_global,
-    pull_apart,
     solve_equioscillation,
 )
 from .oracle import (
@@ -117,15 +111,13 @@ __all__ = [
     "kernel_sum", "kernel_weight", "log_sine", "parabola", "riesz", "table",
     "tent", "weighted",
     # evaluator
-    "ArcMax", "ArcProfile", "JacobianUnavailableError", "Problem", "arc_max",
-    "delta", "jacobian_delta", "jacobian_m", "profile", "sum_translates",
+    "ArcProfile", "JacobianUnavailableError", "Problem", "delta",
+    "jacobian_delta", "jacobian_m", "profile", "sum_translates",
     "sum_translates_full",
     # solver
     "BOUNDARY_SUSPECTED", "CONVERGED", "JACOBIAN_SINGULAR", "MAX_ITER",
-    "DescentDirection", "GlobalReport", "NoAdmissibleDirection",
-    "SolveOptions", "SolveReport", "descent_direction", "equidistant_nodes",
-    "maximin", "minimax", "minimax_global", "pull_apart",
-    "solve_equioscillation",
+    "GlobalReport", "SolveOptions", "SolveReport", "equidistant_nodes",
+    "maximin", "minimax", "minimax_global", "solve_equioscillation",
     # oracle
     "GridMinimax", "MMatrixReport", "ProbeTable", "SandwichReport",
     "check_majorization", "check_mmatrix", "check_sandwich",

@@ -52,7 +52,7 @@ _GLUE_CLEAR = 16.0 * float(np.spacing(TWO_PI))
 _TREE_POINTS = 1024
 
 
-class JacobianUnavailableError(RuntimeError):
+class JacobianUnavailableError(ValueError):
     """The slope formula for the profile Jacobian does not apply here."""
 
 
@@ -157,14 +157,6 @@ def _slope_sum(p: Problem, pos, ts, side):
 
 
 @dataclass
-class ArcMax:
-    z: float
-    m: float
-    z_on_boundary: bool
-    unique: bool
-
-
-@dataclass
 class ArcProfile:
     """Per-arc maxima of F(y, .) under an ordering sigma.
 
@@ -209,15 +201,6 @@ class ArcProfile:
     @property
     def m_under(self) -> float:
         return float(np.min(self.m_trav))
-
-    def arc_max(self, j: int) -> ArcMax:
-        k = list(self.labels).index(j)
-        return ArcMax(
-            z=float(self.z_trav[k]),
-            m=float(self.m_trav[k]),
-            z_on_boundary=bool(self.z_on_boundary_trav[k]),
-            unique=bool(self.unique_trav[k]),
-        )
 
     def to_dict(self):
         return {
@@ -426,20 +409,14 @@ def profile(p: Problem, y, sigma, *, tol_z: float = TOL_Z):
     return profs if batch else profs[0]
 
 
-def arc_max(p: Problem, y, sigma, j: int, *, tol_z: float = TOL_Z) -> ArcMax:
-    """Maximum of F(y, .) over the single arc with index j."""
-    prof = profile(p, y, sigma, tol_z=tol_z)
-    return prof.arc_max(j)
-
-
-def delta(p: Problem, y, sigma, prof: ArcProfile | None = None, *, tol_z: float = TOL_Z):
+def delta(p: Problem, y, sigma, prof: ArcProfile | None = None):
     """Consecutive differences of arc maxima in traversal order.
 
     Zero exactly at equioscillation.  A pair of -inf maxima (doubly
     degenerate boundary data) is reported as +inf: no finite comparison.
     """
     if prof is None:
-        prof = profile(p, y, sigma, tol_z=tol_z)
+        prof = profile(p, y, sigma)
     m = prof.m_trav
     with np.errstate(invalid="ignore"):
         d = m[1:] - m[:-1]
@@ -448,7 +425,7 @@ def delta(p: Problem, y, sigma, prof: ArcProfile | None = None, *, tol_z: float 
     return d
 
 
-def _slope_rows(p: Problem, y, sigma, prof, relaxed: bool, tol_z: float):
+def _slope_rows(p: Problem, y, sigma, prof, relaxed: bool):
     """Rows (traversal order) of the maximizer-slope matrix -K_r'(z_k - y_r).
 
     The slope formula holds when every kernel is C1 and every maximizer is
@@ -459,7 +436,7 @@ def _slope_rows(p: Problem, y, sigma, prof, relaxed: bool, tol_z: float):
     ns = as_node_system(y)
     sig = as_permutation(sigma, ns.n)
     if prof is None:
-        prof = profile(p, ns, sig, tol_z=tol_z)
+        prof = profile(p, ns, sig)
     if not relaxed:
         if not p.all_c1:
             k = next(k for k in p.kernels if not k.classify().c1)
@@ -481,34 +458,20 @@ def _slope_rows(p: Problem, y, sigma, prof, relaxed: bool, tol_z: float):
     return rows, prof
 
 
-def jacobian_m(
-    p: Problem,
-    y,
-    sigma,
-    prof: ArcProfile | None = None,
-    *,
-    relaxed: bool = False,
-    tol_z: float = TOL_Z,
-):
+def jacobian_m(p: Problem, y, sigma, prof: ArcProfile | None = None, *,
+               relaxed: bool = False):
     """Sensitivity of the arc maxima to the free nodes: (n+1) x n, by arc index.
 
     Entry (j, r-1) is -K_r'(z_j - y_r); see _slope_rows for when it holds.
     """
-    rows_trav, prof = _slope_rows(p, y, sigma, prof, relaxed, tol_z)
+    rows_trav, prof = _slope_rows(p, y, sigma, prof, relaxed)
     out = np.empty_like(rows_trav)
     out[list(prof.labels), :] = rows_trav
     return out
 
 
-def jacobian_delta(
-    p: Problem,
-    y,
-    sigma,
-    prof: ArcProfile | None = None,
-    *,
-    relaxed: bool = False,
-    tol_z: float = TOL_Z,
-):
+def jacobian_delta(p: Problem, y, sigma, prof: ArcProfile | None = None, *,
+                   relaxed: bool = False):
     """Jacobian of the traversal difference vector, n x n."""
-    rows_trav, _ = _slope_rows(p, y, sigma, prof, relaxed, tol_z)
+    rows_trav, _ = _slope_rows(p, y, sigma, prof, relaxed)
     return rows_trav[1:, :] - rows_trav[:-1, :]

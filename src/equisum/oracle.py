@@ -209,7 +209,6 @@ def grid_minimax(
     sigma,
     node_resolution: int = 120,
     t_resolution: int = 512,
-    refine: bool = True,
 ) -> GridMinimax:
     """Exhaustive sweep of node grids inside one cell, minimizing sup F.
 
@@ -265,9 +264,6 @@ def grid_minimax(
     coarse_nodes = nodes_of(coarse_slots)
     coarse_value = grid_sup(p, coarse_nodes, max(t_resolution, 2048), refine=True)
     step = TWO_PI / (R + 1.0)
-    if not refine:
-        return GridMinimax(coarse_value, coarse_nodes, coarse_value, coarse_nodes,
-                           step, R)
 
     # joint pattern search: all slots move together, so diagonal valleys
     # (symmetric configurations) are followed correctly; the window shrinks

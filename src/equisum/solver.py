@@ -19,23 +19,19 @@ import numpy as np
 from .evaluator import (
     Problem,
     ArcProfile,
-    TOL_Z,
-    _slopes,
     delta,
     jacobian_delta,
     jacobian_m,
     profile,
 )
-from .kernels import approximant, kernel_weight
+from .kernels import approximant
 from .torus import (
     TWO_PI,
     NodeSystem,
     Permutation,
     ValidationError,
-    arcs,
     as_node_system,
     as_permutation,
-    locate,
     min_gap,
 )
 
@@ -144,14 +140,13 @@ def _line_search(p, sig, y, step, margin, alpha, floor):
             yield from zip(alphas[lo:hi], ys, profile(p, ys, sig))
 
 
-def _residual(p: Problem, sig: Permutation, y_vec: np.ndarray, tol_z: float = TOL_Z,
-              prof: ArcProfile | None = None):
+def _residual(p: Problem, sig: Permutation, y_vec: np.ndarray, prof: ArcProfile | None = None):
     """(max |Delta|, Delta, profile) at y; the max is inf when Delta is not finite.
 
     A given prof must be the profile at y; it is used instead of a new one.
     """
     if prof is None:
-        prof = profile(p, NodeSystem(tuple(y_vec)), sig, tol_z=tol_z)
+        prof = profile(p, NodeSystem(tuple(y_vec)), sig)
     d = delta(p, y_vec, sig, prof)
     if not np.all(np.isfinite(d)):
         return INF, d, prof
@@ -282,25 +277,17 @@ def _coarse_grid_start(p, sig, opts: SolveOptions) -> np.ndarray:
             v = np.sort(rng.uniform(0.05, TWO_PI - 0.05, n))
             if np.min(np.diff(np.concatenate(([0.0], v, [TWO_PI])))) > 0.05:
                 candidates.append(v)
-    valid = []
-    for v in candidates:
-        y = sig.nodes(v)
-        try:
-            arcs(y, sig)  # the checks profile makes
-        except ValidationError:
-            continue
-        valid.append(y)
-    best = None
+    # every candidate is strictly increasing and inside the cell
+    best = equidistant_nodes(n, sig).array
     best_res = INF
-    if valid:
+    if candidates:
+        ys = np.array([sig.nodes(v) for v in candidates])
         # coarse ranking only
-        for y, prof in zip(valid, profile(p, np.array(valid), sig, tol_z=1e-9)):
+        for y, prof in zip(ys, profile(p, ys, sig, tol_z=1e-9)):
             res = _residual(p, sig, y, prof=prof)[0]
             if res < best_res:
                 best_res = res
                 best = y
-    if best is None:
-        return equidistant_nodes(n, sig).array
     return best
 
 
@@ -387,6 +374,8 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
     ns = NodeSystem(tuple(y))
     interior = min_gap(ns) >= COLLAPSE_TOL
     final = CONVERGED if (_settled(res, prof, opts) and interior) else status
+    # a stage that settles at its start reports converged without a gap
+    # check, so a settled start with collapsed nodes reaches this
     if final == CONVERGED and not interior:
         final = BOUNDARY_SUSPECTED
     return SolveReport(
@@ -545,10 +534,10 @@ def minimax_global(p: Problem, opts: SolveOptions | None = None,
     return GlobalReport(best=best, per_sigma=reports, objective=best.objective)
 
 
-def _steepest_lp(G, F=None):
+def _steepest_lp(G):
     """Direction maximizing the smallest row rate, inf-norm box.
 
-    maximize s  s.t.  G a >= s,  F a = 0,  -1 <= a <= 1.  Returns (s*, a*),
+    maximize s  s.t.  G a >= s,  -1 <= a <= 1.  Returns (s*, a*),
     or (0, 0) when the LP fails.  s* > 0 means every row of G can grow at
     once; this is the one first-order question the solvers ask.
     """
@@ -561,10 +550,7 @@ def _steepest_lp(G, F=None):
     A_ub = np.hstack([-G, np.ones((mrows, 1))])
     b_ub = np.zeros(mrows)
     bounds = [(-1.0, 1.0)] * n + [(None, None)]
-    eq = {}
-    if F is not None:
-        eq = {"A_eq": np.hstack([F, np.zeros((F.shape[0], 1))]), "b_eq": np.zeros(F.shape[0])}
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", **eq)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         return 0.0, np.zeros(n)
     return float(-res.fun), np.asarray(res.x[:n])
@@ -646,150 +632,3 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
         seed=opts.seed,
         flags={"objective_kind": "m_under"},
     )
-
-
-class NoAdmissibleDirection(RuntimeError):
-    """Every box direction violates some active constraint: equioscillation."""
-
-
-@dataclass
-class DescentDirection:
-    a: np.ndarray
-    active: list
-    margins: np.ndarray
-    neutral: bool
-
-    def to_dict(self):
-        return {
-            "a": [float(v) for v in self.a],
-            "active": list(self.active),
-            "margins": [float(v) for v in self.margins],
-            "neutral": self.neutral,
-        }
-
-
-def _supporting_slopes(p: Problem, positions, t):
-    """Per-kernel slopes at t summing to zero (horizontal support at a max).
-
-    Each slope is taken inside [D+ K_j, D- K_j] at t - y_j, interpolated with
-    a common parameter; at a maximizer zero lies between the one-sided sums.
-    """
-    dplus = _slopes(p, positions, t, "right")
-    dminus = _slopes(p, positions, t, "left")
-    if not (np.all(np.isfinite(dplus)) and np.all(np.isfinite(dminus))):
-        raise ValidationError("supporting slopes unavailable: t collides with a singular node")
-    lo = float(np.sum(dplus))
-    hi = float(np.sum(dminus))
-    # the bisection leaves the maximizer within an angle tolerance, so the
-    # slope sums miss 0 by up to that tolerance times the slopes' size
-    tol = 1e-9 * max(1.0, float(np.sum(np.abs(dplus))), float(np.sum(np.abs(dminus))))
-    if lo > tol or hi < -tol:
-        raise ValidationError(f"not a maximizer: slope interval [{lo}, {hi}] misses 0")
-    lam = 0.0 if hi == lo else np.clip(-lo / (hi - lo), 0.0, 1.0)
-    return dplus + lam * (dminus - dplus)
-
-
-def descent_direction(
-    p: Problem,
-    y,
-    sigma=None,
-    active=None,
-    frozen=None,
-    tol_active: float = 1e-9,
-) -> DescentDirection:
-    """A box direction that does not raise any active arc maximum.
-
-    Active arcs default to those attaining m_bar.  The direction a (with
-    a_0 = 0 for the fixed node) maximizes the smallest margin
-    sum_j a_j mu_ij over the active maximizers t_i, subject to any frozen
-    linear constraints F a = 0.  A non-neutral direction has every margin
-    positive, so moving the nodes to y + h a for small h > 0 strictly lowers
-    every active maximum; a neutral one has every margin zero.  Raises
-    NoAdmissibleDirection at an equioscillation point with no slack.
-    """
-    ns = as_node_system(y)
-    if sigma is None:
-        loc = locate(ns)
-        if loc.kind != "interior":
-            raise ValidationError("ambiguous ordering on a cell face: pass sigma")
-        sig = loc.sigma
-    else:
-        sig = as_permutation(sigma, ns.n)
-    prof = profile(p, ns, sig)
-    m_ind = prof.m
-    if active is None:
-        active = [j for j in range(p.n + 1) if m_ind[j] >= prof.m_bar - tol_active]
-    active = sorted(int(j) for j in active)
-    # the construction needs k <= n active arcs; full activity is an
-    # equioscillation point and no direction can lower every maximum
-    if len(active) == p.n + 1:
-        raise NoAdmissibleDirection(
-            "all arcs are active: the point equioscillates, descent is blocked"
-        )
-    onb = prof.z_on_boundary
-    for j in active:
-        if onb[j]:
-            raise ValidationError(
-                f"active maximizer of arc {j} sits on a node; no supporting slopes there"
-            )
-    positions = ns.full_positions()
-    z_ind = prof.z
-    M = np.empty((len(active), p.n))
-    for i, j in enumerate(active):
-        mu = _supporting_slopes(p, positions, float(z_ind[j]))
-        M[i, :] = mu[1:]
-
-    F = None
-    if frozen is not None:
-        F = np.atleast_2d(np.asarray(frozen, dtype=float))
-        if F.shape[1] != p.n:
-            raise ValidationError("frozen constraint rows must have length n")
-
-    s_star, a = _steepest_lp(M, F)
-    if s_star > 1e-11:
-        a = a / np.max(np.abs(a))
-        return DescentDirection(a=a, active=active, margins=M @ a, neutral=False)
-
-    # no direction lowers every active maximum: look for a neutral one
-    rows = [M, -M]
-    if F is not None:
-        rows += [F, -F]
-    A = np.vstack(rows)
-    _, s, vt = np.linalg.svd(A)
-    null_mask = np.concatenate([s, np.zeros(vt.shape[0] - len(s))]) <= 1e-10
-    if np.any(null_mask):
-        a = vt[null_mask][0]
-        a = a / np.max(np.abs(a))
-        return DescentDirection(a=a, active=active, margins=M @ a, neutral=True)
-    raise NoAdmissibleDirection(
-        "no direction lowers every active maximum or leaves them all unchanged"
-    )
-
-
-def pull_apart(p: Problem, y, j: int, k: int, h: float) -> NodeSystem:
-    """Spread two nodes apart with weight-reciprocal speeds.
-
-    Node j (the lower) moves down by h / r_j, node k (the upper) moves up by
-    h / r_k, where r is the kernel weight.  Valid while the moved nodes stay
-    inside (0, 2*pi); the sum of the two weighted kernels strictly drops
-    outside the straddled region.
-    """
-    ns = as_node_system(y)
-    if not (1 <= j <= ns.n and 1 <= k <= ns.n and j != k):
-        raise ValidationError(f"node indices out of range: j={j}, k={k}")
-    yj = ns.values[j - 1]
-    yk = ns.values[k - 1]
-    if yj > yk:
-        raise ValidationError(f"pull_apart needs y_j <= y_k, got {yj} > {yk}")
-    if not (h > 0):
-        raise ValidationError("h must be positive")
-    b = 1.0 / kernel_weight(p.kernels[j])
-    a = 1.0 / kernel_weight(p.kernels[k])
-    if yj - b * h <= 0:
-        raise ValidationError(f"step too large: node {j} would leave (0, 2*pi)")
-    if yk + a * h >= TWO_PI:
-        raise ValidationError(f"step too large: node {k} would leave (0, 2*pi)")
-    vals = list(ns.values)
-    vals[j - 1] = yj - b * h
-    vals[k - 1] = yk + a * h
-    return NodeSystem(tuple(vals))

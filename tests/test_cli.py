@@ -85,6 +85,17 @@ def test_profile_reports_equioscillation(tmp_path, capsys):
     assert all(abs(d) <= 1e-9 for d in res["delta"])
 
 
+def test_profile_writes_non_finite_values_as_strings(tmp_path, capsys):
+    # y_1 on the fixed node: arc 0 is degenerate and its log-sine maximum -inf
+    cfg = dict(LOGSINE_CONFIG, nodes=[0.0, 3.0], sigma=[1, 2])
+    code, doc = run_json(capsys, ["profile", "--config", write_config(tmp_path, cfg)])
+    assert code == 0
+    res = doc["result"]
+    assert res["profile"]["m"][0] == "-inf"
+    assert res["delta"][0] == "inf"
+    assert all(isinstance(v, float) for v in res["profile"]["m"][1:] + res["delta"][1:])
+
+
 def test_equioscillate_converges(tmp_path, capsys):
     cfg = {"kernels": EX_CONFIG["kernels"], "sigma": [2, 1, 3]}
     code, doc = run_json(capsys, ["equioscillate", "--config", write_config(tmp_path, cfg)])
@@ -92,6 +103,25 @@ def test_equioscillate_converges(tmp_path, capsys):
     res = doc["result"]
     assert res["status"] == "converged"
     assert math.isclose(res["objective"], E_VALUE, abs_tol=1e-9)
+
+
+def test_solver_options_reach_the_report(tmp_path, capsys):
+    """--tol, --max-iter and --seed, and the config's homotopy_levels (with
+    non-finite entries), start list and secant_sweeps, all reach the solve."""
+    options = {"homotopy_levels": [4, None, "inf"], "start": [2.5, 1.0, 4.5],
+               "secant_sweeps": 3}
+    cfg = {"kernels": EX_CONFIG["kernels"], "sigma": [2, 1, 3], "options": options}
+    code, doc = run_json(capsys, ["equioscillate", "--config", write_config(tmp_path, cfg),
+                                  "--tol", "1e-9", "--max-iter", "3", "--seed", "7"])
+    assert code == 0
+    res = doc["result"]
+    assert doc["seed"] == res["seed"] == 7
+    assert res["status"] == "converged" and res["residual"] <= 1e-9
+    stages = [e["stage"] for e in res["trace"]]
+    assert set(stages) == {"direct", "level:4", "secant"}
+    # max_iter 3: three steps and the cap entry per Newton stage
+    assert stages.count("direct") == 4 and stages.count("level:4") <= 4
+    assert stages.count("secant") <= 3
 
 
 def test_minimax_and_maximin_agree_for_smooth_kernels(tmp_path, capsys):
@@ -113,6 +143,23 @@ def test_minimax_reports_precondition_flag(tmp_path, capsys):
     assert code == 0
     assert not doc["result"]["flags"]["preconditions_met"]
     assert doc["result"]["flags"]["local_min_certified"]
+
+
+def test_minimax_refused_by_gordan_exits_two(tmp_path, capsys):
+    """A converged C1 minimax that Gordan's test refuses (the natural refusal
+    of tests/test_certificate.py) is finished but flagged: exit 2."""
+    def weighted(base, w):
+        return {"family": "weighted", "weight": w, "base": base}
+    par = {"family": "parabola"}
+    cfg = {"kernels": [weighted(par, 0.1), weighted({"family": "log_sine"}, 0.01),
+                       weighted(par, 0.002), weighted({"family": "riesz", "p": 3.0}, 3.0)],
+           "sigma": [1, 2, 3]}
+    code, doc = run_json(capsys, ["minimax", "--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    res = doc["result"]
+    assert res["status"] == "converged"
+    assert res["flags"]["certificate"] == "gordan"
+    assert not res["flags"]["local_min_certified"]
 
 
 def test_verify_mmatrix_flags_kink_point(tmp_path, capsys):
@@ -281,6 +328,15 @@ def test_error_paths_exit_one(tmp_path, capsys):
     assert run(["verify", "--config", write_config(tmp_path, EX_CONFIG, "c3.json"),
                 "--check", "bogus"]) == 1
     assert "error:" in capsys.readouterr().err
+
+    # strict mmatrix check: the exact slope formula fails at a maximizer on an arc end
+    par = {"family": "parabola"}
+    cfg = {"kernels": [par, {"family": "weighted", "weight": 5.0, "base": par}],
+           "nodes": [0.3], "relaxed": False}
+    assert run(["verify", "--config", write_config(tmp_path, cfg, "c5.json"),
+                "--check", "mmatrix"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
     # unknown solver option, and a tuning that is a module constant, not an option
     for knob in ("bogus_knob", "probe_h"):

@@ -16,7 +16,6 @@ from equisum.evaluator import (
     _slope_sum,
     _slopes,
     _tree_depth,
-    arc_max,
     delta,
     jacobian_delta,
     jacobian_m,
@@ -115,14 +114,6 @@ def test_profile_log_sine_pair():
     assert np.allclose(prof.z, [PI / 2, 3 * PI / 2], atol=1e-9)
     assert not any(prof.z_on_boundary)
     assert all(prof.unique)
-
-
-def test_arc_max_matches_profile():
-    prof = profile(EX_P, E_POINT, E_SIGMA)
-    for j in range(4):
-        am = arc_max(EX_P, E_POINT, E_SIGMA, j)
-        assert math.isclose(am.m, prof.m[j], abs_tol=1e-12)
-        assert math.isclose(am.z, prof.z[j], abs_tol=1e-9)
 
 
 def test_profile_rotation_covariance():

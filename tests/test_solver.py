@@ -12,19 +12,17 @@ from equisum.solver import (
     CONVERGED,
     JACOBIAN_SINGULAR,
     MAX_ITER,
-    NoAdmissibleDirection,
     SolveOptions,
+    _coarse_grid_start,
     _newton_stage,
     _secant_stage,
-    descent_direction,
     equidistant_nodes,
     maximin,
     minimax,
     minimax_global,
-    pull_apart,
     solve_equioscillation,
 )
-from equisum.torus import TWO_PI, Permutation, ValidationError, node_dist
+from equisum.torus import TWO_PI, Permutation, ValidationError, locate, node_dist
 
 PI = math.pi
 
@@ -168,6 +166,15 @@ def test_newton_stage_ends_boundary_suspected_at_fixed_node():
     assert rep.trace[1] == {"stage": "restart", "iter": 1, "note": "nodes spread apart"}
 
 
+def test_settled_start_with_collapsed_nodes_is_boundary_suspected():
+    """Tents weighted (1, 1/2, 1/2) with both nodes at pi: F is pi on every
+    arc, so the direct stage settles at its start, but the nodes coincide."""
+    p = Problem((tent(), weighted(tent(), 0.5), weighted(tent(), 0.5)))
+    rep = solve_equioscillation(p, Permutation((1, 2)), SolveOptions(start=(PI, PI)))
+    assert rep.residual == 0.0
+    assert rep.status == BOUNDARY_SUSPECTED
+
+
 def test_coarse_grid_start_matches_equidistant():
     p = Problem(tuple(weighted(log_sine(), w) for w in (1.0, 1.6, 0.7)))
     sig = Permutation((1, 2))
@@ -175,6 +182,29 @@ def test_coarse_grid_start_matches_equidistant():
     equi = solve_equioscillation(p, sig)
     assert grid.status == CONVERGED and equi.status == CONVERGED
     assert math.isclose(grid.objective, equi.objective, abs_tol=1e-9)
+
+
+def test_coarse_grid_start_draws_from_the_seed_above_n3():
+    """From n = 4 the coarse grid is 80 seeded random draws: the same seed
+    gives the same start, inside the cell, and the solve from it converges."""
+    p = Problem(tuple(weighted(log_sine(), w) for w in (1.3, 0.8, 1.1, 0.7, 1.5)))
+    sig = Permutation((2, 1, 4, 3))
+    opts = SolveOptions(start="coarse_grid", seed=5)
+    start = _coarse_grid_start(p, sig, opts)
+    assert np.array_equal(start, _coarse_grid_start(p, sig, opts))
+    assert not np.array_equal(start, equidistant_nodes(4, sig).array)
+    loc = locate(start)
+    assert loc.kind == "interior" and loc.sigma == sig
+    assert solve_equioscillation(p, sig, opts).status == CONVERGED
+
+
+def test_coarse_grid_start_falls_back_to_equidistant():
+    """At n = 39 no draw keeps every gap above 0.05, so no candidate is
+    left and the start is the equidistant one."""
+    p = unit_problem(40)
+    sig = Permutation.identity(39)
+    start = _coarse_grid_start(p, sig, SolveOptions(start="coarse_grid"))
+    assert np.array_equal(start, equidistant_nodes(39, sig).array)
 
 
 def test_homotopy_levels_skip_non_finite():
@@ -318,78 +348,6 @@ def test_minimax_global_cap():
     p = unit_problem(6)
     with pytest.raises(ValidationError):
         minimax_global(p, max_permutations=10)
-
-
-def test_descent_direction_strictly_improves():
-    p = unit_problem(3)
-    y = np.array([1.7, 4.9])  # away from the optimum
-    sig = Permutation((1, 2))
-    d = descent_direction(p, y, sig)
-    assert not d.neutral
-    base = profile(p, y, sig).m_bar
-    step = 1e-4
-    moved = profile(p, y + step * d.a, sig).m_bar
-    assert moved < base - 1e-9
-
-
-def test_descent_direction_infeasible_at_equioscillation():
-    with pytest.raises(NoAdmissibleDirection):
-        descent_direction(EX_P, E_POINT, E_SIGMA)
-
-
-def test_descent_direction_respects_frozen():
-    p = unit_problem(4)
-    y = np.array([1.2, 2.9, 4.8])
-    sig = Permutation((1, 2, 3))
-    d = descent_direction(p, y, sig, frozen=[[0.0, 1.0, 0.0]])
-    assert abs(d.a[1]) <= 1e-12
-
-
-def test_descent_direction_lowers_every_active_maximum():
-    """Random weighted log-sine problems with explicit active arcs: a
-    direction that is not neutral has every margin positive."""
-    rng = np.random.default_rng(2024)
-    nonneutral = 0
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
-        p = Problem(tuple(weighted(log_sine(), w) for w in rng.uniform(0.2, 5.0, n + 1)))
-        sig = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
-        y = sig.nodes(np.sort(rng.uniform(0.3, TWO_PI - 0.3, n)))
-        active = rng.choice(n + 1, size=int(rng.integers(2, n + 1)), replace=False)
-        try:
-            d = descent_direction(p, y, sig, active=active)
-        except NoAdmissibleDirection:
-            continue
-        if not d.neutral:
-            nonneutral += 1
-            assert np.all(d.margins > 0), d.margins
-    assert nonneutral > 50
-
-
-def test_descent_direction_accepts_maximizer_between_close_nodes():
-    """Nodes 4.2e-3 apart: the bisection leaves slope sums of about 1e-9 at
-    the maximizers, which is within tolerance for slopes this large."""
-    w = (4.815954529586176, 3.6789917157129617, 2.7978889066276844,
-         1.52907777941778, 0.971129642120609)
-    y = np.array([0.9584857464012457, 3.2329134028826556, 3.2371394094847616,
-                  5.812265857450013])
-    p = Problem(tuple(weighted(log_sine(), v) for v in w))
-    sig = Permutation((1, 2, 3, 4))
-    d = descent_direction(p, y, sig, active=[0, 1, 2, 3])
-    assert not d.neutral and np.all(d.margins > 0)
-    base = profile(p, y, sig).m[:4]
-    assert np.all(profile(p, y + 1e-6 * d.a, sig).m[:4] < base)
-
-
-def test_pull_apart_increases_gap():
-    p = unit_problem(3)
-    y = np.array([2.0, 2.05])
-    out = pull_apart(p, y, 1, 2, 0.1)
-    assert out.values[1] - out.values[0] > 0.05
-    with pytest.raises(ValidationError):
-        pull_apart(p, y, 1, 1, 0.1)
-    with pytest.raises(ValidationError):
-        pull_apart(p, y, 0, 2, 0.1)  # the anchor never moves
 
 
 def test_smoothed_example_solver_matches_grid():
