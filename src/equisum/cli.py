@@ -40,21 +40,17 @@ from .torus import TWO_PI, NodeSystem, Permutation, ValidationError, as_node_sys
 
 OK, FLAGGED, ERROR = 0, 2, 1
 
-# result keys holding torus angles, for --degrees conversion
-_ANGLE_KEYS = {"nodes", "maximizers", "z", "z_trav", "t", "cut", "angles"}
+# report keys holding torus angles (--degrees); bojanov's are in _degrees_out
+_ANGLE_KEYS = frozenset({"nodes", "z", "maximizers", "lo", "hi", "t", "coarse_nodes"})
 
 
 def _jsonify(obj):
-    """JSON-safe copy: numpy scalars/arrays unwrapped, non-finite floats as strings."""
+    """JSON-safe copy: numpy floats unwrapped, non-finite floats as strings."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         obj = float(obj)
     if isinstance(obj, float):
         if math.isnan(obj):
@@ -66,19 +62,44 @@ def _jsonify(obj):
         return obj
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
-    if hasattr(obj, "to_dict"):
-        return _jsonify(obj.to_dict())
-    return str(obj)
+    raise TypeError(f"no JSON form for a {type(obj).__name__}")
 
 
-def _to_degrees(obj, key=None):
-    if isinstance(obj, dict):
-        return {k: _to_degrees(v, k) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_to_degrees(v, key) for v in obj]
-    if isinstance(obj, float) and key in _ANGLE_KEYS:
-        return obj * 180.0 / math.pi
-    return obj
+def _radians_in(cfg):
+    """Read the config's angles, given in degrees (--degrees), as radians, in
+    place: nodes (--nodes included), eval's t, sandwich's include points and a
+    list-valued options.start.  Commands see radians only."""
+    def rad(v):
+        return np.radians(np.asarray(v, dtype=float)).tolist()
+
+    for key in ("nodes", "t"):
+        if cfg.get(key) is not None:
+            cfg[key] = rad(cfg[key])
+    if "include" in cfg:
+        cfg["include"] = [rad(pt) for pt in cfg["include"]]
+    opts = cfg.get("options")
+    if isinstance(opts, dict) and isinstance(opts.get("start"), list):
+        cfg["options"] = dict(opts, start=rad(opts["start"]))
+
+
+def _degrees_out(command, result, curve):
+    """A report and its curve with the torus angles in degrees (--degrees):
+    every float under an _ANGLE_KEYS key, and a curve's t column.  Bojanov's
+    interval coordinates are not angles; only its doubled report, which lies
+    on the circle, converts."""
+    def deg(obj, key=None):
+        if isinstance(obj, dict):
+            return {k: deg(v, k) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [deg(v, key) for v in obj]
+        return math.degrees(obj) if key in _ANGLE_KEYS and isinstance(obj, float) else obj
+
+    def curve_deg(resolution):
+        header, (x, *ys) = curve(resolution)
+        return header, (np.degrees(x) if header[0] == "t" else x, *ys)
+
+    result = dict(result, doubled=deg(result["doubled"])) if command == "bojanov" else deg(result)
+    return result, None if curve is None else curve_deg
 
 
 def _load_config(path):
@@ -105,23 +126,13 @@ def _problem_from(cfg) -> Problem:
     return Problem(tuple(from_config(k) for k in kernels))
 
 
-def _angles_in(values, degrees):
-    arr = np.asarray(values, dtype=float)
-    if degrees:
-        arr = arr * math.pi / 180.0
-    return arr
-
-
-def _nodes_from(cfg, args, n_expected=None):
+def _nodes_from(cfg, n):
     nodes = cfg.get("nodes")
-    if getattr(args, "nodes", None):
-        nodes = [float(v) for v in args.nodes.split(",")]
     if nodes is None:
         raise ValidationError("no nodes given (config 'nodes' or --nodes)")
-    arr = _angles_in(nodes, args.degrees)
-    ns = as_node_system(arr)
-    if n_expected is not None and ns.n != n_expected:
-        raise ValidationError(f"expected {n_expected} nodes, got {ns.n}")
+    ns = as_node_system(nodes)
+    if ns.n != n:
+        raise ValidationError(f"expected {n} nodes, got {ns.n}")
     return ns
 
 
@@ -182,30 +193,53 @@ def _write_csv(path, header, columns):
     return len(columns[0])
 
 
-def _curve_rows(p, ns, resolution):
+def _floats(text):
+    """A comma-separated command-line list as floats; None when not given."""
+    return [float(v) for v in text.split(",")] if text else None
+
+
+def _resolution(cfg, args):
+    resolution = args.resolution or int(cfg.get("resolution", 1024))
+    if resolution < 1:
+        raise ValidationError(f"resolution must be positive, got {resolution}")
+    return resolution
+
+
+# curves, resolution -> (CSV header, columns), are written by run()
+
+def _f_curve(p, ns, resolution):
     ts = np.arange(resolution) * (TWO_PI / resolution)
-    vals = sum_translates(p, ns, ts)
-    return ts, vals
+    return ("t", "F"), (ts, sum_translates(p, ns, ts))
+
+
+def _gtp_curve(res, resolution):
+    ts = np.arange(resolution) * (TWO_PI / resolution)
+    return ("t", "T"), (ts, gtp_value(ts, res.nodes, res.problem.exponents))
+
+
+def _gap_curve(poly, resolution):
+    xs = np.linspace(poly.problem.a, poly.problem.b, resolution)
+    return ("x", "P"), (xs, eval_gap(xs, poly))
 
 
 # ---------------------------------------------------------------- commands
 
 def _cmd_eval(cfg, args):
     p = _problem_from(cfg)
-    ns = _nodes_from(cfg, args, p.n)
+    ns = _nodes_from(cfg, p.n)
     t = cfg.get("t")
     if t is None:
         raise ValidationError("eval needs 't' in the config (angle or list)")
-    ts = np.atleast_1d(_angles_in(t, args.degrees))
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     vals = sum_translates(p, ns, ts)
     result = {"nodes": list(ns.values), "t": [float(v) for v in ts],
               "F": [float(v) for v in np.atleast_1d(vals)]}
-    return result, OK, p, ns
+    return result, OK, functools.partial(_f_curve, p, ns)
 
 
 def _cmd_profile(cfg, args):
     p = _problem_from(cfg)
-    ns = _nodes_from(cfg, args, p.n)
+    ns = _nodes_from(cfg, p.n)
     sig = _sigma_or_locate(cfg, args, ns)
     prof = profile(p, ns, sig)
     d = delta(p, ns, sig, prof)
@@ -217,29 +251,28 @@ def _cmd_profile(cfg, args):
         "m_bar": prof.m_bar,
         "m_under": prof.m_under,
     }
-    return result, OK, p, ns
+    return result, OK, functools.partial(_f_curve, p, ns)
 
 
 def _solve_common(cfg, args, fn):
     p = _problem_from(cfg)
     opts = _options_from(cfg, args)
-    if cfg.get("nodes") is not None or getattr(args, "nodes", None):
-        opts.start = tuple(_nodes_from(cfg, args, p.n).values)
+    if cfg.get("nodes") is not None:
+        opts.start = tuple(_nodes_from(cfg, p.n).values)
     if args.all_sigma:
+        if not isinstance(opts.start, str):
+            raise ValidationError(
+                "--all-sigma solves every ordering cell, but start nodes lie in one cell; "
+                "drop the start nodes ('nodes', --nodes or options.start)")
         glob = minimax_global(p, opts, max_permutations=int(cfg.get("max_permutations", 6)))
-        rep = glob.best
-        result = glob.to_dict()
-        code = OK if rep.converged else FLAGGED
-        return result, code, p, rep.nodes
-    sig = _sigma_from(cfg, args, p.n)
-    if sig is None:
-        sig = Permutation.identity(p.n)
-    rep = fn(p, sig, opts)
-    result = rep.to_dict()
-    code = OK if rep.converged else FLAGGED
-    if fn is minimax and not rep.flags.get("local_min_certified", True):
-        code = FLAGGED
-    return result, code, p, rep.nodes
+        rep, result = glob.best, glob.to_dict()
+    else:
+        sig = _sigma_from(cfg, args, p.n)
+        rep = fn(p, Permutation.identity(p.n) if sig is None else sig, opts)
+        result = rep.to_dict()
+    flagged = not rep.converged or (
+        fn is minimax and not args.all_sigma and not rep.flags.get("local_min_certified", True))
+    return result, FLAGGED if flagged else OK, functools.partial(_f_curve, p, rep.nodes)
 
 
 def _cmd_equioscillate(cfg, args):
@@ -255,23 +288,17 @@ def _cmd_maximin(cfg, args):
 
 
 def _cmd_gtp(cfg, args):
-    exps = cfg.get("exponents")
-    if args.exponents:
-        exps = [float(v) for v in args.exponents.split(",")]
+    exps = _floats(args.exponents) or cfg.get("exponents")
     if not exps:
         raise ValidationError("gtp needs --exponents r0,r1,...")
     res = solve_gtp(GtpProblem(tuple(exps)), _options_from(cfg, args))
     code = OK if res.report.converged else FLAGGED
-    return res.to_dict(), code, None, ("gtp", res)
+    return res.to_dict(), code, functools.partial(_gtp_curve, res)
 
 
 def _cmd_bojanov(cfg, args):
-    exps = cfg.get("exponents")
-    if args.exponents:
-        exps = [float(v) for v in args.exponents.split(",")]
-    interval = cfg.get("interval")
-    if args.interval:
-        interval = [float(v) for v in args.interval.split(",")]
+    exps = _floats(args.exponents) or cfg.get("exponents")
+    interval = _floats(args.interval) or cfg.get("interval")
     if not exps or not interval or len(interval) != 2:
         raise ValidationError("bojanov needs --interval a,b and --exponents nu1,...")
     q = BojanovProblem(interval[0], interval[1], tuple(exps))
@@ -279,66 +306,53 @@ def _cmd_bojanov(cfg, args):
     ok = poly.flags["equioscillates"] and poly.flags["interlacing"] and poly.flags["converged"]
     result = poly.to_dict()
     result["doubled"] = poly.doubled.to_dict()
-    return result, OK if ok else FLAGGED, None, ("bojanov", poly)
+    return result, OK if ok else FLAGGED, functools.partial(_gap_curve, poly)
 
 
 def _cmd_sample(cfg, args):
+    """The curve alone; run() writes it (to stdout when no path is given)."""
     p = _problem_from(cfg)
-    ns = _nodes_from(cfg, args, p.n)
-    resolution = args.resolution or int(cfg.get("resolution", 1024))
-    ts, vals = _curve_rows(p, ns, resolution)
-    if args.degrees:
-        ts = ts * 180.0 / math.pi
-    count = _write_csv(args.emit_samples, ["t", "F"], (ts, vals))
-    if args.emit_samples is None:
-        return None, OK, p, ns  # CSV already on stdout
-    return {"rows": count, "path": args.emit_samples}, OK, p, ns
+    result = {"rows": _resolution(cfg, args), "path": args.emit_samples}
+    return result, OK, functools.partial(_f_curve, p, _nodes_from(cfg, p.n))
 
 
 def _cmd_verify(cfg, args):
     check = args.check
     if check is None:
         raise ValidationError("verify needs --check sandwich|mmatrix|convergence|grid-minimax")
+    p = _problem_from(cfg)
     if check == "sandwich":
-        p = _problem_from(cfg)
         sig = _sigma_from(cfg, args, p.n)
         if sig is None:
             raise ValidationError("sandwich check needs --sigma")
-        include = [
-            _angles_in(pt, args.degrees) for pt in cfg.get("include", [])
-        ]
         rep = check_sandwich(
             p, sig,
             m_estimate=cfg.get("m_estimate"),
             samples=int(cfg.get("samples", 100)),
             seed=args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED)),
             tol=float(cfg.get("check_tol", 1e-9)),
-            include=include,
+            include=cfg.get("include", ()),
         )
-        return rep.to_dict(), OK if rep.ok else FLAGGED, p, None
+        return rep.to_dict(), OK if rep.ok else FLAGGED, None
     if check == "mmatrix":
-        p = _problem_from(cfg)
-        ns = _nodes_from(cfg, args, p.n)
+        ns = _nodes_from(cfg, p.n)
         sig = _sigma_or_locate(cfg, args, ns)
         J = jacobian_delta(p, ns, sig, relaxed=bool(cfg.get("relaxed", True)))
         rep = check_mmatrix(J)
         result = rep.to_dict()
         result["jacobian"] = [[float(v) for v in row] for row in J]
-        return result, OK if rep.ok else FLAGGED, p, ns
+        return result, OK if rep.ok else FLAGGED, functools.partial(_f_curve, p, ns)
     if check == "convergence":
-        p = _problem_from(cfg)
-        ns = _nodes_from(cfg, args, p.n)
+        ns = _nodes_from(cfg, p.n)
         kind = cfg.get("kind", "sqrt_cusp")
         levels = tuple(cfg.get("levels", (4, 16, 64, 256)))
         tab = convergence_probe(p, ns, kind, levels)
-        bound_ok = all(
-            r.deviation <= (p.n + 1) / r.level + 1e-7 for r in tab.rows
-        )
+        bound_ok = all(r.deviation <= (p.n + 1) / r.level + 1e-7 for r in tab.rows)
         result = tab.to_dict()
         result["bound_ok"] = bound_ok
-        return result, OK if (tab.decreasing and bound_ok) else FLAGGED, p, ns
+        code = OK if (tab.decreasing and bound_ok) else FLAGGED
+        return result, code, functools.partial(_f_curve, p, ns)
     if check == "grid-minimax":
-        p = _problem_from(cfg)
         sig = _sigma_from(cfg, args, p.n)
         if sig is None:
             raise ValidationError("grid-minimax check needs --sigma")
@@ -349,7 +363,7 @@ def _cmd_verify(cfg, args):
         )
         result = res.to_dict()
         result["grid_sup_at_nodes"] = grid_sup(p, res.nodes, 4096)
-        return result, OK, p, res.nodes
+        return result, OK, functools.partial(_f_curve, p, res.nodes)
     raise ValidationError(f"unknown check {check!r}")
 
 
@@ -364,26 +378,6 @@ _COMMANDS = {
     "sample": _cmd_sample,
     "verify": _cmd_verify,
 }
-
-
-def _emit_solution_samples(args, p, nodes_like):
-    """Write (t, value) curves next to solve/extremal reports when asked."""
-    if args.emit_samples is None:
-        return None
-    resolution = args.resolution or 1024
-    if isinstance(nodes_like, tuple) and nodes_like and nodes_like[0] == "bojanov":
-        poly = nodes_like[1]
-        xs = np.linspace(poly.problem.a, poly.problem.b, resolution)
-        return _write_csv(args.emit_samples, ["x", "P"], (xs, eval_gap(xs, poly)))
-    if isinstance(nodes_like, tuple) and nodes_like and nodes_like[0] == "gtp":
-        res = nodes_like[1]
-        ts = np.arange(resolution) * (TWO_PI / resolution)
-        return _write_csv(args.emit_samples, ["t", "T"],
-                          (ts, gtp_value(ts, res.nodes, res.problem.exponents)))
-    if p is not None and nodes_like is not None:
-        ts, vals = _curve_rows(p, as_node_system(nodes_like), resolution)
-        return _write_csv(args.emit_samples, ["t", "F"], (ts, vals))
-    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,11 +419,19 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        result, code, p, nodes_like = _COMMANDS[args.command](cfg, args)
-        if args.command != "sample":
-            emitted = _emit_solution_samples(args, p, nodes_like)
-            if emitted is not None and isinstance(result, dict):
-                result["samples_written"] = emitted
+        if args.nodes:
+            cfg["nodes"] = _floats(args.nodes)
+        if args.degrees:
+            _radians_in(cfg)
+        result, code, curve = _COMMANDS[args.command](cfg, args)
+        if args.degrees:
+            result, curve = _degrees_out(args.command, result, curve)
+        if curve is not None and (args.emit_samples is not None or args.command == "sample"):
+            rows = _write_csv(args.emit_samples, *curve(_resolution(cfg, args)))
+            if args.command != "sample":
+                result["samples_written"] = rows
+            elif args.emit_samples is None:
+                return code  # the CSV on stdout is sample's whole output
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
@@ -437,15 +439,12 @@ def run(argv=None) -> int:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return ERROR
 
-    if result is None:  # bare CSV already written
-        return code
     doc = {"schema": 1, "command": args.command}
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     doc["seed"] = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
     doc["result"] = _jsonify(result)
     if args.degrees:
-        doc["result"] = _to_degrees(doc["result"])
         doc["units"] = "degrees"
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")

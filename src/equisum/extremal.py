@@ -19,6 +19,9 @@ from .solver import SolveOptions, SolveReport, minimax
 from .torus import TWO_PI, NodeSystem, Permutation, ValidationError
 
 PI = math.pi
+# mirror residuals up to which a doubled solution counts as symmetric
+SYMMETRY_TOL = 1e-8  # nodes
+MAXIMIZER_SYMMETRY_TOL = 1e-7  # arc maximizers
 
 
 def _positive_tuple(values, what):
@@ -172,8 +175,7 @@ def _mirror_residual(values: np.ndarray) -> float:
     return float(np.max(np.abs(v - w))) if len(v) else 0.0
 
 
-def solve_doubled_symmetric(exponents, opts: SolveOptions | None = None,
-                            tol_sym: float = 1e-8) -> DoubledResult:
+def solve_doubled_symmetric(exponents, opts: SolveOptions | None = None) -> DoubledResult:
     """Solve the mirrored-weight circle problem and rotate it symmetric.
 
     Weights run nu_n..nu_1 then nu_1..nu_n over 2n nodes.  The solver works
@@ -199,8 +201,8 @@ def solve_doubled_symmetric(exponents, opts: SolveOptions | None = None,
     z_res = _mirror_residual(z)
 
     flags = {
-        "symmetric": sym_res <= tol_sym,
-        "maximizers_symmetric": z_res <= max(tol_sym, 1e-7),
+        "symmetric": sym_res <= SYMMETRY_TOL,
+        "maximizers_symmetric": z_res <= MAXIMIZER_SYMMETRY_TOL,
         "converged": rep.converged,
     }
     return DoubledResult(

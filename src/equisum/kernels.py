@@ -62,7 +62,6 @@ class KernelClass:
     cond_inf_prime       at least one of the two blow-ups
     c1                   continuously differentiable on (0, 2*pi)
     strictly_concave     strictly concave on (0, 2*pi)
-    even_symmetric       K(2*pi - t) == K(t)
     """
 
     finite_at_zero: bool
@@ -72,7 +71,6 @@ class KernelClass:
     cond_inf_prime: bool
     c1: bool
     strictly_concave: bool
-    even_symmetric: bool
 
 
 def make_class(
@@ -83,7 +81,6 @@ def make_class(
     cond_inf_prime_plus=False,
     c1,
     strictly_concave,
-    even_symmetric,
 ) -> KernelClass:
     # a -inf endpoint forces both one-sided slope blow-ups
     minus = bool(cond_inf_prime_minus or cond_inf)
@@ -98,7 +95,6 @@ def make_class(
         cond_inf_prime=minus or plus,
         c1=bool(c1),
         strictly_concave=bool(strictly_concave),
-        even_symmetric=bool(even_symmetric),
     )
 
 
@@ -157,7 +153,7 @@ class LogSine(Kernel):
     def classify(self):
         return make_class(
             finite_at_zero=False, cond_inf=True, c1=True,
-            strictly_concave=True, even_symmetric=True,
+            strictly_concave=True,
         )
 
     def spec(self):
@@ -195,7 +191,7 @@ class Riesz(Kernel):
     def classify(self):
         return make_class(
             finite_at_zero=False, cond_inf=True, c1=True,
-            strictly_concave=True, even_symmetric=True,
+            strictly_concave=True,
         )
 
     def spec(self):
@@ -219,7 +215,7 @@ class Tent(Kernel):
     def classify(self):
         return make_class(
             finite_at_zero=True, cond_inf=False, c1=False,
-            strictly_concave=False, even_symmetric=True,
+            strictly_concave=False,
         )
 
     def spec(self):
@@ -244,7 +240,7 @@ class Parabola(Kernel):
     def classify(self):
         return make_class(
             finite_at_zero=True, cond_inf=False, c1=True,
-            strictly_concave=True, even_symmetric=True,
+            strictly_concave=True,
         )
 
     def spec(self):
@@ -300,13 +296,8 @@ class TableKernel(Kernel):
         return self.slopes[idx]
 
     def classify(self):
-        sym = bool(
-            np.allclose(self.ts, TWO_PI - self.ts[::-1], atol=1e-12)
-            and np.allclose(self.vs, self.vs[::-1], atol=1e-12)
-        )
         return make_class(
-            finite_at_zero=True, cond_inf=False, c1=False,
-            strictly_concave=False, even_symmetric=sym,
+            finite_at_zero=True, cond_inf=False, c1=False, strictly_concave=False,
         )
 
     def spec(self):
@@ -374,7 +365,6 @@ class SumKernel(Kernel):
             cond_inf_prime_plus=any(c.cond_inf_prime_plus for c in cs),
             c1=all(c.c1 for c in cs),
             strictly_concave=any(c.strictly_concave for c in cs),
-            even_symmetric=all(c.even_symmetric for c in cs),
         )
 
     def spec(self):
@@ -480,19 +470,16 @@ class Smoothed(Kernel):
                 finite_at_zero=b.finite_at_zero, cond_inf=b.cond_inf,
                 cond_inf_prime_minus=True, cond_inf_prime_plus=True,
                 c1=b.c1, strictly_concave=True,
-                even_symmetric=b.even_symmetric,
             )
         if self.kind == "log_cusp":
             return make_class(
                 finite_at_zero=False, cond_inf=True,
                 c1=False, strictly_concave=b.strictly_concave,
-                even_symmetric=b.even_symmetric,
             )
         return make_class(
             finite_at_zero=b.finite_at_zero, cond_inf=b.cond_inf,
             cond_inf_prime_minus=True, cond_inf_prime_plus=True,
             c1=False, strictly_concave=b.strictly_concave,
-            even_symmetric=b.even_symmetric,
         )
 
     def spec(self):

@@ -32,7 +32,16 @@ from .torus import (
 )
 
 DEFAULT_SEED = 12345
+MAJORIZATION_TOL = 1e-12  # m-vector differences within it count as equal
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _node_system(p: Problem, y) -> NodeSystem:
+    """y as a node system of p's free nodes (checked here, not by the evaluator)."""
+    ns = as_node_system(y)
+    if ns.n != p.n:
+        raise ValidationError(f"node system has {ns.n} nodes, problem expects {p.n}")
+    return ns
 
 
 def _F(p: Problem, positions, ts):
@@ -119,7 +128,7 @@ def grid_sup(p: Problem, y, resolution: int = 4096, refine: bool = True) -> floa
     F is concave there — so narrow kink spikes whose sampled neighbourhood
     ranks below a smooth mode are still found.
     """
-    ns = as_node_system(y)
+    ns = _node_system(p, y)
     if resolution < 10 * (p.n + 1):
         raise ValidationError(
             f"resolution {resolution} too coarse; need at least {10 * (p.n + 1)}"
@@ -175,7 +184,7 @@ def _profiles(p: Problem, systems, sig, resolution):
 def grid_profile(p: Problem, y, sigma, resolution: int = 512):
     """Arc-wise grid maxima: (labels, z, m) in traversal order."""
     _check_arc_resolution(resolution)
-    ns = as_node_system(y)
+    ns = _node_system(p, y)
     sig = as_permutation(sigma, ns.n)
     z, m = _profiles(p, [ns], sig, resolution)
     return (0,) + sig.sigma, z[0], m[0]
@@ -403,7 +412,7 @@ def check_sandwich(
     eq = TWO_PI * np.arange(1, n + 1) / (n + 1)
     tested.append(("equidistant", eq))
     for i, extra in enumerate(include):
-        tested.append((f"include[{i}]", sig.slots(as_node_system(extra).values)))
+        tested.append((f"include[{i}]", sig.slots(_node_system(p, extra).values)))
     for i in range(samples):
         tested.append((f"sample[{i}]", _sample_cell(rng, n)))
 
@@ -435,16 +444,16 @@ def check_sandwich(
     )
 
 
-def check_majorization(profile_x, profile_y, tol: float = 1e-12) -> str:
+def check_majorization(profile_x, profile_y) -> str:
     """Does x majorize y?  'strict', 'weak', or 'none' on the m-vectors."""
     mx = np.asarray(profile_x.m if hasattr(profile_x, "m") else profile_x, dtype=float)
     my = np.asarray(profile_y.m if hasattr(profile_y, "m") else profile_y, dtype=float)
     if mx.shape != my.shape:
         raise ValidationError("profiles compare different numbers of arcs")
     diff = mx - my
-    if np.all(diff > tol):
+    if np.all(diff > MAJORIZATION_TOL):
         return "strict"
-    if np.all(diff >= -tol):
+    if np.all(diff >= -MAJORIZATION_TOL):
         return "weak"
     return "none"
 
@@ -470,7 +479,7 @@ class MMatrixReport:
         }
 
 
-def check_mmatrix(J, tol: float = 0.0) -> MMatrixReport:
+def check_mmatrix(J) -> MMatrixReport:
     """M-matrix test for A = -J: positive diagonal, negative off-diagonal,
     strictly positive column sums; J is a difference-map Jacobian."""
     A = -np.asarray(J, dtype=float)
@@ -478,20 +487,20 @@ def check_mmatrix(J, tol: float = 0.0) -> MMatrixReport:
         raise ValidationError("expected a square matrix")
     n = A.shape[0]
     failures = []
-    diag_ok = bool(np.all(np.diag(A) > tol))
+    diag_ok = bool(np.all(np.diag(A) > 0.0))
     off = A[~np.eye(n, dtype=bool)]
-    offdiag_ok = bool(np.all(off < -tol)) if off.size else True
+    offdiag_ok = bool(np.all(off < 0.0)) if off.size else True
     sums = np.sum(A, axis=0)
-    colsum_ok = bool(np.all(sums > tol))
+    colsum_ok = bool(np.all(sums > 0.0))
     for i in range(n):
         for j in range(n):
             v = float(A[i, j])
-            if i == j and not v > tol:
+            if i == j and not v > 0.0:
                 failures.append({"entry": [i, j], "value": v, "expected": "> 0"})
-            if i != j and not v < -tol:
+            if i != j and not v < 0.0:
                 failures.append({"entry": [i, j], "value": v, "expected": "< 0"})
     for j in range(n):
-        if not sums[j] > tol:
+        if not sums[j] > 0.0:
             failures.append({"column": j, "sum": float(sums[j]), "expected": "> 0"})
     return MMatrixReport(
         ok=diag_ok and offdiag_ok and colsum_ok,
@@ -540,7 +549,7 @@ def convergence_probe(
     from .kernels import approximant
 
     _check_arc_resolution(resolution)
-    ns = as_node_system(y)
+    ns = _node_system(p, y)
     positions = ns.full_positions()
     cuts = np.concatenate((np.sort(positions), [TWO_PI]))
     wide = ~(np.diff(cuts) <= 1e-13)
@@ -566,14 +575,13 @@ def interval_gap_minimax(
     b: float,
     exponents,
     step: float = 1e-3,
-    refine: bool = True,
 ):
     """Brute-force two-node Bojanov oracle on [a, b].
 
     Sweeps node pairs a < x1 < x2 < b on a uniform grid, computing the sup
     of prod |x - x_j|^{nu_j} in closed form (endpoint values plus the single
-    interior critical point of the middle section), then coordinate-refines.
-    Returns (norm, nodes).
+    interior critical point of the middle section), then refines by local
+    2-D scans.  Returns (norm, nodes).
     """
     nu = np.asarray(exponents, dtype=float)
     if nu.shape != (2,) or np.any(nu <= 0):
@@ -597,21 +605,20 @@ def interval_gap_minimax(
     i, j = np.unravel_index(int(np.argmin(sup)), sup.shape)
     best = float(sup[i, j])
     x1, x2 = float(grid[i]), float(grid[j])
-    if refine:
-        # local 2-D scans: coordinate moves alone cannot track the diagonal
-        # valley of near-symmetric configurations
-        h = step
-        for _ in range(40):
-            c1 = np.clip(np.linspace(x1 - h, x1 + h, 17), a + 1e-12, b - 1e-12)
-            c2 = np.clip(np.linspace(x2 - h, x2 + h, 17), a + 1e-12, b - 1e-12)
-            g1, g2 = np.meshgrid(c1, c2, indexing="ij")
-            ok = g1 < g2
-            vals = np.where(ok, sup_gap(g1, g2), np.inf)
-            i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            if vals[i, j] < best:
-                best = float(vals[i, j])
-                x1, x2 = float(g1[i, j]), float(g2[i, j])
-            h *= 0.25
-            if h < 1e-13:
-                break
+    # local 2-D scans: coordinate moves alone cannot track the diagonal
+    # valley of near-symmetric configurations
+    h = step
+    for _ in range(40):
+        c1 = np.clip(np.linspace(x1 - h, x1 + h, 17), a + 1e-12, b - 1e-12)
+        c2 = np.clip(np.linspace(x2 - h, x2 + h, 17), a + 1e-12, b - 1e-12)
+        g1, g2 = np.meshgrid(c1, c2, indexing="ij")
+        ok = g1 < g2
+        vals = np.where(ok, sup_gap(g1, g2), np.inf)
+        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        if vals[i, j] < best:
+            best = float(vals[i, j])
+            x1, x2 = float(g1[i, j]), float(g2[i, j])
+        h *= 0.25
+        if h < 1e-13:
+            break
     return best, (x1, x2)

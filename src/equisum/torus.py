@@ -192,10 +192,10 @@ class SimplexLocation:
         return self.sigmas[0]
 
 
-def locate(y, tol: float = ANGLE_TOL, max_orderings: int = 5040) -> SimplexLocation:
+def locate(y, max_orderings: int = 5040) -> SimplexLocation:
     """Classify a node system as interior to a unique ordering cell or boundary.
 
-    Boundary means some free nodes coincide (within tol) with each other or
+    Boundary means some free nodes coincide (within ANGLE_TOL) with each other or
     with the fixed node at 0; then every ordering consistent with the sorted
     arrangement is reported.
     """
@@ -205,15 +205,15 @@ def locate(y, tol: float = ANGLE_TOL, max_orderings: int = 5040) -> SimplexLocat
     order = np.argsort(vals, kind="stable")
     sorted_vals = vals[order]
 
-    # group indices whose angles chain together within tol
+    # group indices whose angles chain together within ANGLE_TOL
     groups = [[int(order[0]) + 1]]
     for i in range(1, n):
-        if sorted_vals[i] - sorted_vals[i - 1] <= tol:
+        if sorted_vals[i] - sorted_vals[i - 1] <= ANGLE_TOL:
             groups[-1].append(int(order[i]) + 1)
         else:
             groups.append([int(order[i]) + 1])
 
-    touches_anchor = sorted_vals[0] <= tol or (TWO_PI - sorted_vals[-1]) <= tol
+    touches_anchor = sorted_vals[0] <= ANGLE_TOL or (TWO_PI - sorted_vals[-1]) <= ANGLE_TOL
     has_ties = any(len(g) > 1 for g in groups)
 
     if not has_ties and not touches_anchor:
@@ -275,10 +275,10 @@ class ArcPartition:
         return np.asarray([a.length for a in self.arcs])
 
 
-def arcs(y, sigma, tol: float = ANGLE_TOL) -> ArcPartition:
+def arcs(y, sigma) -> ArcPartition:
     """Build the arc partition for (y, sigma).
 
-    Raises if the ordering is incompatible with the angles (beyond tol).
+    Raises if the ordering is incompatible with the angles (beyond ANGLE_TOL).
     Degenerate arcs are allowed: they arise on ordering-cell faces.
     """
     ns = as_node_system(y)
@@ -287,7 +287,7 @@ def arcs(y, sigma, tol: float = ANGLE_TOL) -> ArcPartition:
         raise ValidationError(f"sigma has size {sig.n}, node system has {ns.n}")
     pos = [0.0]
     for k, v in enumerate(sig.slots(ns.values), start=1):
-        if v < pos[-1] - tol:
+        if v < pos[-1] - ANGLE_TOL:
             raise ValidationError(
                 f"ordering incompatible with angles: slot {k} has {v} < {pos[-1]}"
             )
@@ -308,7 +308,7 @@ def sort_nodes(x) -> NodeSystem:
     return NodeSystem(tuple(sorted(ns.values)))
 
 
-def admissible_cut(y, tol: float = ANGLE_TOL) -> float:
+def admissible_cut(y) -> float:
     """Midpoint of a longest gap between consecutive nodes (anchor included).
 
     The longest gap has length >= 2*pi/(n+1), so its midpoint keeps a distance
@@ -321,7 +321,7 @@ def admissible_cut(y, tol: float = ANGLE_TOL) -> float:
     ends = np.concatenate((pos[1:], [TWO_PI]))
     lengths = ends - starts
     best = np.max(lengths)
-    i = int(np.argmax(lengths >= best - tol))
+    i = int(np.argmax(lengths >= best - ANGLE_TOL))
     return float(starts[i] + lengths[i] / 2.0)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import equisum
@@ -181,6 +182,28 @@ def test_minimax_all_sigma(tmp_path, capsys):
     assert math.isclose(res["objective"], -2 * math.log(2.0), abs_tol=1e-8)
 
 
+@pytest.mark.parametrize("start", [{"nodes": [2.0, 4.0]}, {"options": {"start": [2.0, 4.0]}}],
+                         ids=["nodes", "options.start"])
+def test_minimax_all_sigma_refuses_start_nodes(tmp_path, capsys, monkeypatch, start):
+    """One start lies in one ordering cell, so --all-sigma with start nodes
+    is refused before any cell is solved."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a cell")
+    monkeypatch.setattr(cli, "minimax_global", no_solve)
+    cfg = dict(start, kernels=[{"family": "tent"}] * 3)
+    code = run(["minimax", "--all-sigma", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: --all-sigma") and "start nodes" in captured.err
+
+
+def test_jsonify_refuses_unknown_types():
+    doc = {"a": (np.float64(1.5), -math.inf, 2, None)}
+    assert cli._jsonify(doc) == {"a": [1.5, "-inf", 2, None]}
+    with pytest.raises(TypeError, match="ndarray"):
+        cli._jsonify({"a": np.zeros(2)})
+
+
 def test_gtp_command(capsys):
     code, doc = run_json(capsys, ["gtp", "--exponents", "1,1,1"])
     assert code == 0
@@ -301,6 +324,94 @@ def test_degrees_round_trip(tmp_path, capsys):
     assert math.isclose(doc["result"]["F"][0], E_VALUE, abs_tol=1e-12)
 
 
+# Each command on one problem, as (argv, config with angles in degrees); the
+# radian run gets the same config with every angle through math.radians.
+# The configs set "resolution", so --emit-samples takes it from there.
+TORUS_KEYS = {"nodes", "z", "maximizers", "lo", "hi", "t", "coarse_nodes"}
+TENT3 = [{"family": "tent"}] * 3
+DEGREE_RUNS = {
+    "eval": (["eval"], dict(EX_CONFIG, nodes=[170.0, 95.0, 260.0], t=[0.0, 45.0, 200.0])),
+    "profile": (["profile"], dict(EX_CONFIG, nodes=[170.0, 95.0, 260.0])),
+    "equioscillate": (["equioscillate", "--sigma", "1,2"],
+                      {"kernels": TENT3, "options": {"start": [100.0, 200.0]}}),
+    "minimax": (["minimax", "--sigma", "1,2"], dict(LOGSINE_CONFIG, nodes=[100.0, 250.0])),
+    "maximin": (["maximin", "--sigma", "2,1"], LOGSINE_CONFIG),
+    "gtp": (["gtp", "--exponents", "1,2,1"], {}),
+    "bojanov": (["bojanov", "--interval=-1,2", "--exponents", "1,2"], {}),
+    "sample": (["sample"], dict(EX_CONFIG, nodes=[170.0, 95.0, 260.0])),
+    "sandwich": (["verify", "--check", "sandwich", "--sigma", "2,1,3"],
+                 {"kernels": EX_CONFIG["kernels"], "m_estimate": 4.6081, "samples": 3,
+                  "include": [[180.0, 90.0, 270.0]]}),
+    "mmatrix": (["verify", "--check", "mmatrix"], dict(LOGSINE_CONFIG, nodes=[120.0, 250.0])),
+    "convergence": (["verify", "--check", "convergence"],
+                    dict(EX_CONFIG, nodes=[170.0, 95.0, 260.0], levels=[4, 16])),
+    "grid-minimax": (["verify", "--check", "grid-minimax", "--sigma", "1"],
+                     {"kernels": LOGSINE_CONFIG["kernels"][:2], "node_resolution": 24}),
+}
+
+
+def rad(v):
+    return math.radians(v) if isinstance(v, float) else [rad(x) for x in v]
+
+
+def in_radians(cfg):
+    out = dict(cfg, resolution=40)
+    for key in ("nodes", "t", "include"):
+        if key in cfg:
+            out[key] = rad(cfg[key])
+    if "options" in cfg:
+        out["options"] = {"start": rad(cfg["options"]["start"])}
+    return out
+
+
+def assert_degrees_of(deg, rad, key=None, torus=True):
+    """deg is rad with every torus angle times 180/pi and all else equal."""
+    if isinstance(rad, dict):
+        assert deg.keys() == rad.keys()
+        for k in rad:
+            # bojanov's interval coordinates are not angles; its doubled report is
+            assert_degrees_of(deg[k], rad[k], k, torus or k == "doubled")
+    elif isinstance(rad, list):
+        assert len(deg) == len(rad)
+        for d, r in zip(deg, rad):
+            assert_degrees_of(d, r, key, torus)
+    elif torus and key in TORUS_KEYS:
+        assert math.isclose(deg, rad * 180.0 / PI, rel_tol=1e-12), (key, deg, rad)
+    else:
+        assert deg == rad, (key, deg, rad)
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_RUNS))
+def test_degrees_convert_exactly_the_torus_angles(tmp_path, capsys, name):
+    """The same problem in radians and with --degrees: torus angles in the
+    report and the CSV t column convert; every other value is identical."""
+    argv, cfg = DEGREE_RUNS[name]
+    runs = {}
+    for units, config, extra in (("rad", in_radians(cfg), []),
+                                 ("deg", dict(cfg, resolution=40), ["--degrees"])):
+        csv = tmp_path / f"{units}.csv"
+        code = run(argv + ["--config", write_config(tmp_path, config, f"{units}.json"),
+                           "--emit-samples", str(csv), "--no-timestamp"] + extra)
+        doc = json.loads(capsys.readouterr().out)
+        rows = [line.split(",") for line in csv.read_text().splitlines()] if csv.exists() else []
+        runs[units] = code, doc, rows
+    (code_r, doc_r, rows_r), (code_d, doc_d, rows_d) = runs["rad"], runs["deg"]
+    assert code_d == code_r == (2 if name == "sandwich" else 0)  # include[0] is a witness
+    assert "units" not in doc_r and doc_d.pop("units") == "degrees"
+    res_r, res_d = doc_r["result"], doc_d["result"]
+    if name == "sample":
+        res_r["path"] = res_d["path"]
+    assert_degrees_of(res_d, res_r, torus=name != "bojanov")
+    assert {k: v for k, v in doc_d.items() if k != "result"} == \
+        {k: v for k, v in doc_r.items() if k != "result"}
+    assert len(rows_d) == len(rows_r) == (0 if name == "sandwich" else 41)
+    if rows_r:
+        assert rows_d[0] == rows_r[0]
+        for d, r in zip(rows_d[1:], rows_r[1:]):
+            assert_degrees_of(float(d[0]), float(r[0]), rows_r[0][0])
+            assert d[1:] == r[1:]
+
+
 def test_config_from_stdin(monkeypatch, capsys):
     cfg = dict(EX_CONFIG, t=0.0)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cfg)))
@@ -323,6 +434,17 @@ def test_error_paths_exit_one(tmp_path, capsys):
     assert run(["profile", "--config", write_config(tmp_path, EX_CONFIG, "c2.json"),
                 "--sigma", "1,2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+    # a resolution below one row
+    assert run(["sample", "--config", write_config(tmp_path, EX_CONFIG, "c7.json"),
+                "--resolution", "-5"]) == 1
+    assert "resolution must be positive" in capsys.readouterr().err
+
+    # a sandwich include point with one node too many
+    cfg = dict(LOGSINE_CONFIG, m_estimate=0.0, samples=1, include=[[2.0, 3.0, 4.0]])
+    assert run(["verify", "--config", write_config(tmp_path, cfg, "c6.json"),
+                "--check", "sandwich", "--sigma", "1,2"]) == 1
+    assert "3 nodes, problem expects 2" in capsys.readouterr().err
 
     # unknown verify check
     assert run(["verify", "--config", write_config(tmp_path, EX_CONFIG, "c3.json"),

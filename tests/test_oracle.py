@@ -66,6 +66,21 @@ def test_grid_sup_resolution_contract():
         grid_sup(EX_P, E_POINT, 30)  # below 10 * (n + 1)
 
 
+@pytest.mark.parametrize("y", [(2.0, 3.0, 4.0), (2.0,)], ids=["extra", "missing"])
+def test_oracles_check_the_node_count(y):
+    """Every oracle that takes nodes rejects a count other than the
+    problem's n, as profile() does: an extra node would cut an arc whose
+    kernel is never summed, and a missing one would index past the nodes."""
+    sig = (1, 2, 3)[:len(y)]
+    calls = [lambda: grid_sup(LOGSINE_3, y, 4096),
+             lambda: grid_profile(LOGSINE_3, y, sig),
+             lambda: convergence_probe(LOGSINE_3, y, levels=(4,)),
+             lambda: check_sandwich(LOGSINE_3, (1, 2), m_estimate=0.0, samples=1, include=[y])]
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"{len(y)} nodes, problem expects 2"):
+            call()
+
+
 def test_grid_profile_traversal_order():
     labels, z, m = grid_profile(EX_P, E_POINT, E_SIGMA)
     assert labels == (0, 2, 1, 3)

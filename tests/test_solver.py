@@ -166,6 +166,48 @@ def test_newton_stage_ends_boundary_suspected_at_fixed_node():
     assert rep.trace[1] == {"stage": "restart", "iter": 1, "note": "nodes spread apart"}
 
 
+def test_secant_stage_ends_boundary_suspected_at_fixed_node():
+    """With max_iter 0 every Newton stage ends at its start, so the secant
+    polish opens at node 1 on the fixed node, where an arc maximum is -inf;
+    it stops at once and the solve restarts from spread-apart nodes."""
+    sig = Permutation((1, 2))
+    y, status, trace, _ = _secant_stage(unit_problem(3), sig, np.array([0.0, 3.0]),
+                                        SolveOptions())
+    assert status == BOUNDARY_SUSPECTED
+    assert trace == [{"stage": "secant", "iter": 0, "residual": math.inf}]
+    assert list(y) == [0.0, 3.0]
+    rep = solve_equioscillation(unit_problem(3), sig, SolveOptions(start=(0.0, 3.0), max_iter=0))
+    stages = [e["stage"] for e in rep.trace]
+    first = stages.index("secant")
+    assert rep.trace[first]["residual"] == math.inf
+    assert stages[first + 1] == "restart"
+
+
+def test_maximin_ends_boundary_suspected_at_fixed_node():
+    """The capped equioscillation solve fails, so the ascent starts at the
+    configured start, whose node 1 sits on the fixed node: m_under is -inf."""
+    opts = SolveOptions(start=(0.0, 3.0), max_iter=1, secant_sweeps=0, homotopy_levels=())
+    rep = maximin(unit_problem(3), Permutation((1, 2)), opts)
+    ascent = [e for e in rep.trace if e["stage"] == "ascent"]
+    assert rep.status == BOUNDARY_SUSPECTED
+    assert ascent == [{"stage": "ascent", "iter": 0, "m_under": -math.inf, "spread": math.inf}]
+    assert rep.objective == -math.inf
+
+
+def test_maximin_ends_jacobian_singular_on_coincident_nodes():
+    """Bump-smoothed tents have infinite one-sided slopes at 0 but finite
+    values.  From the coincident start (2, 2) the capped equioscillation
+    solve fails; the ascent's degenerate arc is active and its maximizer sits
+    on both nodes, where the midpoint slope is (-inf + inf) / 2 = nan."""
+    p = Problem(tuple(approximant(tent(), 4, "bump") for _ in range(3)))
+    opts = SolveOptions(start=(2.0, 2.0), max_iter=1, secant_sweeps=0, homotopy_levels=())
+    rep = maximin(p, Permutation((1, 2)), opts)
+    ascent = [e for e in rep.trace if e["stage"] == "ascent"]
+    assert rep.status == JACOBIAN_SINGULAR
+    assert len(ascent) == 1 and math.isfinite(ascent[0]["m_under"])
+    assert list(rep.nodes.values) == [2.0, 2.0]
+
+
 def test_settled_start_with_collapsed_nodes_is_boundary_suspected():
     """Tents weighted (1, 1/2, 1/2) with both nodes at pi: F is pi on every
     arc, so the direct stage settles at its start, but the nodes coincide."""
