@@ -17,17 +17,13 @@ from .torus import (
     NodeSystem,
     Permutation,
     SimplexLocation,
-    Arc,
-    ArcPartition,
     arcs,
     as_node_system,
     as_permutation,
-    admissible_cut,
     locate,
     min_gap,
     node_dist,
     reduce_angle,
-    sort_nodes,
     torus_dist,
 )
 from .kernels import (
@@ -103,9 +99,8 @@ __all__ = [
     "__version__",
     # torus
     "TWO_PI", "ValidationError", "NodeSystem", "Permutation", "SimplexLocation",
-    "Arc", "ArcPartition", "arcs", "as_node_system", "as_permutation",
-    "admissible_cut", "locate", "min_gap", "node_dist", "reduce_angle",
-    "sort_nodes", "torus_dist",
+    "arcs", "as_node_system", "as_permutation", "locate", "min_gap",
+    "node_dist", "reduce_angle", "torus_dist",
     # kernels
     "CapabilityError", "Kernel", "KernelClass", "approximant", "from_config",
     "kernel_sum", "kernel_weight", "log_sine", "parabola", "riesz", "table",

@@ -260,6 +260,8 @@ def _solve_common(cfg, args, fn):
     if cfg.get("nodes") is not None:
         opts.start = tuple(_nodes_from(cfg, p.n).values)
     if args.all_sigma:
+        if fn is not minimax:
+            raise ValidationError("--all-sigma sweeps the ordering cells for minimax only")
         if not isinstance(opts.start, str):
             raise ValidationError(
                 "--all-sigma solves every ordering cell, but start nodes lie in one cell; "
@@ -271,7 +273,7 @@ def _solve_common(cfg, args, fn):
         rep = fn(p, Permutation.identity(p.n) if sig is None else sig, opts)
         result = rep.to_dict()
     flagged = not rep.converged or (
-        fn is minimax and not args.all_sigma and not rep.flags.get("local_min_certified", True))
+        fn is minimax and not rep.flags.get("local_min_certified", True))
     return result, FLAGGED if flagged else OK, functools.partial(_f_curve, p, rep.nodes)
 
 

@@ -27,13 +27,12 @@ from .kernels import CapabilityError, Kernel, Weighted, kernel_weight
 from .torus import (
     ANGLE_TOL,
     TWO_PI,
-    ArcPartition,
-    NodeSystem,
     Permutation,
     ValidationError,
     arcs,
     as_node_system,
     as_permutation,
+    reduce_angle,
 )
 
 INF = math.inf
@@ -160,18 +159,22 @@ def _slope_sum(p: Problem, pos, ts, side):
 class ArcProfile:
     """Per-arc maxima of F(y, .) under an ordering sigma.
 
-    Traversal arrays follow the arcs counterclockwise from the fixed node;
-    `labels[k]` is the arc index of traversal slot k.  Indexed accessors
-    report quantities by arc index j = 0..n.
+    Traversal arrays follow the arcs counterclockwise from the fixed node:
+    traversal arc k is [cuts[k], cuts[k+1]] (see torus.arcs) and
+    `labels[k]` is its arc index.  Indexed accessors report quantities by
+    arc index j = 0..n.
     """
 
     sigma: Permutation
-    partition: ArcPartition
-    labels: tuple
+    cuts: np.ndarray
     z_trav: np.ndarray
     m_trav: np.ndarray
     z_on_boundary_trav: np.ndarray
     unique_trav: np.ndarray
+
+    @property
+    def labels(self) -> tuple:
+        return self.sigma.labels()
 
     def _to_index(self, arr):
         out = np.empty_like(np.asarray(arr))
@@ -203,11 +206,12 @@ class ArcProfile:
         return float(np.min(self.m_trav))
 
     def to_dict(self):
+        cuts = self.cuts.tolist()
         return {
             "sigma": list(self.sigma.sigma),
             "arcs": [
-                {"index": a.index, "lo": a.lo, "hi": a.hi}
-                for a in self.partition.arcs
+                {"index": j, "lo": lo, "hi": hi}
+                for j, lo, hi in zip(self.labels, cuts, cuts[1:])
             ],
             "z": [float(v) for v in self.z],
             "m": [float(v) for v in self.m],
@@ -391,20 +395,18 @@ def profile(p: Problem, y, sigma, *, tol_z: float = TOL_Z):
     profile of its system alone.
     """
     batch = isinstance(y, np.ndarray) and y.ndim == 2
-    systems = [as_node_system(v) for v in (y if batch else (y,))]
-    for ns in systems:
-        if ns.n != p.n:
-            raise ValidationError(f"node system has {ns.n} nodes, problem expects {p.n}")
+    ys = y if batch else np.atleast_1d(np.asarray(getattr(y, "values", y), dtype=float))[None]
+    if ys.shape[1] != p.n:
+        raise ValidationError(f"node system has {ys.shape[1]} nodes, problem expects {p.n}")
     sig = as_permutation(sigma, p.n)
-    parts = [arcs(ns, sig) for ns in systems]
-    pos = np.array([(0.0,) + ns.values for ns in systems])  # full_positions()
-    bounds = np.array([[(a.lo, a.hi) for a in part.arcs] for part in parts])
-    z, m, onb, uni = _arc_maxima(p, pos, bounds[..., 0], bounds[..., 1], tol_z)
-    labels = sig.labels()
+    cuts = arcs(ys, sig)
+    # the node positions, the fixed node first (NodeSystem.full_positions)
+    pos = np.concatenate((np.zeros((len(ys), 1)), reduce_angle(ys)), axis=1)
+    z, m, onb, uni = _arc_maxima(p, pos, cuts[:, :-1], cuts[:, 1:], tol_z)
     profs = [
-        ArcProfile(sigma=sig, partition=part, labels=labels, z_trav=z[b], m_trav=m[b],
+        ArcProfile(sigma=sig, cuts=cuts[b], z_trav=z[b], m_trav=m[b],
                    z_on_boundary_trav=onb[b], unique_trav=uni[b])
-        for b, part in enumerate(parts)
+        for b in range(len(ys))
     ]
     return profs if batch else profs[0]
 

@@ -243,26 +243,21 @@ def grid_minimax(
 
     best = math.inf
     best_idx = None
-    if n == 1:
-        sup = np.max(base[None, :] + V[0], axis=1)
-        i = int(np.argmin(sup))
-        best, best_idx = float(sup[i]), (i,)
-    elif n == 2:
-        for i1 in range(R - 1):
-            part = base + V[0][i1]
-            sup = np.max(part[None, :] + V[1][i1 + 1:], axis=1)
+
+    def sweep(k, start, part, idx):
+        """Slot k takes grid indices from start on, leaving one for each
+        later slot; part sums the kernels of the slots before it."""
+        nonlocal best, best_idx
+        if k == n - 1:
+            sup = np.max(part[None, :] + V[k][start:], axis=1)
             i = int(np.argmin(sup))
             if sup[i] < best:
-                best, best_idx = float(sup[i]), (i1, i1 + 1 + i)
-    else:
-        for i1 in range(R - 2):
-            part1 = base + V[0][i1]
-            for i2 in range(i1 + 1, R - 1):
-                part = part1 + V[1][i2]
-                sup = np.max(part[None, :] + V[2][i2 + 1:], axis=1)
-                i = int(np.argmin(sup))
-                if sup[i] < best:
-                    best, best_idx = float(sup[i]), (i1, i2, i2 + 1 + i)
+                best, best_idx = float(sup[i]), idx + (start + i,)
+            return
+        for i in range(start, R - (n - 1 - k)):
+            sweep(k + 1, i + 1, part + V[k][i], idx + (i,))
+
+    sweep(0, 0, base, ())
     if best_idx is None:
         raise ValidationError("sweep found no interior configuration")
 

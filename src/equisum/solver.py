@@ -565,7 +565,9 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     at once (a small linear program).  The LP value doubles as the stationarity
     certificate.  A start with a Gordan certificate (see _gordan) is a sharp
     local maximum of m_under and converges with no LP; its ascent entry is
-    marked.  The trace opens with the equioscillation solve's.
+    marked.  A start with an arc maximum of -inf ends boundary_suspected;
+    the report is then the failed solve's last iterate when its residual is
+    finite.  The trace opens with the equioscillation solve's.
     """
     opts = opts or SolveOptions()
     sig = as_permutation(sigma, p.n)
@@ -619,6 +621,8 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
             status = CONVERGED if _settled(res, prof, opts) else MAX_ITER
             break
 
+    if status == BOUNDARY_SUSPECTED and math.isfinite(equi.residual):
+        y, prof = equi.nodes.array, equi.profile
     res, _, prof = _residual(p, sig, y, prof=prof)
     return SolveReport(
         status=status,

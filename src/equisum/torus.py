@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,11 +114,6 @@ class NodeSystem:
         """Positions of all n+1 nodes: the fixed one at 0, then y_1..y_n."""
         return np.concatenate(([0.0], self.array))
 
-    def replace(self, index: int, value: float) -> "NodeSystem":
-        vals = list(self.values)
-        vals[index - 1] = value
-        return NodeSystem(tuple(vals))
-
 
 def as_node_system(y) -> NodeSystem:
     if isinstance(y, NodeSystem):
@@ -146,14 +141,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.sigma)
-
-    def extended(self, k: int) -> int:
-        """sigma with the fixed endpoints attached: sigma(0)=0, sigma(n+1)=n+1."""
-        if k == 0:
-            return 0
-        if k == self.n + 1:
-            return self.n + 1
-        return self.sigma[k - 1]
 
     def labels(self) -> tuple:
         """Arc labels in traversal order: sigma(0), sigma(1), ..., sigma(n)."""
@@ -234,95 +221,38 @@ def locate(y, max_orderings: int = 5040) -> SimplexLocation:
     return SimplexLocation("boundary", tuple(sigmas))
 
 
-@dataclass(frozen=True)
-class Arc:
-    index: int  # arc label j = sigma(k)
-    lo: float
-    hi: float
+def arcs(y, sigma) -> np.ndarray:
+    """Cut points of the arcs of (y, sigma): 0, the node angles in slot
+    order, then 2*pi.  Traversal arc k is [cuts[k], cuts[k+1]]; its label is
+    sigma(k), with sigma(0) = 0 (Permutation.labels).
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def degenerate(self) -> bool:
-        return self.length <= ANGLE_TOL
-
-
-@dataclass(frozen=True)
-class ArcPartition:
-    """The n+1 closed arcs cut out of [0, 2*pi] by an ordered node system."""
-
-    arcs: tuple  # traversal order k = 0..n
-
-    def __post_init__(self):
-        total = sum(a.length for a in self.arcs)
-        if abs(total - TWO_PI) > 1e-9:
-            raise ValidationError(f"arc lengths sum to {total}, expected 2*pi")
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(a.index for a in self.arcs)
-
-    def by_index(self, j: int) -> Arc:
-        for a in self.arcs:
-            if a.index == j:
-                return a
-        raise KeyError(j)
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.asarray([a.length for a in self.arcs])
-
-
-def arcs(y, sigma) -> ArcPartition:
-    """Build the arc partition for (y, sigma).
-
-    Raises if the ordering is incompatible with the angles (beyond ANGLE_TOL).
-    Degenerate arcs are allowed: they arise on ordering-cell faces.
+    y is one node system, or a (B, n) array of B systems; the result is
+    (n+2,), or (B, n+2).  The angles are reduced into [0, 2*pi).  Raises if
+    an ordering is incompatible with the angles (beyond ANGLE_TOL); smaller
+    inversions are clamped to the running maximum.  Degenerate arcs are
+    allowed: they arise on ordering-cell faces.
     """
-    ns = as_node_system(y)
-    sig = as_permutation(sigma, ns.n)
-    if sig.n != ns.n:
-        raise ValidationError(f"sigma has size {sig.n}, node system has {ns.n}")
-    pos = [0.0]
-    for k, v in enumerate(sig.slots(ns.values), start=1):
-        if v < pos[-1] - ANGLE_TOL:
-            raise ValidationError(
-                f"ordering incompatible with angles: slot {k} has {v} < {pos[-1]}"
-            )
-        pos.append(max(v, pos[-1]))  # clamp away sub-tol inversions
-    pos.append(TWO_PI)
-    if pos[-2] > TWO_PI:
-        raise ValidationError("node angle beyond 2*pi")
-    out = []
-    labels = sig.labels()
-    for k in range(ns.n + 1):
-        out.append(Arc(index=labels[k], lo=pos[k], hi=pos[k + 1]))
-    return ArcPartition(tuple(out))
-
-
-def sort_nodes(x) -> NodeSystem:
-    """Non-decreasing rearrangement of the free node angles."""
-    ns = as_node_system(x)
-    return NodeSystem(tuple(sorted(ns.values)))
-
-
-def admissible_cut(y) -> float:
-    """Midpoint of a longest gap between consecutive nodes (anchor included).
-
-    The longest gap has length >= 2*pi/(n+1), so its midpoint keeps a distance
-    of at least pi/(n+1) > pi/(2n+2) from every node.  Ties are broken by the
-    smallest gap start angle.
-    """
-    ns = as_node_system(y)
-    pos = np.sort(np.concatenate(([0.0], ns.array)))
-    starts = pos
-    ends = np.concatenate((pos[1:], [TWO_PI]))
-    lengths = ends - starts
-    best = np.max(lengths)
-    i = int(np.argmax(lengths >= best - ANGLE_TOL))
-    return float(starts[i] + lengths[i] / 2.0)
+    vals = np.atleast_1d(np.asarray(getattr(y, "values", y), dtype=float))
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise ValidationError(f"node angle not finite: {float(vals[~finite][0])!r}")
+    n = vals.shape[-1]
+    sig = as_permutation(sigma, n)
+    if sig.n != n:
+        raise ValidationError(f"sigma has size {sig.n}, node system has {n}")
+    slots = reduce_angle(vals).take(np.subtract(sig.sigma, 1), axis=-1)
+    ends = np.zeros(vals.shape[:-1] + (1,))
+    cuts = np.maximum.accumulate(np.concatenate((ends, slots, ends + TWO_PI), axis=-1), axis=-1)
+    low = slots < cuts[..., :-2] - ANGLE_TOL
+    if low.any():
+        at = np.argwhere(low)[0]
+        k = int(at[-1])
+        where = f" in row {int(at[0])}" if vals.ndim == 2 else ""
+        raise ValidationError(
+            f"ordering incompatible with angles{where}: slot {k + 1} has "
+            f"{float(slots[tuple(at)])} < {float(cuts[tuple(at)])}"
+        )
+    return cuts
 
 
 def min_gap(y) -> float:

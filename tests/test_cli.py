@@ -182,6 +182,22 @@ def test_minimax_all_sigma(tmp_path, capsys):
     assert math.isclose(res["objective"], -2 * math.log(2.0), abs_tol=1e-8)
 
 
+def test_minimax_all_sigma_flags_an_uncertified_best(tmp_path, capsys, monkeypatch):
+    """A failed certificate of the sweep's best cell exits 2, as for one cell."""
+    sweep = cli.minimax_global
+
+    def uncertified(*args, **kwargs):
+        glob = sweep(*args, **kwargs)
+        glob.best.flags["local_min_certified"] = False
+        return glob
+
+    monkeypatch.setattr(cli, "minimax_global", uncertified)
+    code, doc = run_json(capsys, ["minimax", "--config", write_config(tmp_path, LOGSINE_CONFIG),
+                                  "--all-sigma"])
+    assert code == 2
+    assert doc["result"]["best"]["flags"]["local_min_certified"] is False
+
+
 @pytest.mark.parametrize("start", [{"nodes": [2.0, 4.0]}, {"options": {"start": [2.0, 4.0]}}],
                          ids=["nodes", "options.start"])
 def test_minimax_all_sigma_refuses_start_nodes(tmp_path, capsys, monkeypatch, start):
@@ -465,6 +481,13 @@ def test_error_paths_exit_one(tmp_path, capsys):
         cfg = {"kernels": LOGSINE_CONFIG["kernels"], "options": {knob: 1}}
         assert run(["minimax", "--config", write_config(tmp_path, cfg, "c4.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    # the cell sweep is minimax's; the other solvers refuse it
+    for command in ("maximin", "equioscillate"):
+        assert run([command, "--config", write_config(tmp_path, LOGSINE_CONFIG, "c8.json"),
+                    "--all-sigma"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --all-sigma") and captured.out == ""
 
 
 def test_installed_script_smoke(tmp_path):

@@ -104,7 +104,7 @@ def test_profile_step_two_boundary_cell():
     assert math.isclose(prof.z[2], PI, abs_tol=1e-9)
     assert math.isclose(prof.z[3], x2 / 2, abs_tol=1e-9)
     # arc I_0 is degenerate (x_3 sits on the anchor)
-    assert prof.partition.by_index(0).degenerate
+    assert prof.cuts[1] - prof.cuts[0] <= ANGLE_TOL
 
 
 def test_profile_log_sine_pair():
@@ -306,9 +306,8 @@ def test_profile_matches_per_kernel_reference(bases):
     for _ in range(300):
         p, y, sig = _random_case(rng, bases)
         ns = NodeSystem(tuple(y))
-        part = arcs(ns, sig)
-        los = np.asarray([a.lo for a in part.arcs])
-        his = np.asarray([a.hi for a in part.arcs])
+        cuts = arcs(ns, sig)
+        los, his = cuts[:-1], cuts[1:]
         prof = profile(p, ns, sig)
         got = (prof.z_trav, prof.m_trav, prof.z_on_boundary_trav, prof.unique_trav)
         assert _bits(*got) == _bits(*_ref_arc_maxima(p, ns.full_positions(), los, his))
@@ -404,10 +403,8 @@ def _one_level_arc_maxima(p, pos, los, his, tol_z=TOL_Z, log=None):
 
 def _arc_bounds(y, sig):
     ns = NodeSystem(tuple(y))
-    part = arcs(ns, sig)
-    los = np.asarray([a.lo for a in part.arcs])
-    his = np.asarray([a.hi for a in part.arcs])
-    return ns.full_positions(), los, his
+    cuts = arcs(ns, sig)
+    return ns.full_positions(), cuts[:-1], cuts[1:]
 
 
 def test_tree_depth_fills_the_point_budget():
@@ -556,4 +553,4 @@ def test_batch_profile_is_each_system_alone(first, data):
             assert [v.hex() for v in got.m_trav.tolist()] == [v.hex() for v in want.m_trav.tolist()]
             assert np.array_equal(got.z_on_boundary_trav, want.z_on_boundary_trav)
             assert np.array_equal(got.unique_trav, want.unique_trav)
-            assert got.partition == want.partition and got.labels == want.labels
+            assert np.array_equal(got.cuts, want.cuts) and got.labels == want.labels

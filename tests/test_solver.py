@@ -185,13 +185,16 @@ def test_secant_stage_ends_boundary_suspected_at_fixed_node():
 
 def test_maximin_ends_boundary_suspected_at_fixed_node():
     """The capped equioscillation solve fails, so the ascent starts at the
-    configured start, whose node 1 sits on the fixed node: m_under is -inf."""
+    configured start, whose node 1 sits on the fixed node: m_under is -inf.
+    The report is the failed solve's last iterate, with finite maxima."""
     opts = SolveOptions(start=(0.0, 3.0), max_iter=1, secant_sweeps=0, homotopy_levels=())
     rep = maximin(unit_problem(3), Permutation((1, 2)), opts)
     ascent = [e for e in rep.trace if e["stage"] == "ascent"]
     assert rep.status == BOUNDARY_SUSPECTED
     assert ascent == [{"stage": "ascent", "iter": 0, "m_under": -math.inf, "spread": math.inf}]
-    assert rep.objective == -math.inf
+    assert rep.nodes.values == pytest.approx((1.434015, 3.858577), abs=1e-6)
+    assert rep.residual == pytest.approx(0.942806, abs=1e-6)
+    assert rep.objective == rep.profile.m_under == pytest.approx(-2.094659, abs=1e-6)
 
 
 def test_maximin_ends_jacobian_singular_on_coincident_nodes():

@@ -9,7 +9,6 @@ from equisum.torus import (
     NodeSystem,
     Permutation,
     ValidationError,
-    admissible_cut,
     arcs,
     as_node_system,
     as_permutation,
@@ -17,7 +16,6 @@ from equisum.torus import (
     min_gap,
     node_dist,
     reduce_angle,
-    sort_nodes,
     torus_dist,
 )
 
@@ -130,13 +128,6 @@ def test_full_positions_has_anchor():
     assert np.allclose(pos[1:], [1.0, 2.0])
 
 
-def test_replace_is_one_based():
-    ns = as_node_system([1.0, 2.0, 3.0])
-    ns2 = ns.replace(2, 2.5)
-    assert ns2.values == (1.0, 2.5, 3.0)
-    assert ns.values == (1.0, 2.0, 3.0)  # original untouched
-
-
 def test_permutation_validation():
     Permutation((2, 1, 3))
     with pytest.raises(ValidationError):
@@ -146,12 +137,8 @@ def test_permutation_validation():
     assert Permutation.identity(3).sigma == (1, 2, 3)
 
 
-def test_permutation_extended_and_labels():
-    sig = Permutation((2, 1, 3))
-    assert sig.extended(0) == 0
-    assert sig.extended(1) == 2
-    assert sig.extended(4) == 4
-    assert sig.labels() == (0, 2, 1, 3)
+def test_permutation_labels():
+    assert Permutation((2, 1, 3)).labels() == (0, 2, 1, 3)
 
 
 def test_as_permutation_identity_default():
@@ -184,44 +171,52 @@ def test_locate_ordering_cap():
 
 
 def test_arcs_partition_round_trip():
-    part = arcs([3.0, 1.0, 4.0], (2, 1, 3))
-    assert part.labels == (0, 2, 1, 3)
-    assert math.isclose(float(np.sum(part.lengths)), TWO_PI)
-    assert part.by_index(2).lo == 0.0 or part.by_index(2).lo == 1.0
-    # arc 0 starts at the anchor
-    assert part.arcs[0].lo == 0.0
-    assert part.arcs[-1].hi == TWO_PI
+    cuts = arcs([3.0, 1.0, 4.0], (2, 1, 3))
+    # traversal arc k is [cuts[k], cuts[k+1]]: arc 0 from the anchor, arc 2
+    # (slot 1) from y_2 = 1.0, the last one ends at 2*pi
+    assert cuts.tolist() == [0.0, 1.0, 3.0, 4.0, TWO_PI]
+    assert math.isclose(float(np.sum(np.diff(cuts))), TWO_PI)
+    # angles are reduced, node systems are accepted as they are
+    assert arcs([3.0 + TWO_PI, 1.0 - TWO_PI, 4.0], (2, 1, 3)).tolist() == pytest.approx(cuts)
+    assert np.array_equal(arcs(NodeSystem((3.0, 1.0, 4.0)), (2, 1, 3)), cuts)
 
 
 def test_arcs_rejects_incompatible_order():
-    with pytest.raises(ValidationError):
-        arcs([3.0, 1.0, 4.0], (1, 2, 3))
+    with pytest.raises(ValidationError, match="slot 2 has 3.0 < 4.0"):
+        arcs([3.0, 1.0, 4.0], (3, 1, 2))
+    with pytest.raises(ValidationError, match="sigma has size 2"):
+        arcs([3.0, 1.0, 4.0], (1, 2))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="not finite"):
+            arcs([1.0, bad], (1, 2))
 
 
 def test_arcs_degenerate_on_face():
-    part = arcs([2.0, 2.0], (1, 2))
-    assert part.arcs[1].degenerate
-    assert not part.arcs[0].degenerate
+    lengths = np.diff(arcs([2.0, 2.0], (1, 2)))
+    assert lengths[1] == 0.0
+    assert lengths[0] > 0.0
+    # an inversion within ANGLE_TOL is clamped to the running maximum
+    assert arcs([2.0, 2.0 - 1e-13], (1, 2)).tolist() == [0.0, 2.0, 2.0, TWO_PI]
 
 
-def test_sort_nodes_idempotent_permutation():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        x = rng.uniform(0, TWO_PI, size=4)
-        s = sort_nodes(x)
-        assert sorted(x.tolist()) == pytest.approx(list(s.values))
-        assert sort_nodes(s).values == s.values
+def test_arcs_batch_is_each_row_alone():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5):
+        sig = Permutation(tuple(int(v) for v in rng.permutation(n) + 1))
+        slots = np.sort(rng.uniform(0.0, TWO_PI, (6, n)), axis=1)
+        ys = np.array([sig.nodes(v) for v in slots]) + TWO_PI * rng.integers(-2, 3, (6, n))
+        cuts = arcs(ys, sig)
+        assert cuts.shape == (6, n + 2)
+        for y, row in zip(ys, cuts):
+            assert np.array_equal(row, arcs(y, sig))
 
 
-def test_admissible_cut_keeps_distance():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        n = int(rng.integers(1, 6))
-        y = rng.uniform(0, TWO_PI, size=n)
-        c = admissible_cut(y)
-        pos = np.concatenate(([0.0], y))
-        d = float(np.min(torus_dist(pos, c)))
-        assert d >= math.pi / (2 * (n + 1)) - 1e-9
+def test_arcs_batch_with_one_incompatible_row_raises():
+    sig = Permutation((2, 1, 3))
+    ys = np.array([[3.0, 1.0, 4.0], [3.5, 1.5, 4.5], [3.0, 1.0, 2.0], [3.0, 2.0, 5.0]])
+    with pytest.raises(ValidationError, match="row 2: slot 3 has 2.0 < 3.0"):
+        arcs(ys, sig)
+    assert arcs(np.delete(ys, 2, axis=0), sig).shape == (3, 5)
 
 
 def test_min_gap_counts_anchor_and_wrap():
