@@ -16,7 +16,6 @@ from .torus import (
     ValidationError,
     NodeSystem,
     Permutation,
-    SimplexLocation,
     arcs,
     as_node_system,
     as_permutation,
@@ -98,7 +97,7 @@ from .extremal import (
 __all__ = [
     "__version__",
     # torus
-    "TWO_PI", "ValidationError", "NodeSystem", "Permutation", "SimplexLocation",
+    "TWO_PI", "ValidationError", "NodeSystem", "Permutation",
     "arcs", "as_node_system", "as_permutation", "locate", "min_gap",
     "node_dist", "reduce_angle", "torus_dist",
     # kernels

@@ -149,13 +149,10 @@ def _sigma_from(cfg, args, n):
 
 
 def _sigma_or_locate(cfg, args, ns: NodeSystem):
-    sig = _sigma_from(cfg, args, ns.n)
-    if sig is not None:
-        return sig
-    loc = locate(ns)
-    if loc.kind != "interior":
+    sig = _sigma_from(cfg, args, ns.n) or locate(ns)
+    if sig is None:
         raise ValidationError("nodes sit on a cell face; pass --sigma explicitly")
-    return loc.sigma
+    return sig
 
 
 def _options_from(cfg, args) -> SolveOptions:
@@ -199,7 +196,9 @@ def _floats(text):
 
 
 def _resolution(cfg, args):
-    resolution = args.resolution or int(cfg.get("resolution", 1024))
+    resolution = args.resolution
+    if resolution is None:
+        resolution = int(cfg.get("resolution", 1024))
     if resolution < 1:
         raise ValidationError(f"resolution must be positive, got {resolution}")
     return resolution
@@ -242,7 +241,7 @@ def _cmd_profile(cfg, args):
     ns = _nodes_from(cfg, p.n)
     sig = _sigma_or_locate(cfg, args, ns)
     prof = profile(p, ns, sig)
-    d = delta(p, ns, sig, prof)
+    d = delta(prof)
     result = {
         "nodes": list(ns.values),
         "sigma": list(sig.sigma),
@@ -339,7 +338,7 @@ def _cmd_verify(cfg, args):
     if check == "mmatrix":
         ns = _nodes_from(cfg, p.n)
         sig = _sigma_or_locate(cfg, args, ns)
-        J = jacobian_delta(p, ns, sig, relaxed=bool(cfg.get("relaxed", True)))
+        J = jacobian_delta(p, profile(p, ns, sig), relaxed=bool(cfg.get("relaxed", True)))
         rep = check_mmatrix(J)
         result = rep.to_dict()
         result["jacobian"] = [[float(v) for v in row] for row in J]

@@ -159,13 +159,17 @@ def _slope_sum(p: Problem, pos, ts, side):
 class ArcProfile:
     """Per-arc maxima of F(y, .) under an ordering sigma.
 
-    Traversal arrays follow the arcs counterclockwise from the fixed node:
-    traversal arc k is [cuts[k], cuts[k+1]] (see torus.arcs) and
-    `labels[k]` is its arc index.  Indexed accessors report quantities by
-    arc index j = 0..n.
+    The profile is the record of its node system: `positions` holds the
+    n+1 node angles reduced into [0, 2*pi), the fixed node's 0 first, then
+    y_1..y_n by node index (an array of its own, never a view of the y it
+    was computed from).  Traversal arrays follow the arcs counterclockwise
+    from the fixed node: traversal arc k is [cuts[k], cuts[k+1]] (see
+    torus.arcs) and `labels[k]` is its arc index.  Indexed accessors report
+    quantities by arc index j = 0..n.
     """
 
     sigma: Permutation
+    positions: np.ndarray
     cuts: np.ndarray
     z_trav: np.ndarray
     m_trav: np.ndarray
@@ -404,21 +408,19 @@ def profile(p: Problem, y, sigma, *, tol_z: float = TOL_Z):
     pos = np.concatenate((np.zeros((len(ys), 1)), reduce_angle(ys)), axis=1)
     z, m, onb, uni = _arc_maxima(p, pos, cuts[:, :-1], cuts[:, 1:], tol_z)
     profs = [
-        ArcProfile(sigma=sig, cuts=cuts[b], z_trav=z[b], m_trav=m[b],
+        ArcProfile(sigma=sig, positions=pos[b], cuts=cuts[b], z_trav=z[b], m_trav=m[b],
                    z_on_boundary_trav=onb[b], unique_trav=uni[b])
         for b in range(len(ys))
     ]
     return profs if batch else profs[0]
 
 
-def delta(p: Problem, y, sigma, prof: ArcProfile | None = None):
+def delta(prof: ArcProfile):
     """Consecutive differences of arc maxima in traversal order.
 
     Zero exactly at equioscillation.  A pair of -inf maxima (doubly
     degenerate boundary data) is reported as +inf: no finite comparison.
     """
-    if prof is None:
-        prof = profile(p, y, sigma)
     m = prof.m_trav
     with np.errstate(invalid="ignore"):
         d = m[1:] - m[:-1]
@@ -427,18 +429,15 @@ def delta(p: Problem, y, sigma, prof: ArcProfile | None = None):
     return d
 
 
-def _slope_rows(p: Problem, y, sigma, prof, relaxed: bool):
-    """Rows (traversal order) of the maximizer-slope matrix -K_r'(z_k - y_r).
+def _slope_rows(p: Problem, prof: ArcProfile, relaxed: bool):
+    """Rows (traversal order) of the maximizer-slope matrix -K_r'(z_k - y_r)
+    at the node system of prof.
 
     The slope formula holds when every kernel is C1 and every maximizer is
     strictly inside its arc; relaxed=True skips that check and takes midpoint
     slopes at kinks, so entries may be nan when a maximizer collides with a
-    singular node.  Returns (rows, profile).
+    singular node.
     """
-    ns = as_node_system(y)
-    sig = as_permutation(sigma, ns.n)
-    if prof is None:
-        prof = profile(p, ns, sig)
     if not relaxed:
         if not p.all_c1:
             k = next(k for k in p.kernels if not k.classify().c1)
@@ -449,31 +448,30 @@ def _slope_rows(p: Problem, y, sigma, prof, relaxed: bool):
             raise JacobianUnavailableError(
                 "a maximizer sits on an arc boundary; the slope formula fails there"
             )
-    positions = ns.full_positions()
+    positions = prof.positions
     z = prof.z_trav
     if relaxed:
         with np.errstate(invalid="ignore"):
             d = 0.5 * (_slopes(p, positions, z, "left") + _slopes(p, positions, z, "right"))
     else:
         d = _slopes(p, positions, z, "right")
-    rows = -d[1:].T
-    return rows, prof
+    return -d[1:].T
 
 
-def jacobian_m(p: Problem, y, sigma, prof: ArcProfile | None = None, *,
-               relaxed: bool = False):
-    """Sensitivity of the arc maxima to the free nodes: (n+1) x n, by arc index.
+def jacobian_m(p: Problem, prof: ArcProfile, *, relaxed: bool = False):
+    """Sensitivity of the arc maxima to the free nodes at the node system of
+    prof: (n+1) x n, by arc index.
 
     Entry (j, r-1) is -K_r'(z_j - y_r); see _slope_rows for when it holds.
     """
-    rows_trav, prof = _slope_rows(p, y, sigma, prof, relaxed)
+    rows_trav = _slope_rows(p, prof, relaxed)
     out = np.empty_like(rows_trav)
     out[list(prof.labels), :] = rows_trav
     return out
 
 
-def jacobian_delta(p: Problem, y, sigma, prof: ArcProfile | None = None, *,
-                   relaxed: bool = False):
-    """Jacobian of the traversal difference vector, n x n."""
-    rows_trav, _ = _slope_rows(p, y, sigma, prof, relaxed)
+def jacobian_delta(p: Problem, prof: ArcProfile, *, relaxed: bool = False):
+    """Jacobian of the traversal difference vector at the node system of
+    prof, n x n."""
+    rows_trav = _slope_rows(p, prof, relaxed)
     return rows_trav[1:, :] - rows_trav[:-1, :]

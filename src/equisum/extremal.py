@@ -16,7 +16,7 @@ import numpy as np
 from .evaluator import Problem
 from .kernels import log_sine, weighted
 from .solver import SolveOptions, SolveReport, minimax
-from .torus import TWO_PI, NodeSystem, Permutation, ValidationError
+from .torus import TWO_PI, Permutation, ValidationError
 
 PI = math.pi
 # mirror residuals up to which a doubled solution counts as symmetric
@@ -118,7 +118,7 @@ def solve_gtp(q: GtpProblem, opts: SolveOptions | None = None) -> GtpResult:
     sig = Permutation.identity(q.n)
     rep = minimax(p, sig, opts)
     prof = rep.profile
-    nodes = rep.nodes.full_positions()
+    nodes = prof.positions
     z_trav = prof.z_trav
     # strict interlacing: every maximizer interior to its arc
     interlacing = not bool(np.any(prof.z_on_boundary_trav))
@@ -191,9 +191,9 @@ def solve_doubled_symmetric(exponents, opts: SolveOptions | None = None) -> Doub
     sig = Permutation.identity(2 * n - 1)
     rep = minimax(p, sig, opts)
 
-    free = rep.nodes.array  # increasing in S_id
-    delta = (TWO_PI - free[-1]) / 2.0 if len(free) else PI
-    nodes = np.concatenate(([0.0], free)) + delta
+    pos = rep.profile.positions  # increasing in S_id
+    delta = (TWO_PI - pos[-1]) / 2.0
+    nodes = pos + delta
 
     sym_res = float(np.max(np.abs(nodes + nodes[::-1] - TWO_PI)))
 

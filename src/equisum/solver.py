@@ -30,9 +30,9 @@ from .torus import (
     NodeSystem,
     Permutation,
     ValidationError,
-    as_node_system,
     as_permutation,
     min_gap,
+    reduce_angle,
 )
 
 INF = math.inf
@@ -71,9 +71,9 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
+    """A solve's outcome; its node system and cell are those of `profile`."""
+
     status: str
-    nodes: NodeSystem
-    sigma: Permutation
     residual: float
     objective: float
     profile: ArcProfile
@@ -81,6 +81,14 @@ class SolveReport:
     trace: list
     seed: int
     flags: dict = field(default_factory=dict)
+
+    @property
+    def nodes(self) -> NodeSystem:
+        return NodeSystem(tuple(self.profile.positions[1:]))
+
+    @property
+    def sigma(self) -> Permutation:
+        return self.profile.sigma
 
     @property
     def converged(self) -> bool:
@@ -140,17 +148,13 @@ def _line_search(p, sig, y, step, margin, alpha, floor):
             yield from zip(alphas[lo:hi], ys, profile(p, ys, sig))
 
 
-def _residual(p: Problem, sig: Permutation, y_vec: np.ndarray, prof: ArcProfile | None = None):
-    """(max |Delta|, Delta, profile) at y; the max is inf when Delta is not finite.
-
-    A given prof must be the profile at y; it is used instead of a new one.
-    """
-    if prof is None:
-        prof = profile(p, NodeSystem(tuple(y_vec)), sig)
-    d = delta(p, y_vec, sig, prof)
+def _residual(prof: ArcProfile):
+    """(max |Delta|, Delta) at the node system of prof; the max is inf when
+    Delta is not finite."""
+    d = delta(prof)
     if not np.all(np.isfinite(d)):
-        return INF, d, prof
-    return float(np.max(np.abs(d))), d, prof
+        return INF, d
+    return float(np.max(np.abs(d))), d
 
 
 def _settled(res: float, prof: ArcProfile, opts: SolveOptions) -> bool:
@@ -169,14 +173,15 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label):
     """
     trace = []
     y = np.asarray(y_vec, dtype=float).copy()
-    res, d, prof = _residual(p, sig, y)
+    prof = profile(p, y, sig)
+    res, d = _residual(prof)
     for it in range(opts.max_iter):
         trace.append({"stage": label, "iter": it, "residual": res})
         if _settled(res, prof, opts):
             return y, CONVERGED, trace, prof
         if not math.isfinite(res):
             return y, BOUNDARY_SUSPECTED, trace, prof
-        J = jacobian_delta(p, NodeSystem(tuple(y)), sig, prof, relaxed=True)
+        J = jacobian_delta(p, prof, relaxed=True)
         if not np.all(np.isfinite(J)):
             return y, JACOBIAN_SINGULAR, trace, prof
         try:
@@ -190,10 +195,10 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label):
         except np.linalg.LinAlgError:
             return y, JACOBIAN_SINGULAR, trace, prof
 
-        margin = MARGIN_FRACTION * min_gap(NodeSystem(tuple(y)))
+        margin = MARGIN_FRACTION * min_gap(y)
         accepted = False
         for alpha, y_try, prof_try in _line_search(p, sig, y, step, margin, 1.0, MIN_STEP):
-            res_try, d_try, _ = _residual(p, sig, y_try, prof=prof_try)
+            res_try, d_try = _residual(prof_try)
             if res_try < res * (1.0 - 1e-4 * alpha):
                 y, res, d, prof = y_try, res_try, d_try, prof_try
                 accepted = True
@@ -201,7 +206,7 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label):
         if not accepted:
             trace.append({"stage": label, "iter": it + 1, "residual": res, "note": "stalled"})
             return y, MAX_ITER, trace, prof
-        if min_gap(NodeSystem(tuple(y))) < COLLAPSE_TOL:
+        if min_gap(y) < COLLAPSE_TOL:
             return y, BOUNDARY_SUSPECTED, trace, prof
     trace.append({"stage": label, "iter": opts.max_iter, "residual": res})
     status = CONVERGED if _settled(res, prof, opts) else MAX_ITER
@@ -220,7 +225,8 @@ def _secant_stage(p, sig, y_vec, opts: SolveOptions, label="secant"):
     trace = []
     n = p.n
     y = np.asarray(y_vec, dtype=float).copy()
-    res, d, prof = _residual(p, sig, y)
+    prof = profile(p, y, sig)
+    res, d = _residual(prof)
     for sweep in range(opts.secant_sweeps):
         trace.append({"stage": label, "iter": sweep, "residual": res})
         if _settled(res, prof, opts):
@@ -244,13 +250,15 @@ def _secant_stage(p, sig, y_vec, opts: SolveOptions, label="secant"):
             if v1 == v0:
                 continue
             y[idx] = v1
-            res_new, d_new, prof_new = _residual(p, sig, y)
+            prof_new = profile(p, y, sig)
+            res_new, d_new = _residual(prof_new)
             accept = res_new < res
             g1 = float(d_new[k - 1])
             if g1 != g0:
                 v2 = v1 - g1 * (v1 - v0) / (g1 - g0)
                 y[idx] = float(np.clip(v2, lo + pad, hi - pad))
-                res_new, d_new, prof_new = _residual(p, sig, y)
+                prof_new = profile(p, y, sig)
+                res_new, d_new = _residual(prof_new)
                 accept = accept or res_new < res
             if accept:
                 res, d, prof = res_new, d_new, prof_new
@@ -284,7 +292,7 @@ def _coarse_grid_start(p, sig, opts: SolveOptions) -> np.ndarray:
         ys = np.array([sig.nodes(v) for v in candidates])
         # coarse ranking only
         for y, prof in zip(ys, profile(p, ys, sig, tol_z=1e-9)):
-            res = _residual(p, sig, y, prof=prof)[0]
+            res = _residual(prof)[0]
             if res < best_res:
                 best_res = res
                 best = y
@@ -299,10 +307,10 @@ def _initial_nodes(p, sig, opts: SolveOptions) -> np.ndarray:
         if start == "coarse_grid":
             return _coarse_grid_start(p, sig, opts)
         raise ValidationError(f"unknown start {start!r}")
-    ns = as_node_system(start)
-    if ns.n != p.n:
-        raise ValidationError(f"start has {ns.n} nodes, problem expects {p.n}")
-    return ns.array
+    y = reduce_angle(np.atleast_1d(np.asarray(start, dtype=float)))
+    if y.shape != (p.n,):
+        raise ValidationError(f"start has {y.size} nodes, problem expects {p.n}")
+    return y
 
 
 def _spread_nodes(y_vec, sig) -> np.ndarray:
@@ -370,9 +378,10 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
         trace.append({"stage": "restart", "iter": restarts, "note": "nodes spread apart"})
         y, status, prof = pipeline(_spread_nodes(y, sig))
 
-    res, _, prof = _residual(p, sig, y, prof=prof)
-    ns = NodeSystem(tuple(y))
-    interior = min_gap(ns) >= COLLAPSE_TOL
+    if prof is None:
+        prof = profile(p, y, sig)
+    res = _residual(prof)[0]
+    interior = min_gap(y) >= COLLAPSE_TOL
     final = CONVERGED if (_settled(res, prof, opts) and interior) else status
     # a stage that settles at its start reports converged without a gap
     # check, so a settled start with collapsed nodes reaches this
@@ -380,8 +389,6 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
         final = BOUNDARY_SUSPECTED
     return SolveReport(
         status=final,
-        nodes=ns,
-        sigma=sig,
         residual=res,
         objective=prof.m_bar,
         profile=prof,
@@ -398,20 +405,21 @@ def _mbar_closure(p, sig, ys):
     return [prof.m_bar for prof in profile(p, closed, sig)]
 
 
-def _probe_failures(p, sig, rep: SolveReport):
+def _probe_failures(p, rep: SolveReport):
     """The single-node displacements y +/- h e_r (projected onto the closed
-    cell) whose m_bar drops by more than the slack: 2n profiled systems."""
-    base = rep.profile.m_bar
+    cell) of the report's node system whose m_bar drops by more than the
+    slack: 2n profiled systems."""
+    prof = rep.profile
     moves = [(ridx, s) for ridx in range(1, p.n + 1) for s in (+PROBE_H, -PROBE_H)]
-    ys = np.repeat(rep.nodes.array[None, :], len(moves), axis=0)
+    ys = np.repeat(prof.positions[None, 1:], len(moves), axis=0)
     for row, (ridx, s) in zip(ys, moves):
         row[ridx - 1] += s
     return [{"node": ridx, "shift": s, "m_bar": mb}
-            for (ridx, s), mb in zip(moves, _mbar_closure(p, sig, ys))
-            if mb < base - CERTIFICATE_SLACK]
+            for (ridx, s), mb in zip(moves, _mbar_closure(p, prof.sigma, ys))
+            if mb < prof.m_bar - CERTIFICATE_SLACK]
 
 
-def _gordan(p, sig, rep: SolveReport):
+def _gordan(p, rep: SolveReport):
     """Gordan's alternative on the arc-maxima Jacobian Jm ((n+1) x n).
 
     At a converged equioscillation point of C1 kernels with every maximizer
@@ -428,7 +436,7 @@ def _gordan(p, sig, rep: SolveReport):
     prof = rep.profile
     if not (rep.converged and p.all_c1) or np.any(prof.z_on_boundary_trav):
         return None
-    Jm = jacobian_m(p, rep.nodes, sig, prof)
+    Jm = jacobian_m(p, prof)
     if not np.all(np.isfinite(Jm)):
         return None
     u, s, vt = np.linalg.svd(Jm)
@@ -465,9 +473,9 @@ def minimax(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
 
     def certify(r: SolveReport):
         """(failures, kind of certificate); an empty list certifies."""
-        failures = _gordan(p, sig, r)
+        failures = _gordan(p, r)
         if failures is None:
-            return _probe_failures(p, sig, r), "probes"
+            return _probe_failures(p, r), "probes"
         return failures, "gordan"
 
     failures, kind = certify(rep)
@@ -573,15 +581,10 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     sig = as_permutation(sigma, p.n)
     equi = solve_equioscillation(p, sig, opts)
     trace = equi.trace
-    y, prof = equi.nodes.array, equi.profile  # prof: profile at y, when known
-    if not equi.converged:
-        y, prof = _initial_nodes(p, sig, opts), None
-    certified = _gordan(p, sig, equi) == []
+    prof = equi.profile if equi.converged else profile(p, _initial_nodes(p, sig, opts), sig)
+    certified = _gordan(p, equi) == []
     status = MAX_ITER
     for it in range(opts.max_iter):
-        ns = NodeSystem(tuple(y))
-        if prof is None:
-            prof = profile(p, ns, sig)
         m_ind = prof.m
         m_under = prof.m_under
         spread = prof.m_bar - m_under
@@ -597,7 +600,7 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
 
         act_tol = max(10.0 * opts.tol_residual, 0.25 * spread)
         active = [j for j in range(p.n + 1) if m_ind[j] <= m_under + act_tol]
-        Jm = jacobian_m(p, ns, sig, prof, relaxed=True)
+        Jm = jacobian_m(p, prof, relaxed=True)
         G = Jm[active, :]
         if not np.all(np.isfinite(G)):
             status = JACOBIAN_SINGULAR
@@ -607,28 +610,26 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
         if s_star <= 1e-11 * scale:
             status = CONVERGED
             break
-        margin = MARGIN_FRACTION * min_gap(ns)
+        y = prof.positions[1:]
+        gap = min_gap(y)
         accepted = False
-        for alpha, y_try, prof_try in _line_search(p, sig, y, a, margin,
-                                                   min(0.49 * min_gap(ns), 0.5), 1e-14):
+        for alpha, _, prof_try in _line_search(p, sig, y, a, MARGIN_FRACTION * gap,
+                                               min(0.49 * gap, 0.5), 1e-14):
             if prof_try.m_under > m_under + 1e-6 * alpha * s_star:
-                y, prof = y_try, prof_try
+                prof = prof_try
                 accepted = True
                 break
         if not accepted:
             # no line-search progress at a positive LP rate: numerical floor
-            res = _residual(p, sig, y, prof=prof)[0]
+            res = _residual(prof)[0]
             status = CONVERGED if _settled(res, prof, opts) else MAX_ITER
             break
 
     if status == BOUNDARY_SUSPECTED and math.isfinite(equi.residual):
-        y, prof = equi.nodes.array, equi.profile
-    res, _, prof = _residual(p, sig, y, prof=prof)
+        prof = equi.profile
     return SolveReport(
         status=status,
-        nodes=NodeSystem(tuple(y)),
-        sigma=sig,
-        residual=res,
+        residual=_residual(prof)[0],
         objective=prof.m_under,
         profile=prof,
         iterations=len(trace),

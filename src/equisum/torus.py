@@ -12,7 +12,6 @@ where y_0 = 0 and y_{n+1} = 2*pi.  Arcs may be degenerate.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -167,58 +166,16 @@ def as_permutation(sigma, n=None) -> Permutation:
     return Permutation(tuple(int(v) for v in np.atleast_1d(sigma)))
 
 
-@dataclass(frozen=True)
-class SimplexLocation:
-    """Where a node system sits: inside one ordering cell, or on a face."""
-
-    kind: str  # "interior" | "boundary"
-    sigmas: tuple  # compatible orderings; exactly one when interior
-
-    @property
-    def sigma(self) -> Permutation:
-        return self.sigmas[0]
-
-
-def locate(y, max_orderings: int = 5040) -> SimplexLocation:
-    """Classify a node system as interior to a unique ordering cell or boundary.
-
-    Boundary means some free nodes coincide (within ANGLE_TOL) with each other or
-    with the fixed node at 0; then every ordering consistent with the sorted
-    arrangement is reported.
-    """
-    ns = as_node_system(y)
-    vals = ns.array
-    n = ns.n
+def locate(y) -> Permutation | None:
+    """The ordering cell a node system lies inside, or None when it sits on
+    a cell face: two free nodes within ANGLE_TOL of each other, or one
+    within ANGLE_TOL of the fixed node at 0 (from either side)."""
+    vals = as_node_system(y).array
     order = np.argsort(vals, kind="stable")
-    sorted_vals = vals[order]
-
-    # group indices whose angles chain together within ANGLE_TOL
-    groups = [[int(order[0]) + 1]]
-    for i in range(1, n):
-        if sorted_vals[i] - sorted_vals[i - 1] <= ANGLE_TOL:
-            groups[-1].append(int(order[i]) + 1)
-        else:
-            groups.append([int(order[i]) + 1])
-
-    touches_anchor = sorted_vals[0] <= ANGLE_TOL or (TWO_PI - sorted_vals[-1]) <= ANGLE_TOL
-    has_ties = any(len(g) > 1 for g in groups)
-
-    if not has_ties and not touches_anchor:
-        sigma = Permutation(tuple(int(order[k]) + 1 for k in range(n)))
-        return SimplexLocation("interior", (sigma,))
-
-    count = 1
-    for g in groups:
-        count *= math.factorial(len(g))
-    if count > max_orderings:
-        raise ValidationError(
-            f"{count} compatible orderings exceed the cap {max_orderings}"
-        )
-    sigmas = []
-    for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
-        flat = tuple(itertools.chain.from_iterable(combo))
-        sigmas.append(Permutation(flat))
-    return SimplexLocation("boundary", tuple(sigmas))
+    s = vals[order]
+    if s[0] <= ANGLE_TOL or TWO_PI - s[-1] <= ANGLE_TOL or np.any(np.diff(s) <= ANGLE_TOL):
+        return None
+    return Permutation(tuple(int(k) + 1 for k in order))
 
 
 def arcs(y, sigma) -> np.ndarray:

@@ -65,9 +65,9 @@ def test_gordan_verdict_equals_probe_verdict_on_c1_corpus():
     for p, sig in _c1_corpus(24):
         rep = solve_equioscillation(p, sig)
         assert rep.status == CONVERGED
-        verdict = _gordan(p, sig, rep)
+        verdict = _gordan(p, rep)
         assert verdict is not None
-        assert (verdict == []) == (_probe_failures(p, sig, rep) == [])
+        assert (verdict == []) == (_probe_failures(p, rep) == [])
 
 
 def test_gordan_refuses_mixed_sign_null_vector(monkeypatch):
@@ -75,7 +75,7 @@ def test_gordan_refuses_mixed_sign_null_vector(monkeypatch):
     p, sig, rep = _unit_report()
     Jm = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     monkeypatch.setattr(solver, "jacobian_m", lambda *args, **kwargs: Jm)
-    (failure,) = _gordan(p, sig, rep)
+    (failure,) = _gordan(p, rep)
     a = np.asarray(failure["direction"])
     assert np.max(np.abs(a)) == 1.0
     assert np.all(Jm @ a < 0.0)
@@ -99,8 +99,8 @@ def test_natural_c1_refusal_lowers_every_arc_maximum():
     sig = Permutation.identity(3)
     rep = solve_equioscillation(p, sig)
     assert rep.status == CONVERGED
-    (failure,) = _gordan(p, sig, rep)
-    assert _probe_failures(p, sig, rep) == []
+    (failure,) = _gordan(p, rep)
+    assert _probe_failures(p, rep) == []
     h, y = 1e-4, rep.nodes.array
     labels, _, m0 = grid_profile(p, y, sig)
     _, _, m1 = grid_profile(p, y + h * np.asarray(failure["direction"]), sig)
@@ -118,7 +118,7 @@ def test_natural_c1_refusal_lowers_every_arc_maximum():
 def test_no_verdict_falls_back_to_probes(monkeypatch, Jm):
     p, sig, rep = _unit_report()
     monkeypatch.setattr(solver, "jacobian_m", lambda *args, **kwargs: Jm)
-    assert _gordan(p, sig, rep) is None
+    assert _gordan(p, rep) is None
     # the probed node systems, one row each, reach _mbar_closure in one batch
     probed = []
     original = solver._mbar_closure
@@ -132,10 +132,10 @@ def test_no_verdict_falls_back_to_probes(monkeypatch, Jm):
 
 def test_kinks_and_unconverged_reports_get_no_verdict():
     sig = Permutation((2, 1, 3))
-    assert _gordan(EXAMPLE, sig, solve_equioscillation(EXAMPLE, sig)) is None
+    assert _gordan(EXAMPLE, solve_equioscillation(EXAMPLE, sig)) is None
     p, sig, rep = _unit_report()
     rep.status = solver.MAX_ITER
-    assert _gordan(p, sig, rep) is None
+    assert _gordan(p, rep) is None
 
 
 def test_minimax_n39_makes_no_profile_beyond_its_solve(monkeypatch):

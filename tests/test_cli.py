@@ -452,9 +452,17 @@ def test_error_paths_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
     # a resolution below one row
-    assert run(["sample", "--config", write_config(tmp_path, EX_CONFIG, "c7.json"),
-                "--resolution", "-5"]) == 1
-    assert "resolution must be positive" in capsys.readouterr().err
+    for resolution in ("-5", "0"):
+        assert run(["sample", "--config", write_config(tmp_path, EX_CONFIG, "c7.json"),
+                    "--resolution", resolution]) == 1
+        assert "resolution must be positive" in capsys.readouterr().err
+
+    # coincident free nodes lie on a cell face, which needs --sigma, however many
+    for n in (2, 8):
+        cfg = {"kernels": [{"family": "log_sine"}] * (n + 1), "nodes": [1.0] * n}
+        assert run(["profile", "--config", write_config(tmp_path, cfg, "c9.json")]) == 1
+        captured = capsys.readouterr()
+        assert "cell face" in captured.err and captured.out == ""
 
     # a sandwich include point with one node too many
     cfg = dict(LOGSINE_CONFIG, m_estimate=0.0, samples=1, include=[[2.0, 3.0, 4.0]])

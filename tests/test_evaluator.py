@@ -84,7 +84,7 @@ def test_profile_equioscillation_point():
     assert prof.labels == (0, 2, 1, 3)
     assert all(prof.z_on_boundary)
     assert math.isclose(prof.m_bar, prof.m_under, abs_tol=1e-12)
-    d = delta(EX_P, E_POINT, E_SIGMA, prof)
+    d = delta(prof)
     assert np.allclose(d, 0.0, atol=1e-12)
 
 
@@ -132,9 +132,9 @@ def test_profile_rotation_covariance():
 
 
 def test_delta_zero_iff_equioscillation():
-    d = delta(EX_P, E_POINT, E_SIGMA)
+    d = delta(profile(EX_P, E_POINT, E_SIGMA))
     assert np.allclose(d, 0.0, atol=1e-12)
-    d2 = delta(EX_P, (PI, PI / 2 + 0.3, 3 * PI / 2), E_SIGMA)
+    d2 = delta(profile(EX_P, (PI, PI / 2 + 0.3, 3 * PI / 2), E_SIGMA))
     assert float(np.max(np.abs(d2))) > 1e-3
 
 
@@ -161,7 +161,7 @@ def test_jacobian_m_matches_fd_smooth():
         prof = profile(p, y, sig)
         if any(prof.z_on_boundary):
             continue
-        J = jacobian_m(p, y, sig, prof)
+        J = jacobian_m(p, prof)
         fd = np.zeros_like(J)
         for r in range(2):
             for sgn, w in ((1, 1.0), (-1, -1.0)):
@@ -176,9 +176,9 @@ def test_jacobian_m_matches_fd_smooth():
 def test_jacobian_m_needs_c1():
     prof = profile(EX_P, E_POINT, E_SIGMA)
     with pytest.raises(CapabilityError):
-        jacobian_m(EX_P, E_POINT, E_SIGMA, prof)
+        jacobian_m(EX_P, prof)
     # relaxed mode substitutes midpoint slopes at kinks
-    J = jacobian_m(EX_P, E_POINT, E_SIGMA, prof, relaxed=True)
+    J = jacobian_m(EX_P, prof, relaxed=True)
     assert J.shape == (4, 3)
     assert np.all(np.isfinite(J))
 
@@ -189,9 +189,9 @@ def test_jacobian_m_boundary_guard():
     prof = profile(p, [0.8], sig)
     if any(prof.z_on_boundary):
         with pytest.raises(JacobianUnavailableError):
-            jacobian_m(p, [0.8], sig, prof)
+            jacobian_m(p, prof)
     else:  # pragma: no cover - depends on the kernel pair chosen
-        jacobian_m(p, [0.8], sig, prof)
+        jacobian_m(p, prof)
 
 
 def test_jacobian_delta_is_row_difference():
@@ -199,10 +199,23 @@ def test_jacobian_delta_is_row_difference():
     y = (2.0, 4.5)
     sig = Permutation((1, 2))
     prof = profile(p, y, sig)
-    Jm = jacobian_m(p, y, sig, prof)
-    Jd = jacobian_delta(p, y, sig, prof)
+    Jm = jacobian_m(p, prof)
+    Jd = jacobian_delta(p, prof)
     # traversal order equals arc-index order for the identity ordering
     assert np.allclose(Jd, Jm[1:] - Jm[:-1])
+
+
+def test_profile_positions_are_its_own_reduced_nodes():
+    """positions: the fixed node's 0, then the reduced y_j by node index; a
+    later in-place move of y (the secant polish makes them) leaves it as is."""
+    y = np.array([PI + TWO_PI, PI / 2 - TWO_PI, 3 * PI / 2])
+    ys = np.array([y, y])
+    profs = [profile(EX_P, y, E_SIGMA)] + profile(EX_P, ys, E_SIGMA)
+    want = [0.0, *NodeSystem(tuple(y)).values]
+    y += 0.1
+    ys += 0.1
+    for prof in profs:
+        assert prof.positions.tolist() == want
 
 
 def test_profile_requires_compatible_sigma():

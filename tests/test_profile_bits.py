@@ -1,9 +1,12 @@
-"""Golden bits of profile() on fixed problems.
+"""Golden bits of profile() and of the profile Jacobians on fixed problems.
 
 tests/data/profile_bits.json holds float.hex of z_trav and m_trav for each
 case below.  The hot path of profile() must reproduce them exactly, so a
 change to how slopes are grouped, summed or bisected cannot shift a bit
-unnoticed.  Regenerate the file only for a change that means to move the
+unnoticed.  tests/data/jacobian_bits.json holds, for the same cases and one
+whose nodes are given unreduced, the bits of jacobian_delta(relaxed=True)
+and of jacobian_m: strict where every kernel is C1 and no maximizer sits on
+an arc boundary, relaxed otherwise.  Regenerate the file only for a change that means to move the
 results, and say so where the change is recorded.  The bits were recorded
 with numpy 2.4 on x86-64; a numpy build whose sin, tan or log round
 differently needs its own recording, made from the unchanged code.
@@ -15,12 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equisum.evaluator import Problem, profile
+from equisum.evaluator import Problem, jacobian_delta, jacobian_m, profile
 from equisum.kernels import approximant, log_sine, parabola, riesz, table, tent, weighted
 from equisum.torus import TWO_PI, Permutation
 
 PI = math.pi
 BITS = Path(__file__).parent / "data" / "profile_bits.json"
+JACOBIAN_BITS = Path(__file__).parent / "data" / "jacobian_bits.json"
 
 EXAMPLE = (tent(), tent(), weighted(parabola(), 0.1), weighted(parabola(), 0.1))
 
@@ -88,3 +92,29 @@ def test_profile_bits_unchanged(name):
     want = json.loads(BITS.read_text())[name]
     assert _hex(prof.z_trav) == want["z"]
     assert _hex(prof.m_trav) == want["m"]
+
+
+def _jacobian_cases():
+    out = dict(CASES)
+    p, y, sig = CASES["log_sine_n3"]
+    # the node positions come from profile()'s reduction of these angles
+    out["log_sine_n3_unreduced"] = (p, y - TWO_PI, sig)
+    return out
+
+
+JACOBIAN_CASES = _jacobian_cases()
+
+
+def test_jacobian_cases_match_recorded_set():
+    assert sorted(JACOBIAN_CASES) == sorted(json.loads(JACOBIAN_BITS.read_text()))
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_CASES))
+def test_jacobian_bits_unchanged(name):
+    p, y, sig = JACOBIAN_CASES[name]
+    prof = profile(p, y, sig)
+    want = json.loads(JACOBIAN_BITS.read_text())[name]
+    relaxed = not p.all_c1 or bool(np.any(prof.z_on_boundary_trav))
+    assert relaxed == want["m_relaxed"]
+    assert [_hex(row) for row in jacobian_m(p, prof, relaxed=relaxed)] == want["jacobian_m"]
+    assert [_hex(row) for row in jacobian_delta(p, prof, relaxed=True)] == want["jacobian_delta"]

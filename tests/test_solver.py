@@ -6,7 +6,7 @@ import pytest
 
 from equisum.evaluator import Problem, profile, jacobian_delta
 from equisum.kernels import approximant, log_sine, parabola, riesz, table, tent, weighted
-from equisum.oracle import check_mmatrix, grid_minimax
+from equisum.oracle import check_mmatrix, grid_minimax, grid_profile
 from equisum.solver import (
     BOUNDARY_SUSPECTED,
     CONVERGED,
@@ -22,7 +22,7 @@ from equisum.solver import (
     minimax_global,
     solve_equioscillation,
 )
-from equisum.torus import TWO_PI, Permutation, ValidationError, locate, node_dist
+from equisum.torus import TWO_PI, Permutation, ValidationError, locate, min_gap, node_dist
 
 PI = math.pi
 
@@ -81,7 +81,7 @@ def test_solution_jacobian_is_m_matrix():
     p = unit_problem(4)
     sig = Permutation((1, 2, 3))
     rep = solve_equioscillation(p, sig)
-    J = jacobian_delta(p, rep.nodes, sig)
+    J = jacobian_delta(p, rep.profile)
     assert check_mmatrix(J).ok
 
 
@@ -100,6 +100,22 @@ def test_solver_is_deterministic():
     b = solve_equioscillation(EX_P, E_SIGMA, opts)
     assert a.nodes.values == b.nodes.values
     assert a.trace == b.trace
+
+
+def test_example_cell_123_has_an_interior_equioscillation_point():
+    """The Example's cell (1,2,3) holds an equioscillation point at level
+    4.57785413 with every node well apart and every maximizer inside its
+    arc; a coarse-grid start reaches it, and the grid oracle agrees."""
+    sig = Permutation((1, 2, 3))
+    rep = solve_equioscillation(EX_P, sig, SolveOptions(start="coarse_grid"))
+    assert rep.status == CONVERGED
+    assert rep.objective == pytest.approx(4.57785413, abs=1e-8)
+    assert min_gap(rep.nodes) > 0.6
+    assert not np.any(rep.profile.z_on_boundary_trav)
+    labels, _, m = grid_profile(EX_P, rep.nodes, sig, 4096)
+    assert labels == rep.profile.labels
+    assert np.allclose(m, rep.profile.m_trav, rtol=0.0, atol=1e-6)
+    assert float(np.max(m) - np.min(m)) <= 1e-6
 
 
 def test_solve_flat_cell_is_honest():
@@ -238,8 +254,7 @@ def test_coarse_grid_start_draws_from_the_seed_above_n3():
     start = _coarse_grid_start(p, sig, opts)
     assert np.array_equal(start, _coarse_grid_start(p, sig, opts))
     assert not np.array_equal(start, equidistant_nodes(4, sig).array)
-    loc = locate(start)
-    assert loc.kind == "interior" and loc.sigma == sig
+    assert locate(start) == sig
     assert solve_equioscillation(p, sig, opts).status == CONVERGED
 
 

@@ -32,7 +32,7 @@ from equisum.solver import (
     minimax,
     solve_equioscillation,
 )
-from equisum.torus import TWO_PI, NodeSystem, Permutation
+from equisum.torus import TWO_PI, Permutation
 
 BITS = Path(__file__).parent / "data" / "solver_bits.json"
 PI = math.pi
@@ -57,8 +57,9 @@ def _stage(p, sigma, y):
 
 def _probes(p, sigma, y):
     """Every probe's m_bar: against an infinite base m_bar each probe fails."""
-    rep = SimpleNamespace(profile=SimpleNamespace(m_bar=math.inf), nodes=NodeSystem(y))
-    return _probe_failures(p, Permutation(sigma), rep)
+    prof = SimpleNamespace(m_bar=math.inf, sigma=Permutation(sigma),
+                           positions=np.concatenate(([0.0], y)))
+    return _probe_failures(p, SimpleNamespace(profile=prof))
 
 
 # the first search accepts alpha = 1, the second 1/16, the third stalls

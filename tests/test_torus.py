@@ -149,25 +149,17 @@ def test_as_permutation_identity_default():
 
 
 def test_locate_interior():
-    loc = locate([3.0, 1.0, 4.0])
-    assert loc.kind == "interior"
-    assert loc.sigma.sigma == (2, 1, 3)
-
-
-def test_locate_tie_reports_both_orderings():
-    loc = locate([1.0, 1.0])
-    assert loc.kind == "boundary"
-    assert {s.sigma for s in loc.sigmas} == {(1, 2), (2, 1)}
+    assert locate([3.0, 1.0, 4.0]) == Permutation((2, 1, 3))
+    # free nodes within ANGLE_TOL tie: a cell face; just beyond it, a cell
+    assert locate([1.0, 1.0 + 2e-12]) == Permutation((1, 2))
+    assert locate([1.0, 1.0 + 5e-13]) is None
+    assert locate([1.0, 1.0]) is None
+    assert locate([1.0] * 8) is None
 
 
 def test_locate_anchor_touch_is_boundary():
-    assert locate([0.0, 2.0]).kind == "boundary"
-    assert locate([TWO_PI - 1e-15, 2.0]).kind == "boundary"
-
-
-def test_locate_ordering_cap():
-    with pytest.raises(ValidationError):
-        locate([1.0] * 8, max_orderings=100)
+    assert locate([0.0, 2.0]) is None
+    assert locate([TWO_PI - 1e-15, 2.0]) is None
 
 
 def test_arcs_partition_round_trip():
