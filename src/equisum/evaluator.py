@@ -77,9 +77,6 @@ class Problem:
     def classifications(self):
         return [k.classify() for k in self.kernels]
 
-    def spec(self):
-        return [k.spec() for k in self.kernels]
-
     @cached_property
     def slope_plan(self):
         """Kernels grouped by base kernel, built on first use.

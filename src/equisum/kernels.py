@@ -53,49 +53,23 @@ def _out(v, like):
 
 @dataclass(frozen=True)
 class KernelClass:
-    """Property flags of a kernel.
+    """The paper's four conditions on a kernel.
 
-    finite_at_zero       limit at the glue point is finite
-    cond_inf             limit at the glue point is -inf
-    cond_inf_prime_minus slope blows down to -inf approaching 2*pi
-    cond_inf_prime_plus  slope blows up to +inf leaving 0
-    cond_inf_prime       at least one of the two blow-ups
-    c1                   continuously differentiable on (0, 2*pi)
-    strictly_concave     strictly concave on (0, 2*pi)
+    cond_inf          (inf):  the limit at the glue point is -inf
+    cond_inf_prime    (inf'): the slope blows up there, to +inf leaving 0
+                      and to -inf approaching 2*pi; (inf) implies (inf')
+    c1                continuously differentiable on (0, 2*pi)
+    strictly_concave  strictly concave on (0, 2*pi)
+
+    No other flag is needed.  A concave kernel's glue limit is finite or
+    -inf, so "finite at the glue point" is not cond_inf; and no family
+    blows up on one side only, so one flag states both slope blow-ups.
     """
 
-    finite_at_zero: bool
     cond_inf: bool
-    cond_inf_prime_minus: bool
-    cond_inf_prime_plus: bool
     cond_inf_prime: bool
     c1: bool
     strictly_concave: bool
-
-
-def make_class(
-    *,
-    finite_at_zero,
-    cond_inf,
-    cond_inf_prime_minus=False,
-    cond_inf_prime_plus=False,
-    c1,
-    strictly_concave,
-) -> KernelClass:
-    # a -inf endpoint forces both one-sided slope blow-ups
-    minus = bool(cond_inf_prime_minus or cond_inf)
-    plus = bool(cond_inf_prime_plus or cond_inf)
-    if cond_inf and finite_at_zero:
-        raise ValidationError("kernel cannot be both finite and -inf at the glue point")
-    return KernelClass(
-        finite_at_zero=bool(finite_at_zero),
-        cond_inf=bool(cond_inf),
-        cond_inf_prime_minus=minus,
-        cond_inf_prime_plus=plus,
-        cond_inf_prime=minus or plus,
-        c1=bool(c1),
-        strictly_concave=bool(strictly_concave),
-    )
 
 
 class Kernel:
@@ -150,11 +124,8 @@ class LogSine(Kernel):
             d = 0.5 / np.tan(tt / 2.0)
         return np.where(tt == 0.0, INF if side == "right" else -INF, d)
 
-    def classify(self):
-        return make_class(
-            finite_at_zero=False, cond_inf=True, c1=True,
-            strictly_concave=True,
-        )
+    def classify(self):  # (inf) implies (inf')
+        return KernelClass(cond_inf=True, cond_inf_prime=True, c1=True, strictly_concave=True)
 
     def spec(self):
         return {"family": "log_sine"}
@@ -188,11 +159,8 @@ class Riesz(Kernel):
         # overflow keeps the sign of cos(t/2)
         return np.where(np.isposinf(d) & (c < 0), -INF, d)
 
-    def classify(self):
-        return make_class(
-            finite_at_zero=False, cond_inf=True, c1=True,
-            strictly_concave=True,
-        )
+    def classify(self):  # (inf) implies (inf')
+        return KernelClass(cond_inf=True, cond_inf_prime=True, c1=True, strictly_concave=True)
 
     def spec(self):
         return {"family": "riesz", "p": self.p}
@@ -213,10 +181,7 @@ class Tent(Kernel):
         return np.where((tt > PI) | (tt == 0.0), -1.0, 1.0)
 
     def classify(self):
-        return make_class(
-            finite_at_zero=True, cond_inf=False, c1=False,
-            strictly_concave=False,
-        )
+        return KernelClass(cond_inf=False, cond_inf_prime=False, c1=False, strictly_concave=False)
 
     def spec(self):
         return {"family": "tent"}
@@ -238,10 +203,7 @@ class Parabola(Kernel):
         return d
 
     def classify(self):
-        return make_class(
-            finite_at_zero=True, cond_inf=False, c1=True,
-            strictly_concave=True,
-        )
+        return KernelClass(cond_inf=False, cond_inf_prime=False, c1=True, strictly_concave=True)
 
     def spec(self):
         return {"family": "parabola"}
@@ -296,9 +258,7 @@ class TableKernel(Kernel):
         return self.slopes[idx]
 
     def classify(self):
-        return make_class(
-            finite_at_zero=True, cond_inf=False, c1=False, strictly_concave=False,
-        )
+        return KernelClass(cond_inf=False, cond_inf_prime=False, c1=False, strictly_concave=False)
 
     def spec(self):
         return {"family": "table", "points": [[float(a), float(b)] for a, b in zip(self.ts, self.vs)]}
@@ -336,8 +296,7 @@ class SumKernel(Kernel):
     family = "sum"
     value, deriv = Kernel.value, Kernel.deriv
 
-    def __init__(self, terms):
-        terms = tuple(terms)
+    def __init__(self, *terms):
         if not terms:
             raise ValidationError("sum kernel needs at least one term")
         self.terms = terms
@@ -358,11 +317,9 @@ class SumKernel(Kernel):
 
     def classify(self):
         cs = [k.classify() for k in self.terms]
-        return make_class(
-            finite_at_zero=all(c.finite_at_zero for c in cs),
+        return KernelClass(
             cond_inf=any(c.cond_inf for c in cs),
-            cond_inf_prime_minus=any(c.cond_inf_prime_minus for c in cs),
-            cond_inf_prime_plus=any(c.cond_inf_prime_plus for c in cs),
+            cond_inf_prime=any(c.cond_inf_prime for c in cs),
             c1=all(c.c1 for c in cs),
             strictly_concave=any(c.strictly_concave for c in cs),
         )
@@ -404,10 +361,8 @@ class Smoothed(Kernel):
     # --- the added term -------------------------------------------------
     def _term_value(self, tt):
         if self.kind == "bump":
-            u = tt - PI
-            if np.ndim(u) == 0:
-                return np.sqrt(np.maximum(PI * PI - u * u, 0.0)) / self.level
             # the same ufuncs in the same order, in place in one array
+            u = np.subtract(tt, PI, out=np.empty_like(tt))
             np.multiply(u, u, out=u)
             np.subtract(PI * PI, u, out=u)
             np.maximum(u, 0.0, out=u)
@@ -421,14 +376,9 @@ class Smoothed(Kernel):
 
     def _term_deriv(self, tt, side):
         if self.kind == "bump":
-            glue = INF if side == "right" else -INF
-            u = tt - PI
-            if np.ndim(u) == 0:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    d = -u / (self.level * np.sqrt(np.maximum(PI * PI - u * u, 0.0)))
-                return np.where(tt == 0.0, glue, d)
             # the same ufuncs in the same order, in place in two arrays
-            s = np.multiply(u, u)
+            u = np.subtract(tt, PI, out=np.empty_like(tt))
+            s = np.multiply(u, u, out=np.empty_like(tt))
             np.subtract(PI * PI, s, out=s)
             np.maximum(s, 0.0, out=s)
             np.sqrt(s, out=s)
@@ -436,7 +386,7 @@ class Smoothed(Kernel):
             np.negative(u, out=u)
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(u, s, out=u)
-            u[tt == 0.0] = glue
+            u[tt == 0.0] = INF if side == "right" else -INF
             return u
         lo_thr = (1.0 / self.level) if self.kind == "log_cusp" else 1.0 / self.level**2
         hi_thr = TWO_PI - lo_thr
@@ -465,22 +415,15 @@ class Smoothed(Kernel):
 
     def classify(self):
         b = self.base.classify()
+        # every kind blows the slope up at the glue point
         if self.kind == "bump":
-            return make_class(
-                finite_at_zero=b.finite_at_zero, cond_inf=b.cond_inf,
-                cond_inf_prime_minus=True, cond_inf_prime_plus=True,
-                c1=b.c1, strictly_concave=True,
-            )
-        if self.kind == "log_cusp":
-            return make_class(
-                finite_at_zero=False, cond_inf=True,
-                c1=False, strictly_concave=b.strictly_concave,
-            )
-        return make_class(
-            finite_at_zero=b.finite_at_zero, cond_inf=b.cond_inf,
-            cond_inf_prime_minus=True, cond_inf_prime_plus=True,
-            c1=False, strictly_concave=b.strictly_concave,
-        )
+            return KernelClass(cond_inf=b.cond_inf, cond_inf_prime=True,
+                               c1=b.c1, strictly_concave=True)
+        if self.kind == "log_cusp":  # (inf) implies (inf')
+            return KernelClass(cond_inf=True, cond_inf_prime=True,
+                               c1=False, strictly_concave=b.strictly_concave)
+        return KernelClass(cond_inf=b.cond_inf, cond_inf_prime=True,
+                           c1=False, strictly_concave=b.strictly_concave)
 
     def spec(self):
         return {
@@ -489,34 +432,15 @@ class Smoothed(Kernel):
         }
 
 
-# --- factories ------------------------------------------------------------
+# --- the public constructors are the classes ------------------------------
 
-def log_sine() -> Kernel:
-    return LogSine()
-
-
-def riesz(p: float) -> Kernel:
-    return Riesz(p)
-
-
-def tent() -> Kernel:
-    return Tent()
-
-
-def parabola() -> Kernel:
-    return Parabola()
-
-
-def table(ts, vs) -> Kernel:
-    return TableKernel(ts, vs)
-
-
-def weighted(base: Kernel, weight: float) -> Kernel:
-    return Weighted(base, weight)
-
-
-def kernel_sum(*terms) -> Kernel:
-    return SumKernel(terms)
+log_sine = LogSine
+riesz = Riesz
+tent = Tent
+parabola = Parabola
+table = TableKernel
+weighted = Weighted
+kernel_sum = SumKernel
 
 
 def approximant(k: Kernel, level, kind: str = "bump") -> Kernel:
@@ -563,7 +487,7 @@ def from_config(cfg) -> Kernel:
             raise ValidationError("weighted kernel config needs 'base' and 'weight'")
         return Weighted(from_config(cfg["base"]), cfg["weight"])
     if fam == "sum":
-        return SumKernel(from_config(c) for c in cfg.get("terms", []))
+        return SumKernel(*(from_config(c) for c in cfg.get("terms", [])))
     if fam == "smoothed":
         if "base" not in cfg or "level" not in cfg:
             raise ValidationError("smoothed kernel config needs 'base' and 'level'")

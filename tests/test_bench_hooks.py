@@ -6,12 +6,14 @@ built on it, so the hooks are checked here against the package itself.
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import equisum.cli as cli
 import equisum.solver as solver
 from equisum.evaluator import Problem
 from equisum.kernels import Kernel, approximant, from_config, log_sine, parabola, tent, weighted
@@ -69,7 +71,8 @@ def test_ladder_and_certificate_counters_fire():
     tr.install()
     try:
         tr.begin_task(0)
-        # a boundary cell: direct Newton stops at max_iter, the ladder follows
+        # from the default start, Newton with midpoint rows misses this cell's
+        # interior point: direct Newton stops at max_iter, the ladder follows
         solve_equioscillation(example, Permutation((3, 2, 1)),
                               SolveOptions(max_iter=2, homotopy_levels=(4,), secant_sweeps=1))
         # tent kinks: no Gordan verdict, so the axis probes certify
@@ -90,6 +93,24 @@ def test_solve_workload_keeps_a_kinked_minimax(seed):
     assert any(t.command[0] == "minimax"
                and not Problem(tuple(from_config(k) for k in t.config["kernels"])).all_c1
                for t in tasks)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_solve_workload_reaches_the_ladder_and_the_secant_stage(seed, tmp_path, capsys):
+    """bench/run.py requires solver.ladder_iters > 0 and solver.secant_sweeps > 0
+    on `solve`; some equioscillate or single-cell minimax task must still
+    reach a ladder rung and the secant stage."""
+    stages = set()
+    for i, t in enumerate(_load("workloads").build("solve", seed)):
+        if t.command not in (["equioscillate"], ["minimax"]):
+            continue
+        path = tmp_path / f"{i:03d}.json"
+        path.write_text(json.dumps(t.config))
+        capsys.readouterr()
+        cli.run(list(t.command) + ["--config", str(path), "--no-timestamp"])
+        stages |= {e["stage"] for e in json.loads(capsys.readouterr().out)["result"]["trace"]}
+    assert any(s.startswith("level:") for s in stages)
+    assert "secant" in stages
 
 
 def test_c1_minimax_runs_no_probe(monkeypatch):

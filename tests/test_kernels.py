@@ -61,18 +61,26 @@ def test_endpoint_behaviour():
 def test_classify_table():
     ls = log_sine().classify()
     assert ls.cond_inf and ls.cond_inf_prime and ls.c1 and ls.strictly_concave
-    assert not ls.finite_at_zero
 
     pb = parabola().classify()
-    assert pb.finite_at_zero and pb.c1 and pb.strictly_concave
+    assert not pb.cond_inf and pb.c1 and pb.strictly_concave
     assert not pb.cond_inf_prime
 
     tn = tent().classify()
-    assert tn.finite_at_zero and not tn.c1 and not tn.strictly_concave
+    assert not tn.cond_inf and not tn.c1 and not tn.strictly_concave
 
     sm = approximant(tent(), 7, "bump").classify()
     assert sm.strictly_concave
-    assert sm.cond_inf_prime_minus and sm.cond_inf_prime_plus
+    assert sm.cond_inf_prime
+
+
+def test_class_flags_match_the_glue_point():
+    for k in ALL_FAMILIES:
+        c = k.classify()
+        assert c.cond_inf == (k.value(0.0) == -math.inf), k
+        assert c.cond_inf_prime == (k.deriv(0.0, "right") == math.inf) \
+            == (k.deriv(0.0, "left") == -math.inf), k
+        assert c.cond_inf_prime or not c.cond_inf, k
 
 
 def test_concavity_random_triples():
