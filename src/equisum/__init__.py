@@ -17,7 +17,6 @@ from .torus import (
     NodeSystem,
     Permutation,
     arcs,
-    as_node_system,
     as_permutation,
     locate,
     min_gap,
@@ -98,7 +97,7 @@ __all__ = [
     "__version__",
     # torus
     "TWO_PI", "ValidationError", "NodeSystem", "Permutation",
-    "arcs", "as_node_system", "as_permutation", "locate", "min_gap",
+    "arcs", "as_permutation", "locate", "min_gap",
     "node_dist", "reduce_angle", "torus_dist",
     # kernels
     "CapabilityError", "Kernel", "KernelClass", "approximant", "from_config",

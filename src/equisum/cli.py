@@ -36,7 +36,7 @@ from .extremal import (
     solve_gtp,
 )
 from .solver import SolveOptions, minimax, minimax_global, maximin, solve_equioscillation
-from .torus import TWO_PI, NodeSystem, Permutation, ValidationError, as_node_system, locate
+from .torus import TWO_PI, NodeSystem, Permutation, ValidationError, locate, node_angles
 
 OK, FLAGGED, ERROR = 0, 2, 1
 
@@ -130,10 +130,7 @@ def _nodes_from(cfg, n):
     nodes = cfg.get("nodes")
     if nodes is None:
         raise ValidationError("no nodes given (config 'nodes' or --nodes)")
-    ns = as_node_system(nodes)
-    if ns.n != n:
-        raise ValidationError(f"expected {n} nodes, got {ns.n}")
-    return ns
+    return NodeSystem(node_angles(nodes, n))
 
 
 def _sigma_from(cfg, args, n):

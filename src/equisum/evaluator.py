@@ -29,10 +29,9 @@ from .torus import (
     TWO_PI,
     Permutation,
     ValidationError,
-    arcs,
-    as_node_system,
+    _cuts,
     as_permutation,
-    reduce_angle,
+    node_positions,
 )
 
 INF = math.inf
@@ -104,23 +103,19 @@ class Problem:
 
 def sum_translates(p: Problem, y, t):
     """F(y, t); scalar or array t.  -inf at singular nodes."""
-    ns = as_node_system(y)
-    if ns.n != p.n:
-        raise ValidationError(f"node system has {ns.n} nodes, problem expects {p.n}")
-    return sum_translates_full(p, ns.full_positions(), t)
+    return sum_translates_full(p, node_positions(y, p.n), t)
 
 
 def sum_translates_full(p: Problem, positions, t):
-    """Sum of all kernels at explicit positions (no fixed node assumed)."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.size != len(p.kernels):
-        raise ValidationError(
-            f"{pos.size} positions for {len(p.kernels)} kernels"
-        )
+    """Sum of all kernels, in kernel order, at explicit positions (no fixed
+    node assumed): (n+1,), or (n+1, c), one per column of t, as in _slopes."""
+    pos = np.atleast_1d(np.asarray(positions, dtype=float))
+    if len(pos) != len(p.kernels):
+        raise ValidationError(f"{len(pos)} positions for {len(p.kernels)} kernels")
     tt = np.asarray(t, dtype=float)
     acc = np.zeros(tt.shape, dtype=float)
-    for j, k in enumerate(p.kernels):
-        acc = acc + np.asarray(k.value(tt - pos[j]))
+    for k, at in zip(p.kernels, pos):
+        acc = acc + np.asarray(k.value(tt - at))
     if np.ndim(t) == 0:
         return float(acc)
     return acc
@@ -376,10 +371,7 @@ def _arc_maxima(p: Problem, pos, los, his, tol_z):
     t_right = np.maximum(t_right, t_left)
     z = 0.5 * (t_left + t_right)
     z = np.where(degenerate, los, z)
-    # F at z: sum_translates_full's sum, in its kernel order
-    m = np.zeros(z.shape)
-    for kern, at in zip(p.kernels, cols):
-        m = m + np.asarray(kern.value(z - at))
+    m = sum_translates_full(p, cols, z)
 
     b_tol = max(4.0 * tol_z, 1e-12)
     on_boundary = degenerate | (z - los <= b_tol) | (his - z <= b_tol)
@@ -396,18 +388,14 @@ def profile(p: Problem, y, sigma, *, tol_z: float = TOL_Z):
     profile of its system alone.
     """
     batch = isinstance(y, np.ndarray) and y.ndim == 2
-    ys = y if batch else np.atleast_1d(np.asarray(getattr(y, "values", y), dtype=float))[None]
-    if ys.shape[1] != p.n:
-        raise ValidationError(f"node system has {ys.shape[1]} nodes, problem expects {p.n}")
+    pos = np.atleast_2d(node_positions(y, p.n))
     sig = as_permutation(sigma, p.n)
-    cuts = arcs(ys, sig)
-    # the node positions, the fixed node first (NodeSystem.full_positions)
-    pos = np.concatenate((np.zeros((len(ys), 1)), reduce_angle(ys)), axis=1)
+    cuts = _cuts(pos[:, 1:], sig)
     z, m, onb, uni = _arc_maxima(p, pos, cuts[:, :-1], cuts[:, 1:], tol_z)
     profs = [
         ArcProfile(sigma=sig, positions=pos[b], cuts=cuts[b], z_trav=z[b], m_trav=m[b],
                    z_on_boundary_trav=onb[b], unique_trav=uni[b])
-        for b in range(len(ys))
+        for b in range(len(pos))
     ]
     return profs if batch else profs[0]
 

@@ -26,22 +26,14 @@ from .torus import (
     TWO_PI,
     NodeSystem,
     ValidationError,
-    as_node_system,
     as_permutation,
-    reduce_angle,
+    node_angles,
+    node_positions,
 )
 
 DEFAULT_SEED = 12345
 MAJORIZATION_TOL = 1e-12  # m-vector differences within it count as equal
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _node_system(p: Problem, y) -> NodeSystem:
-    """y as a node system of p's free nodes (checked here, not by the evaluator)."""
-    ns = as_node_system(y)
-    if ns.n != p.n:
-        raise ValidationError(f"node system has {ns.n} nodes, problem expects {p.n}")
-    return ns
 
 
 def _F(p: Problem, positions, ts):
@@ -99,6 +91,14 @@ def _golden_max(p: Problem, positions, lo, hi, iters=80):
     return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
+def _sorted_arcs(positions):
+    """(lo, hi) of the arcs between consecutive nodes on the circle, from
+    the sorted rows of positions (..., n+1) alone."""
+    ends = np.full(positions.shape[:-1] + (1,), TWO_PI)
+    cuts = np.concatenate((np.sort(positions, axis=-1), ends), axis=-1)
+    return cuts[..., :-1], cuts[..., 1:]
+
+
 def _grid_sups(p: Problem, positions, resolution: int, refine: bool):
     """grid_sup for each row of positions (B, n+1), full node vectors with
     node 0 first."""
@@ -109,9 +109,7 @@ def _grid_sups(p: Problem, positions, resolution: int, refine: bool):
         return best
     # F is concave between consecutive nodes, so one golden run per arc
     # nails every mode -- including narrow kink spikes the grid undersamples
-    cuts = np.concatenate((np.zeros((B, 1)), np.sort(positions, axis=1),
-                           np.full((B, 1), TWO_PI)), axis=1)
-    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    lo, hi = _sorted_arcs(positions)
     row, arc = np.nonzero(np.isfinite(best)[:, None] & ~(hi - lo <= 1e-13))
     _, refined = _golden_max(p, positions[row], lo[row, arc], hi[row, arc])
     per_arc = np.full(lo.shape, -math.inf)
@@ -128,12 +126,12 @@ def grid_sup(p: Problem, y, resolution: int = 4096, refine: bool = True) -> floa
     F is concave there — so narrow kink spikes whose sampled neighbourhood
     ranks below a smooth mode are still found.
     """
-    ns = _node_system(p, y)
+    positions = node_positions(y, p.n)
     if resolution < 10 * (p.n + 1):
         raise ValidationError(
             f"resolution {resolution} too coarse; need at least {10 * (p.n + 1)}"
         )
-    return float(_grid_sups(p, ns.full_positions()[None, :], resolution, refine)[0])
+    return float(_grid_sups(p, positions[None, :], resolution, refine)[0])
 
 
 def _check_arc_resolution(resolution):
@@ -164,18 +162,17 @@ def _arc_sups(p: Problem, positions, lo, hi, resolution):
     return t, v
 
 
-def _profiles(p: Problem, systems, sig, resolution):
-    """Arc maxima (z, m), each (len(systems), n+1) in traversal order, of
-    node systems in the closed cell of sig, all arcs in one batch."""
-    positions, cuts = [], []
-    for ns in systems:
-        slots = np.concatenate(([0.0], sig.slots(ns.values), [TWO_PI]))
-        if np.any(np.diff(slots) < -1e-9):
-            raise ValidationError("node system does not lie in the closed cell of sigma")
-        positions.append(ns.full_positions())
-        cuts.append(np.maximum.accumulate(slots))
-    cuts = np.array(cuts)
+def _profiles(p: Problem, slots, sig, resolution):
+    """Arc maxima (z, m), each (B, n+1) in traversal order, of the node
+    systems whose angles in slot order are the rows of slots (B, n), all in
+    the closed cell of sig; all arcs in one batch."""
+    ends = np.zeros((len(slots), 1))
+    cuts = np.concatenate((ends, slots, ends + TWO_PI), axis=1)
+    if np.any(np.diff(cuts, axis=1) < -1e-9):
+        raise ValidationError("node system does not lie in the closed cell of sigma")
+    cuts = np.maximum.accumulate(cuts, axis=1)
     arcs = cuts.shape[1] - 1
+    positions = node_positions(sig.nodes(slots))
     z, m = _arc_sups(p, np.repeat(positions, arcs, axis=0), cuts[:, :-1].ravel(),
                      cuts[:, 1:].ravel(), resolution)
     return z.reshape(-1, arcs), m.reshape(-1, arcs)
@@ -184,9 +181,9 @@ def _profiles(p: Problem, systems, sig, resolution):
 def grid_profile(p: Problem, y, sigma, resolution: int = 512):
     """Arc-wise grid maxima: (labels, z, m) in traversal order."""
     _check_arc_resolution(resolution)
-    ns = _node_system(p, y)
-    sig = as_permutation(sigma, ns.n)
-    z, m = _profiles(p, [ns], sig, resolution)
+    angles = node_angles(y, p.n)
+    sig = as_permutation(sigma, p.n)
+    z, m = _profiles(p, sig.slots(angles)[None], sig, resolution)
     return (0,) + sig.sigma, z[0], m[0]
 
 
@@ -232,14 +229,15 @@ def grid_minimax(
     R = int(node_resolution)
     if R < 4:
         raise ValidationError("node_resolution too small")
+    if t_resolution < 10 * (n + 1):
+        raise ValidationError(
+            f"t_resolution {t_resolution} too coarse; need at least {10 * (n + 1)}")
     g = TWO_PI * (np.arange(R) + 1.0) / (R + 1.0)  # strictly interior grid
     ts = np.arange(t_resolution) * (TWO_PI / t_resolution)
     base = p.kernels[0].value(ts)  # anchored kernel
+    kernels_in_slots = [p.kernels[j] for j in sig.sigma]
     # V[k][i, :] = kernel for slot k evaluated at ts - g[i]
-    V = []
-    for k in range(1, n + 1):
-        kern = p.kernels[sig.sigma[k - 1]]
-        V.append(kern.value(ts[None, :] - g[:, None]))
+    V = [kern.value(ts[None, :] - g[:, None]) for kern in kernels_in_slots]
 
     best = math.inf
     best_idx = None
@@ -262,7 +260,7 @@ def grid_minimax(
         raise ValidationError("sweep found no interior configuration")
 
     def nodes_of(slot_values):
-        return NodeSystem(tuple(sig.nodes(slot_values)))
+        return NodeSystem(sig.nodes(slot_values))
 
     coarse_slots = [float(g[i]) for i in best_idx]
     coarse_nodes = nodes_of(coarse_slots)
@@ -277,16 +275,12 @@ def grid_minimax(
     value = coarse_value
     per_axis = {1: 129, 2: 33, 3: 9}[n]
     rescores = 8  # raw-grid ranking is biased near kinks; check several
-    kernels_in_slots = [p.kernels[sig.sigma[k]] for k in range(n)]
     ts_fine = np.arange(2048) * (TWO_PI / 2048)
     base_fine = p.kernels[0].value(ts_fine)
 
     def exact(cand):
         # grid_sup(p, nodes_of(c), 4096) of every candidate row c in one batch
-        nodes = np.empty_like(cand)
-        nodes[:, np.asarray(sig.sigma) - 1] = cand
-        positions = np.concatenate((np.zeros((len(cand), 1)), reduce_angle(nodes)), axis=1)
-        return _grid_sups(p, positions, 4096, refine=True)
+        return _grid_sups(p, node_positions(sig.nodes(cand)), 4096, refine=True)
 
     def cell_mask(cand):
         ok = np.all((cand > 1e-9) & (cand < TWO_PI - 1e-9), axis=1)
@@ -395,6 +389,8 @@ def check_sandwich(
     is reported with its margin.
     """
     _check_arc_resolution(resolution)
+    if samples < 0:
+        raise ValidationError(f"samples must be at least 0, got {samples}")
     sig = as_permutation(sigma, p.n)
     if m_estimate is None:
         gm = grid_minimax(p, sig)
@@ -403,30 +399,26 @@ def check_sandwich(
     rng = np.random.default_rng(seed)
     n = p.n
 
-    tested = []
-    eq = TWO_PI * np.arange(1, n + 1) / (n + 1)
-    tested.append(("equidistant", eq))
-    for i, extra in enumerate(include):
-        tested.append((f"include[{i}]", sig.slots(_node_system(p, extra).values)))
-    for i in range(samples):
-        tested.append((f"sample[{i}]", _sample_cell(rng, n)))
-
-    systems = [NodeSystem(tuple(sig.nodes(slots))) for _, slots in tested]
-    _, profiles = _profiles(p, systems, sig, resolution)
+    include = [sig.slots(node_angles(extra, n)) for extra in include]
+    names = (["equidistant"] + [f"include[{i}]" for i in range(len(include))]
+             + [f"sample[{i}]" for i in range(samples)])
+    slots = np.array([TWO_PI * np.arange(1, n + 1) / (n + 1)] + include
+                     + [_sample_cell(rng, n) for _ in range(samples)])
+    _, profiles = _profiles(p, slots, sig, resolution)
     violations = []
-    for (name, _), ns, ms in zip(tested, systems, profiles):
+    for name, row, ms in zip(names, slots, profiles):
         m_lo = float(np.min(ms))
         m_hi = float(np.max(ms))
         if m_lo > m_estimate + tol:
             violations.append(
                 {"point": name, "kind": "min_arc_max_above_M",
-                 "nodes": [float(v) for v in ns.values],
+                 "nodes": sig.nodes(row).tolist(),
                  "margin": m_lo - m_estimate}
             )
         if m_hi < m_estimate - tol:
             violations.append(
                 {"point": name, "kind": "max_arc_max_below_M",
-                 "nodes": [float(v) for v in ns.values],
+                 "nodes": sig.nodes(row).tolist(),
                  "margin": m_estimate - m_hi}
             )
     return SandwichReport(
@@ -544,11 +536,12 @@ def convergence_probe(
     from .kernels import approximant
 
     _check_arc_resolution(resolution)
-    ns = _node_system(p, y)
-    positions = ns.full_positions()
-    cuts = np.concatenate((np.sort(positions), [TWO_PI]))
-    wide = ~(np.diff(cuts) <= 1e-13)
-    lo, hi = cuts[:-1][wide], cuts[1:][wide]
+    if len(levels) == 0:
+        raise ValidationError("convergence_probe needs at least one level")
+    positions = node_positions(y, p.n)
+    lo, hi = _sorted_arcs(positions)
+    wide = ~(hi - lo <= 1e-13)
+    lo, hi = lo[wide], hi[wide]
     batch = np.broadcast_to(positions, (len(lo), len(positions)))
 
     def sorted_m(q: Problem):

@@ -32,7 +32,7 @@ from .torus import (
     ValidationError,
     as_permutation,
     min_gap,
-    reduce_angle,
+    node_angles,
 )
 
 INF = math.inf
@@ -307,10 +307,7 @@ def _initial_nodes(p, sig, opts: SolveOptions) -> np.ndarray:
         if start == "coarse_grid":
             return _coarse_grid_start(p, sig, opts)
         raise ValidationError(f"unknown start {start!r}")
-    y = reduce_angle(np.atleast_1d(np.asarray(start, dtype=float)))
-    if y.shape != (p.n,):
-        raise ValidationError(f"start has {y.size} nodes, problem expects {p.n}")
-    return y
+    return NodeSystem(node_angles(start, p.n)).array
 
 
 def _spread_nodes(y_vec, sig) -> np.ndarray:

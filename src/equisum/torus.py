@@ -86,6 +86,29 @@ def node_dist(x, y):
     return float(np.max(torus_dist(xv, yv)))
 
 
+def node_angles(y, n=None) -> np.ndarray:
+    """The angles of one node system (a NodeSystem, sequence or array), or
+    of a (B, n) array of them, as a new array reduced into [0, 2*pi).  The
+    one check of a node system entering the package: raises on a non-finite
+    angle, on no free node, and, when n is given, on a count other than n."""
+    vals = np.atleast_1d(np.asarray(getattr(y, "values", y), dtype=float))
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise ValidationError(f"node angle not finite: {float(vals[~finite][0])!r}")
+    if vals.shape[-1] == 0:
+        raise ValidationError("a node system needs at least one free node")
+    if n is not None and vals.shape[-1] != n:
+        raise ValidationError(f"node system has {vals.shape[-1]} nodes, problem expects {n}")
+    return reduce_angle(vals)
+
+
+def node_positions(y, n=None) -> np.ndarray:
+    """node_angles(y, n) with the fixed node's 0 in front: all n+1 node
+    positions, (n+1,) or (B, n+1)."""
+    angles = node_angles(y, n)
+    return np.concatenate((np.zeros(angles.shape[:-1] + (1,)), angles), axis=-1)
+
+
 @dataclass(frozen=True)
 class NodeSystem:
     """n free node angles, reduced into [0, 2*pi).  Node 0 at angle 0 is implicit."""
@@ -93,13 +116,7 @@ class NodeSystem:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(reduce_angle(v)) for v in self.values)
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValidationError(f"node angle not finite: {v!r}")
-        if len(vals) < 1:
-            raise ValidationError("a node system needs at least one free node")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(map(float, node_angles(self.values))))
 
     @property
     def n(self) -> int:
@@ -111,13 +128,7 @@ class NodeSystem:
 
     def full_positions(self) -> np.ndarray:
         """Positions of all n+1 nodes: the fixed one at 0, then y_1..y_n."""
-        return np.concatenate(([0.0], self.array))
-
-
-def as_node_system(y) -> NodeSystem:
-    if isinstance(y, NodeSystem):
-        return y
-    return NodeSystem(tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist()))
+        return node_positions(self)
 
 
 @dataclass(frozen=True)
@@ -146,14 +157,13 @@ class Permutation:
         return (0,) + self.sigma
 
     def slots(self, values) -> np.ndarray:
-        """Per-node values (node j at position j-1) rearranged in slot order."""
-        return np.asarray(values, dtype=float)[np.asarray(self.sigma) - 1]
+        """Per-node values (node j at position j-1) rearranged in slot order;
+        values is (n,) or a (B, n) batch."""
+        return np.asarray(values, dtype=float)[..., np.asarray(self.sigma) - 1]
 
     def nodes(self, slots) -> np.ndarray:
         """Inverse of slots: slot k's value goes to node sigma(k)."""
-        out = np.empty(self.n)
-        out[np.asarray(self.sigma) - 1] = slots
-        return out
+        return np.asarray(slots, dtype=float)[..., np.argsort(self.sigma)]
 
 
 def as_permutation(sigma, n=None) -> Permutation:
@@ -170,7 +180,7 @@ def locate(y) -> Permutation | None:
     """The ordering cell a node system lies inside, or None when it sits on
     a cell face: two free nodes within ANGLE_TOL of each other, or one
     within ANGLE_TOL of the fixed node at 0 (from either side)."""
-    vals = as_node_system(y).array
+    vals = node_angles(y)
     order = np.argsort(vals, kind="stable")
     s = vals[order]
     if s[0] <= ANGLE_TOL or TWO_PI - s[-1] <= ANGLE_TOL or np.any(np.diff(s) <= ANGLE_TOL):
@@ -189,22 +199,23 @@ def arcs(y, sigma) -> np.ndarray:
     inversions are clamped to the running maximum.  Degenerate arcs are
     allowed: they arise on ordering-cell faces.
     """
-    vals = np.atleast_1d(np.asarray(getattr(y, "values", y), dtype=float))
-    finite = np.isfinite(vals)
-    if not finite.all():
-        raise ValidationError(f"node angle not finite: {float(vals[~finite][0])!r}")
-    n = vals.shape[-1]
+    return _cuts(node_angles(y), sigma)
+
+
+def _cuts(angles, sigma) -> np.ndarray:
+    """arcs() of angles that node_angles has already checked and reduced."""
+    n = angles.shape[-1]
     sig = as_permutation(sigma, n)
     if sig.n != n:
         raise ValidationError(f"sigma has size {sig.n}, node system has {n}")
-    slots = reduce_angle(vals).take(np.subtract(sig.sigma, 1), axis=-1)
-    ends = np.zeros(vals.shape[:-1] + (1,))
+    slots = sig.slots(angles)
+    ends = np.zeros(angles.shape[:-1] + (1,))
     cuts = np.maximum.accumulate(np.concatenate((ends, slots, ends + TWO_PI), axis=-1), axis=-1)
     low = slots < cuts[..., :-2] - ANGLE_TOL
     if low.any():
         at = np.argwhere(low)[0]
         k = int(at[-1])
-        where = f" in row {int(at[0])}" if vals.ndim == 2 else ""
+        where = f" in row {int(at[0])}" if angles.ndim == 2 else ""
         raise ValidationError(
             f"ordering incompatible with angles{where}: slot {k + 1} has "
             f"{float(slots[tuple(at)])} < {float(cuts[tuple(at)])}"
@@ -214,7 +225,6 @@ def arcs(y, sigma) -> np.ndarray:
 
 def min_gap(y) -> float:
     """Smallest gap between consecutive nodes, anchor and wrap included."""
-    ns = as_node_system(y)
-    pos = np.sort(np.concatenate(([0.0], ns.array)))
+    pos = np.sort(node_positions(y))
     gaps = np.diff(np.concatenate((pos, [TWO_PI])))
     return float(np.min(gaps))

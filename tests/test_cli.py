@@ -321,6 +321,19 @@ def test_verify_grid_minimax(tmp_path, capsys):
     assert math.isclose(doc["result"]["value"], -math.log(2.0), abs_tol=1e-8)
 
 
+@pytest.mark.parametrize("degrees", [False, True], ids=["radians", "degrees"])
+def test_nodes_flag_matches_config_nodes(tmp_path, capsys, degrees):
+    nodes = [170.0, 95.0, 260.0] if degrees else EX_CONFIG["nodes"]
+    flags = ["--no-timestamp"] + (["--degrees"] if degrees else [])
+    outs = []
+    for cfg, extra in ((dict(EX_CONFIG, nodes=nodes), []),
+                       ({"kernels": EX_CONFIG["kernels"]}, ["--nodes", ",".join(map(repr, nodes))])):
+        assert run(["profile", "--config", write_config(tmp_path, cfg)] + flags + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["result"]["nodes"] == pytest.approx(nodes)
+
+
 def test_no_timestamp_is_byte_stable(tmp_path, capsys):
     path = write_config(tmp_path, dict(EX_CONFIG, t=[0.0, 1.0]))
     run(["eval", "--config", path, "--no-timestamp"])
@@ -463,6 +476,25 @@ def test_error_paths_exit_one(tmp_path, capsys):
         assert run(["profile", "--config", write_config(tmp_path, cfg, "c9.json")]) == 1
         captured = capsys.readouterr()
         assert "cell face" in captured.err and captured.out == ""
+
+    # grid-minimax on a circle grid below 10 * (n + 1) points: 0 used to
+    # raise ZeroDivisionError out of run()
+    cfg = dict(LOGSINE_CONFIG, t_resolution=0)
+    assert run(["verify", "--config", write_config(tmp_path, cfg, "c10.json"),
+                "--check", "grid-minimax", "--sigma", "1,2"]) == 1
+    assert capsys.readouterr().err == "error: t_resolution 0 too coarse; need at least 30\n"
+
+    # a convergence check with no level has nothing to check
+    cfg = dict(EX_CONFIG, levels=[])
+    assert run(["verify", "--config", write_config(tmp_path, cfg, "c11.json"),
+                "--check", "convergence"]) == 1
+    assert "error: convergence_probe needs at least one level" in capsys.readouterr().err
+
+    # a non-finite node is named as given, not as its reduction (nan)
+    cfg = dict(EX_CONFIG, t=0.0)
+    assert run(["eval", "--config", write_config(tmp_path, cfg, "c12.json"),
+                "--nodes", "inf"]) == 1
+    assert capsys.readouterr().err == "error: node angle not finite: inf\n"
 
     # a sandwich include point with one node too many
     cfg = dict(LOGSINE_CONFIG, m_estimate=0.0, samples=1, include=[[2.0, 3.0, 4.0]])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from equisum import evaluator
+from equisum import evaluator, torus
 from equisum.evaluator import (
     TOL_Z,
     _GLUE_CLEAR,
@@ -75,6 +75,11 @@ def test_sum_translates_full_no_anchor():
     # explicit positions need not include 0
     v = sum_translates_full(p, [1.0, 2.0], 1.5)
     assert math.isclose(v, tent().value(0.5) + tent().value(-0.5 + TWO_PI))
+    # per-column positions (n+1, c): column c of t is placed by pos[:, c]
+    pos = np.array([[1.0, 0.0, 3.0], [2.0, 4.0, 5.0]])
+    ts = np.array([1.5, 0.3, 6.0])
+    assert sum_translates_full(p, pos, ts).tolist() == [
+        sum_translates_full(p, pos[:, c], ts[c]) for c in range(3)]
 
 
 def test_profile_equioscillation_point():
@@ -216,6 +221,23 @@ def test_profile_positions_are_its_own_reduced_nodes():
     ys += 0.1
     for prof in profs:
         assert prof.positions.tolist() == want
+
+
+def test_profile_reduces_the_angles_once(monkeypatch):
+    """One reduction per call, for one system or a batch: the cuts and the
+    positions come from the same reduced angles."""
+    calls = []
+    reduce = torus.reduce_angle
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return reduce(t)
+
+    monkeypatch.setattr(torus, "reduce_angle", counted)
+    monkeypatch.setattr(evaluator, "reduce_angle", counted, raising=False)
+    profile(EX_P, E_POINT, E_SIGMA)
+    profile(EX_P, np.array([E_POINT, E_POINT]), E_SIGMA)
+    assert calls == [(3,), (2, 3)]
 
 
 def test_profile_requires_compatible_sigma():

@@ -66,21 +66,6 @@ def test_grid_sup_resolution_contract():
         grid_sup(EX_P, E_POINT, 30)  # below 10 * (n + 1)
 
 
-@pytest.mark.parametrize("y", [(2.0, 3.0, 4.0), (2.0,)], ids=["extra", "missing"])
-def test_oracles_check_the_node_count(y):
-    """Every oracle that takes nodes rejects a count other than the
-    problem's n, as profile() does: an extra node would cut an arc whose
-    kernel is never summed, and a missing one would index past the nodes."""
-    sig = (1, 2, 3)[:len(y)]
-    calls = [lambda: grid_sup(LOGSINE_3, y, 4096),
-             lambda: grid_profile(LOGSINE_3, y, sig),
-             lambda: convergence_probe(LOGSINE_3, y, levels=(4,)),
-             lambda: check_sandwich(LOGSINE_3, (1, 2), m_estimate=0.0, samples=1, include=[y])]
-    for call in calls:
-        with pytest.raises(ValidationError, match=f"{len(y)} nodes, problem expects 2"):
-            call()
-
-
 def test_grid_profile_traversal_order():
     labels, z, m = grid_profile(EX_P, E_POINT, E_SIGMA)
     assert labels == (0, 2, 1, 3)
@@ -135,6 +120,11 @@ def test_grid_minimax_validates():
         grid_minimax(Problem(tuple(tent() for _ in range(5))), (1, 2, 3, 4))
     with pytest.raises(ValidationError):
         grid_minimax(LOGSINE_3, (1, 2), node_resolution=2)
+    # the circle grid needs grid_sup's 10 * (n + 1) points: 0 once divided
+    # by zero, and -4 failed on an empty maximum
+    for t_resolution in (0, -4, 29):
+        with pytest.raises(ValidationError, match=f"t_resolution {t_resolution} too coarse"):
+            grid_minimax(LOGSINE_3, (1, 2), t_resolution=t_resolution)
 
 
 def test_sandwich_clean_on_smooth_problem():
@@ -143,6 +133,15 @@ def test_sandwich_clean_on_smooth_problem():
     assert rep.ok
     assert rep.violations == []
     assert rep.samples == 50
+
+
+def test_sandwich_rejects_negative_samples():
+    """samples=-3 used to report "samples": -3 after testing no random
+    point; 0 still tests the equidistant point alone."""
+    with pytest.raises(ValidationError, match="samples must be at least 0, got -3"):
+        check_sandwich(LOGSINE_3, (1, 2), m_estimate=0.0, samples=-3)
+    rep = check_sandwich(LOGSINE_3, (1, 2), m_estimate=-2 * math.log(2.0), samples=0)
+    assert rep.ok and rep.samples == 0
 
 
 def test_sandwich_self_estimate_widens_tol():
@@ -209,6 +208,12 @@ def test_convergence_probe_decreasing_and_bounded():
     assert devs[-1] < 1e-9
     d = tab.to_dict()
     assert d["decreasing"] and len(d["rows"]) == 4
+
+
+def test_convergence_probe_rejects_empty_levels():
+    # no level gave rows [] and decreasing true: a check that checks nothing
+    with pytest.raises(ValidationError, match="at least one level"):
+        convergence_probe(EX_P, E_POINT, levels=())
 
 
 def test_interval_gap_chebyshev():

@@ -1,16 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from equisum import torus
+from equisum.cli import run
+from equisum.evaluator import Problem, profile, sum_translates
+from equisum.kernels import log_sine
+from equisum.oracle import check_sandwich, convergence_probe, grid_profile, grid_sup
+from equisum.solver import SolveOptions, solve_equioscillation
 from equisum.torus import (
     TWO_PI,
     NodeSystem,
     Permutation,
     ValidationError,
     arcs,
-    as_node_system,
     as_permutation,
     locate,
     min_gap,
@@ -121,8 +126,54 @@ def test_node_system_reduces_and_rejects():
         NodeSystem(())
 
 
+LOGSINE_3 = Problem((log_sine(), log_sine(), log_sine()))
+# every library entry point that takes the nodes of LOGSINE_3 (n = 2)
+NODE_ENTRY_POINTS = {
+    "sum_translates": lambda y: sum_translates(LOGSINE_3, y, 1.0),
+    "profile": lambda y: profile(LOGSINE_3, y, (1, 2)),
+    "start": lambda y: solve_equioscillation(LOGSINE_3, (1, 2), SolveOptions(start=y)),
+    "grid_sup": lambda y: grid_sup(LOGSINE_3, y, 4096),
+    "grid_profile": lambda y: grid_profile(LOGSINE_3, y, (1, 2)),
+    "convergence_probe": lambda y: convergence_probe(LOGSINE_3, y, levels=(4,)),
+    "sandwich_include": lambda y: check_sandwich(LOGSINE_3, (1, 2), m_estimate=0.0,
+                                                 samples=1, include=[y]),
+}
+
+
+@pytest.mark.parametrize("y", [(2.0, 3.0, 4.0), (2.0,)], ids=["extra", "missing"])
+@pytest.mark.parametrize("entry", [*NODE_ENTRY_POINTS, "cli"])
+def test_every_entry_point_checks_the_node_count(entry, y, tmp_path, capsys):
+    """Every way nodes come in rejects a count other than the problem's n
+    with the one message of node_angles: an extra node would cut an arc
+    whose kernel is never summed, and a missing one would index past the
+    nodes."""
+    message = f"node system has {len(y)} nodes, problem expects 2"
+    if entry == "cli":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kernels": [{"family": "log_sine"}] * 3}))
+        assert run(["profile", "--config", str(cfg), "--nodes", ",".join(map(str, y))]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            NODE_ENTRY_POINTS[entry](y)
+
+
+def test_node_angles_checks_and_reduces():
+    assert torus.node_angles([TWO_PI + 0.5, -1.0], 2).tolist() == [0.5, TWO_PI - 1.0]
+    batch = torus.node_angles(np.array([[1.0, 7.0], [2.0, -3.0]]), 2)
+    assert batch.tolist() == [[1.0, 7.0 - TWO_PI], [2.0, TWO_PI - 3.0]]
+    assert torus.node_positions(batch).tolist() == [[0.0, *batch[0]], [0.0, *batch[1]]]
+    for bad, name in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
+        with pytest.raises(ValidationError, match=f"not finite: {name}$"):
+            torus.node_angles([1.0, bad])
+        with pytest.raises(ValidationError, match=f"not finite: {name}$"):
+            NodeSystem((bad,))
+    with pytest.raises(ValidationError, match="at least one free node"):
+        torus.node_angles(np.empty((3, 0)))
+
+
 def test_full_positions_has_anchor():
-    ns = as_node_system([1.0, 2.0])
+    ns = NodeSystem((1.0, 2.0))
     pos = ns.full_positions()
     assert pos[0] == 0.0
     assert np.allclose(pos[1:], [1.0, 2.0])
