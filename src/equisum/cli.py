@@ -36,7 +36,7 @@ from .extremal import (
     solve_gtp,
 )
 from .solver import SolveOptions, minimax, minimax_global, maximin, solve_equioscillation
-from .torus import TWO_PI, NodeSystem, Permutation, ValidationError, locate, node_angles
+from .torus import TWO_PI, NodeSystem, ValidationError, as_permutation, locate, node_angles
 
 OK, FLAGGED, ERROR = 0, 2, 1
 
@@ -137,12 +137,7 @@ def _sigma_from(cfg, args, n):
     raw = cfg.get("sigma")
     if getattr(args, "sigma", None):
         raw = [int(v) for v in args.sigma.split(",")]
-    if raw is None:
-        return None
-    sig = Permutation(tuple(int(v) for v in raw))
-    if sig.n != n:
-        raise ValidationError(f"sigma has {sig.n} entries but the problem has {n} free nodes")
-    return sig
+    return None if raw is None else as_permutation(raw, n)
 
 
 def _sigma_or_locate(cfg, args, ns: NodeSystem):
@@ -265,8 +260,7 @@ def _solve_common(cfg, args, fn):
         glob = minimax_global(p, opts, max_permutations=int(cfg.get("max_permutations", 6)))
         rep, result = glob.best, glob.to_dict()
     else:
-        sig = _sigma_from(cfg, args, p.n)
-        rep = fn(p, Permutation.identity(p.n) if sig is None else sig, opts)
+        rep = fn(p, _sigma_from(cfg, args, p.n), opts)
         result = rep.to_dict()
     flagged = not rep.converged or (
         fn is minimax and not rep.flags.get("local_min_certified", True))

@@ -7,6 +7,13 @@ cell; problems whose kernels have kinks or lack endpoint slope blow-up are
 driven through a ladder of regularized kernels (warm-started homotopy) and
 finished on the exact kernels, with a coordinate-secant polish as the last
 resort.
+
+A ladder rung only warm-starts the next, so every rung but the last stops
+at residual max(tol_residual, level**-2): the bump term moves F by at most
+pi/level, neighbouring rungs differ by O(1/level), and level**-2 is a
+factor of level below that.  The last rung keeps tol_residual: the exact
+stages start from it, and on kinked kernels the secant polish, which
+gains little per sweep, finishes only from a start that is already close.
 """
 from __future__ import annotations
 
@@ -332,9 +339,11 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
 
     Strategy: Newton on the exact kernels when their slopes are usable;
     otherwise (or on failure) a warm-started ladder of regularized problems,
-    finished on the exact kernels with Newton and a secant polish.  A
-    collapse of two nodes is retried from a spread-apart restart before the
-    boundary_suspected verdict is final.
+    finished on the exact kernels with Newton and a secant polish.  Rungs
+    before the last stop at max(tol_residual, level**-2); the last rung, the
+    direct stage and the exact endgame run to tol_residual (see the module
+    docstring).  A collapse of two nodes is retried from a spread-apart
+    restart before the boundary_suspected verdict is final.
     """
     opts = opts or SolveOptions()
     sig = as_permutation(sigma, p.n)
@@ -343,21 +352,24 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
     iterations = 0
 
     def stages():
-        """(label, problem) of each Newton stage, built only when reached:
-        the exact problem, the regularized ladder, the exact endgame."""
-        yield "direct", p
-        for level in opts.homotopy_levels:
-            if level is not None and math.isfinite(level):
-                yield f"level:{level:g}", Problem(
-                    tuple(approximant(k, level, HOMOTOPY_KIND) for k in p.kernels))
+        """(label, problem, options) of each Newton stage, built only when
+        reached: the exact problem, the regularized ladder (its rungs but
+        the last with the looser tolerance), the exact endgame."""
+        yield "direct", p, opts
+        levels = [lv for lv in opts.homotopy_levels if lv is not None and math.isfinite(lv)]
+        for i, level in enumerate(levels):
+            rung_opts = opts if i == len(levels) - 1 else replace(
+                opts, tol_residual=max(opts.tol_residual, level ** -2.0))
+            yield f"level:{level:g}", Problem(
+                tuple(approximant(k, level, HOMOTOPY_KIND) for k in p.kernels)), rung_opts
         if p.all_c1:
-            yield "exact", p
+            yield "exact", p, opts
 
     def pipeline(y):
         """(y, status, profile at y on p; None when the last stage was a rung)."""
         nonlocal iterations
-        for label, q in stages():
-            y, status, tr, prof = _newton_stage(q, sig, y, opts, label)
+        for label, q, stage_opts in stages():
+            y, status, tr, prof = _newton_stage(q, sig, y, stage_opts, label)
             trace.extend(tr)
             iterations += len(tr)
             # a ladder rung only warm-starts the next; the exact problem can stop

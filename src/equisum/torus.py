@@ -167,13 +167,18 @@ class Permutation:
 
 
 def as_permutation(sigma, n=None) -> Permutation:
-    if isinstance(sigma, Permutation):
-        return sigma
+    """sigma as a Permutation; None is the identity on n nodes.  The one
+    check of an ordering entering the package: when n is given, raises on
+    a size other than n."""
     if sigma is None:
         if n is None:
             raise ValidationError("sigma is required")
         return Permutation.identity(n)
-    return Permutation(tuple(int(v) for v in np.atleast_1d(sigma)))
+    if not isinstance(sigma, Permutation):
+        sigma = Permutation(tuple(int(v) for v in np.atleast_1d(sigma)))
+    if n is not None and sigma.n != n:
+        raise ValidationError(f"sigma has size {sigma.n}, expected {n}")
+    return sigma
 
 
 def locate(y) -> Permutation | None:
@@ -206,8 +211,6 @@ def _cuts(angles, sigma) -> np.ndarray:
     """arcs() of angles that node_angles has already checked and reduced."""
     n = angles.shape[-1]
     sig = as_permutation(sigma, n)
-    if sig.n != n:
-        raise ValidationError(f"sigma has size {sig.n}, node system has {n}")
     slots = sig.slots(angles)
     ends = np.zeros(angles.shape[:-1] + (1,))
     cuts = np.maximum.accumulate(np.concatenate((ends, slots, ends + TWO_PI), axis=-1), axis=-1)

@@ -6,7 +6,7 @@ import pytest
 
 from equisum.evaluator import Problem, profile, jacobian_delta
 from equisum.kernels import approximant, log_sine, parabola, riesz, table, tent, weighted
-from equisum.oracle import check_mmatrix, grid_minimax, grid_profile
+from equisum.oracle import check_mmatrix, grid_minimax, grid_profile, grid_sup
 from equisum.solver import (
     BOUNDARY_SUSPECTED,
     CONVERGED,
@@ -276,6 +276,53 @@ def test_homotopy_levels_skip_non_finite():
                                     replace(opts, homotopy_levels=(4,)))
     assert any(e["stage"] == "level:4" for e in without.trace)
     assert with_none.to_dict() == without.to_dict()
+
+
+# bench/workloads.py's LADDER_N5 in its cell: direct Newton stalls, and the
+# bump ladder plus the exact endgame converge it
+LADDER_N5 = Problem((weighted(log_sine(), 1.2405), weighted(log_sine(), 0.7694),
+                     weighted(riesz(1.8066), 1.6704), weighted(log_sine(), 0.9832),
+                     weighted(riesz(0.8304), 1.4156), weighted(parabola(), 0.1754)))
+LADDER_SIGMA = Permutation((2, 5, 3, 4, 1))
+
+
+def _stage_ends(rep):
+    """{stage label: residual of the stage's last trace entry}."""
+    return {e["stage"]: e["residual"] for e in rep.trace if "residual" in e}
+
+
+def test_intermediate_rungs_stop_at_the_rung_tolerance():
+    """Each rung before the last stops once its residual is at most
+    max(tol_residual, level**-2); the last rung is held to tol_residual,
+    since the exact stages start from it."""
+    opts = SolveOptions()
+    ends = _stage_ends(solve_equioscillation(EX_P, Permutation((1, 2, 3)), opts))
+    *intermediate, last = opts.homotopy_levels
+    for level in intermediate:
+        assert ends[f"level:{level:g}"] <= max(opts.tol_residual, level ** -2.0)
+    # the rule is active: some rung stops short of tol_residual
+    assert any(ends[f"level:{level:g}"] > opts.tol_residual for level in intermediate)
+    assert ends[f"level:{last:g}"] <= opts.tol_residual
+
+
+def test_ladder_n5_converges_through_the_ladder():
+    rep = solve_equioscillation(LADDER_N5, LADDER_SIGMA)
+    assert rep.status == CONVERGED
+    assert {"level:4", "level:256", "exact"} <= set(_stage_ends(rep))
+    assert grid_sup(LADDER_N5, rep.nodes, 4096) == pytest.approx(rep.objective, abs=1e-8)
+
+
+def test_one_level_ladder_is_held_to_tol_residual():
+    """A one-level ladder's rung is its last, so it runs to tol_residual as
+    every rung did before intermediate rungs were loosened: the report's
+    bits are those recorded then."""
+    rep = solve_equioscillation(LADDER_N5, LADDER_SIGMA, SolveOptions(homotopy_levels=(4,)))
+    assert (rep.status, rep.iterations) == (CONVERGED, 11)
+    assert rep.residual.hex() == "0x1.d000000000000p-43"
+    assert rep.objective.hex() == "-0x1.a98f15358a766p+1"
+    assert [v.hex() for v in rep.nodes.values] == [
+        "0x1.5cf0ad5078c46p+2", "0x1.74e5f2302249ep+0", "0x1.add9194b7b927p+1",
+        "0x1.1ea43d278867dp+2", "0x1.57f035797d03dp+1"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -73,7 +73,8 @@ def _example_perturbed_backtrack():
     return _stage(EXAMPLE, (2, 1, 3), (3.155981, 1.570798, 4.715628))
 
 
-# the ladder's searches accept alpha = 1/64, 1/256 and 1/1024 many times
+# the ladder's searches accept alpha = 1/256 (rung 64) and 1/1024 (rung 256)
+# several times
 def _table_ladder_backtracks():
     return solve_equioscillation(TABLE_TENT, Permutation((1,))).to_dict()
 

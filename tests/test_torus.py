@@ -8,8 +8,8 @@ from equisum import torus
 from equisum.cli import run
 from equisum.evaluator import Problem, profile, sum_translates
 from equisum.kernels import log_sine
-from equisum.oracle import check_sandwich, convergence_probe, grid_profile, grid_sup
-from equisum.solver import SolveOptions, solve_equioscillation
+from equisum.oracle import check_sandwich, convergence_probe, grid_minimax, grid_profile, grid_sup
+from equisum.solver import SolveOptions, maximin, minimax, solve_equioscillation
 from equisum.torus import (
     TWO_PI,
     NodeSystem,
@@ -156,6 +156,38 @@ def test_every_entry_point_checks_the_node_count(entry, y, tmp_path, capsys):
     else:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             NODE_ENTRY_POINTS[entry](y)
+
+
+# every library entry point that takes an ordering of LOGSINE_3's nodes
+SIGMA_ENTRY_POINTS = {
+    "arcs": lambda s: arcs((2.0, 4.0), s),
+    "profile": lambda s: profile(LOGSINE_3, (2.0, 4.0), s),
+    "grid_profile": lambda s: grid_profile(LOGSINE_3, (2.0, 4.0), s),
+    "grid_minimax": lambda s: grid_minimax(LOGSINE_3, s),
+    "check_sandwich": lambda s: check_sandwich(LOGSINE_3, s, m_estimate=0.0, samples=1),
+    "solve_equioscillation": lambda s: solve_equioscillation(LOGSINE_3, s),
+    "minimax": lambda s: minimax(LOGSINE_3, s),
+    "maximin": lambda s: maximin(LOGSINE_3, s),
+    "permutation": lambda s: profile(LOGSINE_3, (2.0, 4.0), Permutation(s)),
+}
+
+
+@pytest.mark.parametrize("sigma", [(1, 2, 3), (1,)], ids=["extra", "missing"])
+@pytest.mark.parametrize("entry", [*SIGMA_ENTRY_POINTS, "cli"])
+def test_every_entry_point_checks_the_sigma_size(entry, sigma, tmp_path, capsys):
+    """Every way an ordering comes in rejects a size other than the
+    problem's n with the one message of as_permutation; an extra slot
+    indexed past the nodes with a bare IndexError."""
+    message = f"sigma has size {len(sigma)}, expected 2"
+    if entry == "cli":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kernels": [{"family": "log_sine"}] * 3}))
+        assert run(["equioscillate", "--config", str(cfg),
+                    "--sigma", ",".join(map(str, sigma))]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SIGMA_ENTRY_POINTS[entry](sigma)
 
 
 def test_node_angles_checks_and_reduces():
