@@ -40,19 +40,28 @@ from .torus import TWO_PI, NodeSystem, ValidationError, as_permutation, locate, 
 
 OK, FLAGGED, ERROR = 0, 2, 1
 
-# report keys holding torus angles (--degrees); bojanov's are in _degrees_out
+# report keys holding torus angles (--degrees)
 _ANGLE_KEYS = frozenset({"nodes", "z", "maximizers", "lo", "hi", "t", "coarse_nodes"})
+# the one part of a report that lies on the circle, where not all of it does:
+# bojanov's interval coordinates are not angles, its doubled report is
+_ANGLE_PART = {"bojanov": "doubled"}
 
 
-def _jsonify(obj):
-    """JSON-safe copy: numpy floats unwrapped, non-finite floats as strings."""
+def _jsonify(obj, degrees=False, key=None):
+    """JSON-safe copy: numpy floats unwrapped, non-finite floats as strings.
+
+    degrees=True turns every float under an _ANGLE_KEYS key into degrees
+    (--degrees); degrees=KEY does so only inside the dict's entry KEY.
+    """
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        return {str(k): _jsonify(v, degrees is True or k == degrees, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [_jsonify(v, degrees, key) for v in obj]
     if isinstance(obj, np.floating):
         obj = float(obj)
     if isinstance(obj, float):
+        if degrees is True and key in _ANGLE_KEYS:
+            obj = math.degrees(obj)
         if math.isnan(obj):
             return "nan"
         if obj == math.inf:
@@ -82,24 +91,13 @@ def _radians_in(cfg):
         cfg["options"] = dict(opts, start=rad(opts["start"]))
 
 
-def _degrees_out(command, result, curve):
-    """A report and its curve with the torus angles in degrees (--degrees):
-    every float under an _ANGLE_KEYS key, and a curve's t column.  Bojanov's
-    interval coordinates are not angles; only its doubled report, which lies
-    on the circle, converts."""
-    def deg(obj, key=None):
-        if isinstance(obj, dict):
-            return {k: deg(v, k) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [deg(v, key) for v in obj]
-        return math.degrees(obj) if key in _ANGLE_KEYS and isinstance(obj, float) else obj
-
+def _degrees_curve(curve):
+    """The curve with its t column, a torus angle, in degrees (--degrees)."""
     def curve_deg(resolution):
         header, (x, *ys) = curve(resolution)
         return header, (np.degrees(x) if header[0] == "t" else x, *ys)
 
-    result = dict(result, doubled=deg(result["doubled"])) if command == "bojanov" else deg(result)
-    return result, None if curve is None else curve_deg
+    return None if curve is None else curve_deg
 
 
 def _load_config(path):
@@ -417,7 +415,7 @@ def run(argv=None) -> int:
             _radians_in(cfg)
         result, code, curve = _COMMANDS[args.command](cfg, args)
         if args.degrees:
-            result, curve = _degrees_out(args.command, result, curve)
+            curve = _degrees_curve(curve)
         if curve is not None and (args.emit_samples is not None or args.command == "sample"):
             rows = _write_csv(args.emit_samples, *curve(_resolution(cfg, args)))
             if args.command != "sample":
@@ -435,7 +433,7 @@ def run(argv=None) -> int:
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     doc["seed"] = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
-    doc["result"] = _jsonify(result)
+    doc["result"] = _jsonify(result, args.degrees and _ANGLE_PART.get(args.command, True))
     if args.degrees:
         doc["units"] = "degrees"
     json.dump(doc, sys.stdout, indent=2)

@@ -449,10 +449,7 @@ def jacobian_m(p: Problem, prof: ArcProfile, *, relaxed: bool = False):
 
     Entry (j, r-1) is -K_r'(z_j - y_r); see _slope_rows for when it holds.
     """
-    rows_trav = _slope_rows(p, prof, relaxed)
-    out = np.empty_like(rows_trav)
-    out[list(prof.labels), :] = rows_trav
-    return out
+    return prof._to_index(_slope_rows(p, prof, relaxed))
 
 
 def jacobian_delta(p: Problem, prof: ArcProfile, *, relaxed: bool = False):

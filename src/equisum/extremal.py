@@ -185,19 +185,16 @@ def solve_doubled_symmetric(exponents, opts: SolveOptions | None = None) -> Doub
     optimum, so a symmetry violation is flagged, not repaired.
     """
     nu = _positive_tuple(exponents, "exponents")
-    n = len(nu)
     weights = tuple(reversed(nu)) + nu
-    p = Problem(tuple(weighted(log_sine(), w) for w in weights))
-    sig = Permutation.identity(2 * n - 1)
-    rep = minimax(p, sig, opts)
+    gtp = solve_gtp(GtpProblem(weights), opts)
+    rep = gtp.report
 
-    pos = rep.profile.positions  # increasing in S_id
-    delta = (TWO_PI - pos[-1]) / 2.0
-    nodes = pos + delta
+    delta = (TWO_PI - gtp.nodes[-1]) / 2.0
+    nodes = gtp.nodes + delta  # increasing in S_id
 
     sym_res = float(np.max(np.abs(nodes + nodes[::-1] - TWO_PI)))
 
-    z = np.sort(_wrap_to_zero(np.asarray(rep.profile.z_trav) + delta))
+    z = np.sort(_wrap_to_zero(gtp.maximizers + delta))
     z_res = _mirror_residual(z)
 
     flags = {
@@ -240,11 +237,10 @@ def transfer_to_interval(t_nodes, q: BojanovProblem, tol_sym: float = 1e-6) -> n
 
 
 def _half_circle_points(values, tol=1e-9):
-    """Representatives of a symmetric multiset inside [0, pi], sorted."""
-    v = np.mod(np.asarray(values, dtype=float), TWO_PI)
-    v = np.where(v > TWO_PI - tol, 0.0, v)
-    half = np.sort(v[v <= PI + tol])
-    half = np.clip(half, 0.0, PI)
+    """Representatives inside [0, pi] of a symmetric multiset of angles
+    already wrapped into [0, 2*pi) and sorted (as _wrap_to_zero and a sort
+    leave them)."""
+    half = np.clip(values[values <= PI + tol], 0.0, PI)
     # merge duplicates (0 can appear twice after wrap reduction)
     if len(half) > 1:
         keep = np.concatenate(([True], np.diff(half) > tol))

@@ -27,6 +27,7 @@ from .torus import (
     NodeSystem,
     ValidationError,
     as_permutation,
+    min_gap,
     node_angles,
     node_positions,
 )
@@ -364,8 +365,7 @@ class SandwichReport:
 def _sample_cell(rng, n, min_sep=1e-3, tries=1000):
     for _ in range(tries):
         v = np.sort(rng.uniform(0.0, TWO_PI, n))
-        gaps = np.diff(np.concatenate(([0.0], v, [TWO_PI])))
-        if np.min(gaps) > min_sep:
+        if min_gap(v) > min_sep:
             return v
     raise ValidationError("could not draw a well-separated interior sample")
 

@@ -26,12 +26,13 @@ import numpy as np
 from .evaluator import (
     Problem,
     ArcProfile,
+    JacobianUnavailableError,
     delta,
     jacobian_delta,
     jacobian_m,
     profile,
 )
-from .kernels import approximant
+from .kernels import CapabilityError, approximant
 from .torus import (
     TWO_PI,
     NodeSystem,
@@ -164,6 +165,11 @@ def _residual(prof: ArcProfile):
     return float(np.max(np.abs(d))), d
 
 
+def _iterations(trace) -> int:
+    """A report's iteration count: its trace rows less the restart markers."""
+    return sum(row["stage"] != "restart" for row in trace)
+
+
 def _settled(res: float, prof: ArcProfile, opts: SolveOptions) -> bool:
     """Converged means small consecutive differences AND small total spread."""
     if res > opts.tol_residual:
@@ -290,7 +296,7 @@ def _coarse_grid_start(p, sig, opts: SolveOptions) -> np.ndarray:
     else:
         for _ in range(80):
             v = np.sort(rng.uniform(0.05, TWO_PI - 0.05, n))
-            if np.min(np.diff(np.concatenate(([0.0], v, [TWO_PI])))) > 0.05:
+            if min_gap(v) > 0.05:
                 candidates.append(v)
     # every candidate is strictly increasing and inside the cell
     best = equidistant_nodes(n, sig).array
@@ -349,7 +355,6 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
     sig = as_permutation(sigma, p.n)
 
     trace = []
-    iterations = 0
 
     def stages():
         """(label, problem, options) of each Newton stage, built only when
@@ -367,17 +372,14 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
 
     def pipeline(y):
         """(y, status, profile at y on p; None when the last stage was a rung)."""
-        nonlocal iterations
         for label, q, stage_opts in stages():
             y, status, tr, prof = _newton_stage(q, sig, y, stage_opts, label)
             trace.extend(tr)
-            iterations += len(tr)
             # a ladder rung only warm-starts the next; the exact problem can stop
             if status == BOUNDARY_SUSPECTED or (status == CONVERGED and q is p):
                 return y, status, (prof if q is p else None)
         y, status, tr, prof = _secant_stage(p, sig, y, opts)
         trace.extend(tr)
-        iterations += len(tr)
         return y, status, prof
 
     y, status, prof = pipeline(_initial_nodes(p, sig, opts))
@@ -390,18 +392,16 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
     if prof is None:
         prof = profile(p, y, sig)
     res = _residual(prof)[0]
-    interior = min_gap(y) >= COLLAPSE_TOL
-    final = CONVERGED if (_settled(res, prof, opts) and interior) else status
-    # a stage that settles at its start reports converged without a gap
-    # check, so a settled start with collapsed nodes reaches this
-    if final == CONVERGED and not interior:
-        final = BOUNDARY_SUSPECTED
+    # a stage ends max_iter or jacobian_singular only unsettled; a settled
+    # stage checks no gap, so the collapse verdict is made here
+    if _settled(res, prof, opts):
+        status = CONVERGED if min_gap(y) >= COLLAPSE_TOL else BOUNDARY_SUSPECTED
     return SolveReport(
-        status=final,
+        status=status,
         residual=res,
         objective=prof.m_bar,
         profile=prof,
-        iterations=iterations,
+        iterations=_iterations(trace),
         trace=trace,
         seed=opts.seed,
     )
@@ -439,13 +439,16 @@ def _gordan(p, rep: SolveReport):
     and m_under a sharp local maximum.  The verdict is [] (no failures).
     If lam has both signs, some direction lowers every arc maximum at once;
     the verdict is one failure holding that direction and its rates.
-    Anything else (a kink, a maximizer on a node, a rank-deficient Jm, an
-    entry of lam too small to sign) is no verdict: None.
+    Anything else (a kink or a maximizer on a node, which the strict
+    jacobian_m refuses; a rank-deficient Jm; an entry of lam too small to
+    sign) is no verdict: None.
     """
-    prof = rep.profile
-    if not (rep.converged and p.all_c1) or np.any(prof.z_on_boundary_trav):
+    if not rep.converged:
         return None
-    Jm = jacobian_m(p, prof)
+    try:
+        Jm = jacobian_m(p, rep.profile)
+    except (CapabilityError, JacobianUnavailableError):
+        return None
     if not np.all(np.isfinite(Jm)):
         return None
     u, s, vt = np.linalg.svd(Jm)
@@ -495,10 +498,7 @@ def minimax(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
         best = rep
         for _ in range(MULTISTART):
             v = np.sort(rng.uniform(0.02, TWO_PI - 0.02, p.n))
-            try:
-                alt = solve_equioscillation(p, sig, replace(opts, start=tuple(sig.nodes(v))))
-            except ValidationError:
-                continue
+            alt = solve_equioscillation(p, sig, replace(opts, start=tuple(sig.nodes(v))))
             if alt.converged and alt.objective < best.objective - 1e-12:
                 best = alt
         if best is not rep:
@@ -641,7 +641,7 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
         residual=_residual(prof)[0],
         objective=prof.m_under,
         profile=prof,
-        iterations=len(trace),
+        iterations=_iterations(trace),
         trace=trace,
         seed=opts.seed,
         flags={"objective_kind": "m_under"},

@@ -34,3 +34,44 @@ def test_compare_lists_status_changes_with_both_residuals():
     assert changed == 1
     assert lines[0] == (f"{key}: {a[key]['status']} -> max_iter, residual "
                         f"{a[key]['residual']:.3g} -> 0.5")
+
+
+def test_records_hold_the_stages_reached_in_order():
+    """Each cell records its trace's stages, a run of one stage once, and the
+    stage it ended in; every cell starts direct and ends in exactly one."""
+    a = cell_corpus.corpus(3, 2, ROOT)
+    for r in a.values():
+        assert r["stages"][0] == "direct" and r["last_stage"] == r["stages"][-1]
+        assert all(s != t for s, t in zip(r["stages"], r["stages"][1:]))
+    counts = cell_corpus.stage_counts(a)
+    assert counts["direct"][0] == len(a)
+    assert sum(ended for _, ended in counts.values()) == len(a)
+
+
+def _record(stages, status="converged"):
+    return {"status": status, "residual": 0.0, "objective": 1.0, "iterations": len(stages),
+            "seconds": 0.01, "stages": stages, "last_stage": stages[-1]}
+
+
+def test_stage_counts_and_last_stage_changes():
+    a = {"c1": _record(["direct"]),
+         "c2": _record(["direct", "level:4", "level:16", "secant"], "max_iter"),
+         "c3": _record(["direct", "restart", "direct", "level:4", "level:16"],
+                       "boundary_suspected")}
+    assert cell_corpus.stage_counts(a) == {
+        "direct": (3, 1), "level:4": (2, 0), "level:16": (2, 1), "secant": (1, 1),
+        "restart": (1, 0)}
+    b = copy.deepcopy(a)
+    b["c2"] = _record(["direct", "level:4", "level:16", "exact"])
+    lines, changed = cell_corpus.compare(a, b)
+    assert changed == 1
+    i = lines.index("1 of 3 cells changed last stage")
+    assert lines[i + 1] == "  c2: secant -> exact (max_iter -> converged)"
+    assert lines[i + 2:] == [
+        "stages (cells reached, cells ended; A -> B):",
+        "  direct: reached 3 -> 3, ended 1 -> 1",
+        "  level:4: reached 2 -> 2, ended 0 -> 0",
+        "  level:16: reached 2 -> 2, ended 1 -> 1",
+        "  exact: reached 0 -> 1, ended 0 -> 1",
+        "  secant: reached 1 -> 0, ended 1 -> 0",
+        "  restart: reached 1 -> 1, ended 0 -> 0"]

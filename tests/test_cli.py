@@ -530,6 +530,31 @@ def test_error_paths_exit_one(tmp_path, capsys):
         assert captured.err.startswith("error: --all-sigma") and captured.out == ""
 
 
+_LOGSINES = LOGSINE_CONFIG["kernels"]
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ([1.0, 2.0], ["eval"], "config must be a JSON object"),
+    ({"nodes": [1.0]}, ["eval"], "config needs a 'kernels' list"),
+    ({"kernels": [], "nodes": [1.0]}, ["eval"], "config needs a 'kernels' list"),
+    ({"kernels": _LOGSINES, "t": 0.5}, ["eval"], "no nodes given (config 'nodes' or --nodes)"),
+    ({}, ["gtp"], "gtp needs --exponents r0,r1,..."),
+    ({}, ["bojanov", "--exponents", "1,2"], "bojanov needs --interval a,b and --exponents nu1,..."),
+    ({}, ["bojanov", "--interval=-1,1"], "bojanov needs --interval a,b and --exponents nu1,..."),
+    ({"kernels": _LOGSINES}, ["verify"],
+     "verify needs --check sandwich|mmatrix|convergence|grid-minimax"),
+    ({"kernels": _LOGSINES}, ["verify", "--check", "sandwich"], "sandwich check needs --sigma"),
+    ({"kernels": _LOGSINES}, ["verify", "--check", "grid-minimax"], "grid-minimax check needs --sigma"),
+], ids=["config_not_object", "no_kernels", "empty_kernels", "no_nodes", "gtp_no_exponents",
+        "bojanov_no_interval", "bojanov_no_exponents", "verify_no_check", "sandwich_no_sigma",
+        "grid_minimax_no_sigma"])
+def test_validation_exits_print_one_error_line(tmp_path, capsys, config, argv, message):
+    assert run(argv + ["--config", write_config(tmp_path, config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_installed_script_smoke(tmp_path):
     cfg = dict(EX_CONFIG, t=0.0)
     path = write_config(tmp_path, cfg)

@@ -589,3 +589,17 @@ def test_batch_profile_is_each_system_alone(first, data):
             assert np.array_equal(got.z_on_boundary_trav, want.z_on_boundary_trav)
             assert np.array_equal(got.unique_trav, want.unique_trav)
             assert np.array_equal(got.cuts, want.cuts) and got.labels == want.labels
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Problem((log_sine(), "tent")), "not a kernel: 'tent'"),
+    (lambda: Problem((log_sine(),)), "a problem needs at least two kernels (n >= 1)"),
+    (lambda: sum_translates_full(Problem((log_sine(),) * 3), [0.0, 1.0], 0.5),
+     "2 positions for 3 kernels"),
+    (lambda: sum_translates_full(Problem((log_sine(),) * 3), [0.0, 1.0, 2.0, 3.0], [0.5, 1.5]),
+     "4 positions for 3 kernels"),
+], ids=["not_a_kernel", "one_kernel", "too_few_positions", "too_many_positions"])
+def test_validation_exits_raise_their_message(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message

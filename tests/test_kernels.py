@@ -5,6 +5,7 @@ import pytest
 
 from equisum import torus
 from equisum.kernels import (
+    Smoothed,
     approximant,
     from_config,
     kernel_sum,
@@ -308,3 +309,54 @@ def test_from_config_rejects_garbage():
         from_config(["tent"])
     with pytest.raises(ValidationError):
         from_config({"family": "riesz"})  # missing p
+
+
+# ----------------------------------------------------------- validation exits
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: tent().deriv(1.0, "up"), "side must be 'left' or 'right', got 'up'"),
+    (lambda: riesz(0.0), "riesz exponent must be finite and > 0, got 0.0"),
+    (lambda: riesz(-1.5), "riesz exponent must be finite and > 0, got -1.5"),
+    (lambda: table([0.0, PI, TWO_PI], [0.0, 1.0]),
+     "table kernel needs matching 1-d arrays, >= 3 points"),
+    (lambda: table([0.0, TWO_PI], [0.0, 0.0]),
+     "table kernel needs matching 1-d arrays, >= 3 points"),
+    (lambda: table([0.0, PI, TWO_PI], [0.0, _NAN, 0.0]), "table kernel samples must be finite"),
+    (lambda: table([0.1, PI, TWO_PI], [0.0, 1.0, 0.0]),
+     "table grid must start at 0 and end at 2*pi"),
+    (lambda: table([0.0, PI, PI, TWO_PI], [0.0, 1.0, 1.0, 0.0]),
+     "table grid must be strictly increasing"),
+    (lambda: table([0.0, 1.0, 2.0, TWO_PI], [0.0, 0.1, 2.0, 0.0]),
+     "table kernel is not concave: slopes increase"),
+    (lambda: kernel_sum(), "sum kernel needs at least one term"),
+    (lambda: Smoothed(tent(), 0.5), "smoothing level must be >= 1, got 0.5"),
+    (lambda: Smoothed(tent(), 4, "spline"),
+     "unknown smoothing kind 'spline', pick from ('bump', 'log_cusp', 'sqrt_cusp')"),
+    (lambda: from_config({"family": "table"}),
+     "table kernel config needs 'points': [[t, v], ...]"),
+    (lambda: from_config({"family": "table", "points": [0.0, PI, TWO_PI]}),
+     "table points must be [t, value] pairs"),
+    (lambda: from_config({"family": "table", "points": [[0.0, 0.0, 1.0], [TWO_PI, 0.0, 1.0]]}),
+     "table points must be [t, value] pairs"),
+    (lambda: from_config({"family": "weighted", "base": {"family": "tent"}}),
+     "weighted kernel config needs 'base' and 'weight'"),
+    (lambda: from_config({"family": "weighted", "weight": 2.0}),
+     "weighted kernel config needs 'base' and 'weight'"),
+    (lambda: from_config({"family": "smoothed", "base": {"family": "tent"}}),
+     "smoothed kernel config needs 'base' and 'level'"),
+    (lambda: from_config({"family": "smoothed", "level": 4}),
+     "smoothed kernel config needs 'base' and 'level'"),
+], ids=[
+    "slope_side", "riesz_p_zero", "riesz_p_negative", "table_shapes", "table_two_points",
+    "table_nan", "table_grid_ends", "table_grid_order", "table_convex", "empty_sum",
+    "smoothed_level", "smoothed_kind", "config_table_no_points", "config_table_flat_points",
+    "config_table_triples", "config_weighted_no_weight", "config_weighted_no_base",
+    "config_smoothed_no_level", "config_smoothed_no_base",
+])
+def test_validation_exits_raise_their_message(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from equisum import solver
 from equisum.evaluator import Problem, profile, jacobian_delta
 from equisum.kernels import approximant, log_sine, parabola, riesz, table, tent, weighted
 from equisum.oracle import check_mmatrix, grid_minimax, grid_profile, grid_sup
@@ -325,6 +326,31 @@ def test_one_level_ladder_is_held_to_tol_residual():
         "0x1.1ea43d278867dp+2", "0x1.57f035797d03dp+1"]
 
 
+def test_final_profile_after_a_ladder_rung_is_on_the_exact_kernels(monkeypatch):
+    """Every rung ends boundary_suspected, so each pass, restarts included,
+    ends on a rung whose profile is of the bump-smoothed kernels; the report
+    re-profiles the last iterate on the exact ones."""
+    rungs = []
+
+    def stage(q, sig, y, opts, label):
+        y, status, trace, prof = _newton_stage(q, sig, y, opts, label)
+        if label.startswith("level:"):
+            rungs.append(prof)
+            status = BOUNDARY_SUSPECTED
+        return y, status, trace, prof
+
+    monkeypatch.setattr(solver, "_newton_stage", stage)
+    sig = Permutation((1, 2, 3))
+    rep = solve_equioscillation(EX_P, sig, SolveOptions(max_iter=1))
+    assert rep.status == BOUNDARY_SUSPECTED
+    exact = profile(EX_P, rep.nodes, sig)
+    for name in ("positions", "cuts", "z_trav", "m_trav", "z_on_boundary_trav", "unique_trav"):
+        assert np.array_equal(getattr(rep.profile, name), getattr(exact, name)), name
+    assert np.array_equal(rungs[-1].positions, exact.positions)
+    assert not np.array_equal(rungs[-1].m_trav, exact.m_trav)
+    assert [e["stage"] for e in rep.trace].count("restart") == 2
+
+
 @pytest.mark.filterwarnings("error")
 def test_relaxed_jacobian_at_singular_node_is_silent():
     """A maximizer on the log-sine node makes the relaxed slope +inf + -inf;
@@ -442,6 +468,28 @@ def test_maximin_starts_at_equioscillation_point():
     assert lo.status == CONVERGED
     assert math.isclose(lo.objective, hi.objective, abs_tol=1e-10)
     assert [e["stage"] for e in lo.trace].count("ascent") == 1
+
+
+def test_iterations_are_trace_rows_less_restart_markers():
+    """Three log-sines in cell (1,2) from (0, 3): the solve restarts once, so
+    its 9 trace rows hold 8 iterations; maximin adds one ascent row and
+    counts 9, not the 10 rows of its trace."""
+    p = unit_problem(3)
+    opts = SolveOptions(start=(0.0, 3.0))
+    equi = solve_equioscillation(p, (1, 2), opts)
+    assert (equi.status, len(equi.trace), equi.iterations) == (CONVERGED, 9, 8)
+    assert [e["stage"] for e in equi.trace].count("restart") == 1
+    lo = maximin(p, (1, 2), opts)
+    assert (lo.status, len(lo.trace), lo.iterations) == (CONVERGED, 10, 9)
+    assert [e["stage"] for e in lo.trace].count("ascent") == 1
+
+
+@pytest.mark.parametrize("solve", (solve_equioscillation, minimax, maximin),
+                         ids=lambda f: f.__name__)
+def test_unknown_start_string_is_refused(solve):
+    with pytest.raises(ValidationError) as exc:
+        solve(unit_problem(3), (1, 2), SolveOptions(start="banana"))
+    assert str(exc.value) == "unknown start 'banana'"
 
 
 def test_minimax_global_sweeps_cells():

@@ -115,6 +115,21 @@ def test_node_dist_shape_mismatch():
         node_dist([1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ([1.0, 2.0], [1.0], "node systems have different sizes: (2,) vs (1,)"),
+    (NodeSystem((1.0,)), (1.0, 2.0, 3.0), "node systems have different sizes: (1,) vs (3,)"),
+    ([[1.0, 2.0]], [1.0, 2.0], "node systems have different sizes: (1, 2) vs (2,)"),
+], ids=["list", "node_system", "batch"])
+def test_node_dist_refuses_different_sizes(x, y, message):
+    with pytest.raises(ValidationError) as exc:
+        node_dist(x, y)
+    assert str(exc.value) == message
+
+
+def test_node_dist_of_two_empty_systems_is_zero():
+    assert node_dist([], []) == 0.0
+
+
 def test_node_system_reduces_and_rejects():
     ns = NodeSystem((TWO_PI + 0.5, -1.0))
     assert math.isclose(ns.values[0], 0.5)

@@ -8,14 +8,18 @@ the n+1 kernels a tent, parabola, log-sine, riesz(2) or one-peak table
 kernel, weighted or not.  It runs ``solve_equioscillation`` with default
 options on every ordering cell of each, through ``TREE/src``'s ``equisum``
 (TREE defaults to this checkout), and writes per cell the status,
-residual, objective, iterations and seconds.  The problems depend on SEED
-and this script only, and the first k of N are those of any larger N, so
-two trees run the same cells.
+residual, objective, iterations and seconds, the stages its trace reached
+in order (``direct``, ``level:*``, ``exact``, ``secant``, ``restart``; a run
+of one stage once) and the stage it ended in.  It prints, per stage, how
+many cells reached it and how many ended in it.  The problems depend on
+SEED and this script only, and the first k of N are those of any larger N,
+so two trees run the same cells.
 
 The second form compares two corpora of the same cells: the cells whose
 status changed (with both residuals), the converged counts, the largest
 objective difference of the cells converged in both, total and slowest
-times.  It exits 1 if any status changed.
+times, the cells whose last stage changed and the per-stage counts of
+both.  It exits 1 if any status changed.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("tent", "parabola", "log_sine", "riesz", "table")
+STAGES = ("direct", "level", "exact", "secant", "restart")  # summary order
 SLOWEST = 10
 
 
@@ -73,15 +78,36 @@ def corpus(seed, count, tree):
         for sigma in itertools.permutations(range(1, p.n + 1)):
             t0 = time.perf_counter()
             rep = solve_equioscillation(p, sigma)
+            seconds = time.perf_counter() - t0
+            stages = [label for label, _ in itertools.groupby(e["stage"] for e in rep.trace)]
             records[f"{seed}/{i:04d}/{''.join(map(str, sigma))}"] = {
                 "status": rep.status,
                 "residual": rep.residual,
                 "objective": rep.objective,
                 "iterations": rep.iterations,
-                "seconds": time.perf_counter() - t0,
+                "seconds": seconds,
+                "stages": stages,
+                "last_stage": stages[-1],
                 "kernels": cfgs,
             }
     return records
+
+
+def _stage_order(label):
+    """Sort key of a stage label: STAGES order, rungs by level."""
+    kind, _, level = label.partition(":")
+    return STAGES.index(kind), float(level or 0.0)
+
+
+def stage_counts(records):
+    """{stage: (cells whose trace reached it, cells that ended in it)}, in
+    _stage_order."""
+    counts = {}
+    for r in records.values():
+        for label in set(r["stages"]):
+            counts.setdefault(label, [0, 0])[0] += 1
+        counts.setdefault(r["last_stage"], [0, 0])[1] += 1
+    return {label: tuple(counts[label]) for label in sorted(counts, key=_stage_order)}
 
 
 def compare(a, b):
@@ -103,6 +129,15 @@ def compare(a, b):
     for k in sorted(a, key=lambda k: -max(a[k]["seconds"], b[k]["seconds"]))[:SLOWEST]:
         lines.append(f"  {k} {b[k]['status']}: {a[k]['seconds']:.3f} -> {b[k]['seconds']:.3f} s, "
                      f"{a[k]['iterations']} -> {b[k]['iterations']}")
+    moved = [k for k in a if a[k]["last_stage"] != b[k]["last_stage"]]
+    lines.append(f"{len(moved)} of {len(a)} cells changed last stage")
+    lines += [f"  {k}: {a[k]['last_stage']} -> {b[k]['last_stage']} "
+              f"({a[k]['status']} -> {b[k]['status']})" for k in moved]
+    ca, cb = stage_counts(a), stage_counts(b)
+    lines.append("stages (cells reached, cells ended; A -> B):")
+    for label in sorted(ca.keys() | cb.keys(), key=_stage_order):
+        (ra, ea), (rb, eb) = ca.get(label, (0, 0)), cb.get(label, (0, 0))
+        lines.append(f"  {label}: reached {ra} -> {rb}, ended {ea} -> {eb}")
     return lines, len(changed)
 
 
@@ -128,6 +163,9 @@ def main(argv=None):
     statuses = [r["status"] for r in records.values()]
     print(f"{len(records)} cells in {sum(r['seconds'] for r in records.values()):.2f} s; "
           + ", ".join(f"{s}: {statuses.count(s)}" for s in sorted(set(statuses))))
+    print("stages (cells reached, cells ended):")
+    for label, (reached, ended) in stage_counts(records).items():
+        print(f"  {label}: reached {reached}, ended {ended}")
     return 0
 
 
