@@ -145,6 +145,16 @@ def _sigma_or_locate(cfg, args, ns: NodeSystem):
     return sig
 
 
+def _seed(cfg, args) -> int:
+    """The one seed of a run, which its report names and its solve or
+    sandwich check draws from: --seed, else options.seed, else the config's
+    seed, else DEFAULT_SEED."""
+    if args.seed is not None:
+        return args.seed
+    opts = cfg.get("options") if isinstance(cfg.get("options"), dict) else {}
+    return int(opts.get("seed", cfg.get("seed", DEFAULT_SEED)))
+
+
 def _options_from(cfg, args) -> SolveOptions:
     opts = SolveOptions()
     raw = dict(cfg.get("options", {}))
@@ -152,8 +162,7 @@ def _options_from(cfg, args) -> SolveOptions:
         raw["tol_residual"] = args.tol
     if args.max_iter is not None:
         raw["max_iter"] = args.max_iter
-    if args.seed is not None:
-        raw["seed"] = args.seed
+    raw["seed"] = _seed(cfg, args)
     known = {f for f in vars(opts)}
     for key, val in raw.items():
         if key not in known:
@@ -203,11 +212,11 @@ def _f_curve(p, ns, resolution):
 
 def _gtp_curve(res, resolution):
     ts = np.arange(resolution) * (TWO_PI / resolution)
-    return ("t", "T"), (ts, gtp_value(ts, res.nodes, res.problem.exponents))
+    return ("t", "T"), (ts, gtp_value(ts, res.nodes, res.exponents))
 
 
 def _gap_curve(poly, resolution):
-    xs = np.linspace(poly.problem.a, poly.problem.b, resolution)
+    xs = np.linspace(*poly.interval, resolution)
     return ("x", "P"), (xs, eval_gap(xs, poly))
 
 
@@ -294,9 +303,7 @@ def _cmd_bojanov(cfg, args):
     q = BojanovProblem(interval[0], interval[1], tuple(exps))
     poly = solve_bojanov(q, _options_from(cfg, args))
     ok = poly.flags["equioscillates"] and poly.flags["interlacing"] and poly.flags["converged"]
-    result = poly.to_dict()
-    result["doubled"] = poly.doubled.to_dict()
-    return result, OK if ok else FLAGGED, functools.partial(_gap_curve, poly)
+    return poly.to_dict(), OK if ok else FLAGGED, functools.partial(_gap_curve, poly)
 
 
 def _cmd_sample(cfg, args):
@@ -319,7 +326,7 @@ def _cmd_verify(cfg, args):
             p, sig,
             m_estimate=cfg.get("m_estimate"),
             samples=int(cfg.get("samples", 100)),
-            seed=args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED)),
+            seed=_seed(cfg, args),
             tol=float(cfg.get("check_tol", 1e-9)),
             include=cfg.get("include", ()),
         )
@@ -337,11 +344,8 @@ def _cmd_verify(cfg, args):
         kind = cfg.get("kind", "sqrt_cusp")
         levels = tuple(cfg.get("levels", (4, 16, 64, 256)))
         tab = convergence_probe(p, ns, kind, levels)
-        bound_ok = all(r.deviation <= (p.n + 1) / r.level + 1e-7 for r in tab.rows)
-        result = tab.to_dict()
-        result["bound_ok"] = bound_ok
-        code = OK if (tab.decreasing and bound_ok) else FLAGGED
-        return result, code, functools.partial(_f_curve, p, ns)
+        code = OK if (tab.decreasing and tab.bound_ok) else FLAGGED
+        return tab.to_dict(), code, functools.partial(_f_curve, p, ns)
     if check == "grid-minimax":
         sig = _sigma_from(cfg, args, p.n)
         if sig is None:
@@ -386,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--interval", help="interval a,b for bojanov")
     ap.add_argument("--tol", type=float, help="residual tolerance")
     ap.add_argument("--max-iter", type=int, help="iteration cap")
-    ap.add_argument("--seed", type=int, help="seed recorded in reports")
+    ap.add_argument("--seed", type=int, help="seed of solves and sandwich draws")
     ap.add_argument("--resolution", type=int, help="grid/sample resolution")
     ap.add_argument("--check", help="verify: sandwich|mmatrix|convergence|grid-minimax")
     ap.add_argument("--emit-samples", metavar="PATH",
@@ -409,6 +413,7 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        seed = _seed(cfg, args)
         if args.nodes:
             cfg["nodes"] = _floats(args.nodes)
         if args.degrees:
@@ -432,7 +437,7 @@ def run(argv=None) -> int:
     doc = {"schema": 1, "command": args.command}
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    doc["seed"] = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
+    doc["seed"] = seed
     doc["result"] = _jsonify(result, args.degrees and _ANGLE_PART.get(args.command, True))
     if args.degrees:
         doc["units"] = "degrees"

@@ -9,14 +9,14 @@ and alternation points back through x = L(cos t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .evaluator import Problem
 from .kernels import log_sine, weighted
 from .solver import SolveOptions, SolveReport, minimax
-from .torus import TWO_PI, Permutation, ValidationError
+from .torus import TWO_PI, Permutation, Record, ValidationError
 
 PI = math.pi
 # mirror residuals up to which a doubled solution counts as symmetric
@@ -77,23 +77,13 @@ class BojanovProblem:
 
 
 @dataclass
-class GtpResult:
-    problem: GtpProblem
-    report: SolveReport
+class GtpResult(Record):
+    exponents: tuple
     norm: float
     nodes: np.ndarray       # all n+1 positions, anchor included
     maximizers: np.ndarray  # per arc, traversal order
     interlacing: bool
-
-    def to_dict(self):
-        return {
-            "exponents": list(self.problem.exponents),
-            "norm": self.norm,
-            "nodes": [float(v) for v in self.nodes],
-            "maximizers": [float(v) for v in self.maximizers],
-            "interlacing": self.interlacing,
-            "report": self.report.to_dict(),
-        }
+    report: SolveReport
 
 
 def gtp_value(t, nodes, exponents):
@@ -123,43 +113,30 @@ def solve_gtp(q: GtpProblem, opts: SolveOptions | None = None) -> GtpResult:
     # strict interlacing: every maximizer interior to its arc
     interlacing = not bool(np.any(prof.z_on_boundary_trav))
     return GtpResult(
-        problem=q,
-        report=rep,
+        exponents=q.exponents,
         norm=float(math.exp(rep.objective)),
         nodes=nodes,
         maximizers=np.asarray(z_trav),
         interlacing=interlacing,
+        report=rep,
     )
 
 
 @dataclass
-class DoubledResult:
+class DoubledResult(Record):
     exponents: tuple           # nu_1..nu_n (half weights)
     weights: tuple             # doubled pattern nu_n..nu_1, nu_1..nu_n
-    report: SolveReport
     nodes: np.ndarray          # 2n rotated positions, increasing
     maximizers: np.ndarray     # 2n rotated arc maximizers, increasing
     value: float               # common log-level M of the doubled problem
     symmetry_residual: float
     maximizer_symmetry_residual: float
-    flags: dict = field(default_factory=dict)
+    flags: dict
+    report: SolveReport
 
     @property
     def symmetric(self) -> bool:
         return self.flags.get("symmetric", False)
-
-    def to_dict(self):
-        return {
-            "exponents": list(self.exponents),
-            "weights": list(self.weights),
-            "nodes": [float(v) for v in self.nodes],
-            "maximizers": [float(v) for v in self.maximizers],
-            "value": self.value,
-            "symmetry_residual": self.symmetry_residual,
-            "maximizer_symmetry_residual": self.maximizer_symmetry_residual,
-            "flags": dict(self.flags),
-            "report": self.report.to_dict(),
-        }
 
 
 def _wrap_to_zero(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -205,13 +182,13 @@ def solve_doubled_symmetric(exponents, opts: SolveOptions | None = None) -> Doub
     return DoubledResult(
         exponents=nu,
         weights=weights,
-        report=rep,
         nodes=nodes,
         maximizers=z,
         value=rep.objective,
         symmetry_residual=sym_res,
         maximizer_symmetry_residual=z_res,
         flags=flags,
+        report=rep,
     )
 
 
@@ -249,30 +226,17 @@ def _half_circle_points(values, tol=1e-9):
 
 
 @dataclass
-class ExtremalPolynomial:
-    problem: BojanovProblem
+class ExtremalPolynomial(Record):
+    interval: tuple          # (a, b)
+    exponents: tuple
     nodes: np.ndarray        # x_1 < ... < x_n in (a, b)
     alternation: np.ndarray  # s_0 = a < s_1 < ... < s_n = b
     norm: float
+    flags: dict
     doubled: DoubledResult
-    flags: dict = field(default_factory=dict)
-
-    @property
-    def exponents(self):
-        return self.problem.exponents
 
     def __call__(self, x):
         return eval_gap(x, self)
-
-    def to_dict(self):
-        return {
-            "interval": [self.problem.a, self.problem.b],
-            "exponents": list(self.exponents),
-            "nodes": [float(v) for v in self.nodes],
-            "alternation": [float(v) for v in self.alternation],
-            "norm": self.norm,
-            "flags": dict(self.flags),
-        }
 
 
 def eval_gap(x, poly) -> np.ndarray | float:
@@ -327,12 +291,13 @@ def solve_bojanov(q: BojanovProblem, opts: SolveOptions | None = None) -> Extrem
         "converged": dbl.report.converged,
     }
     return ExtremalPolynomial(
-        problem=q,
+        interval=(q.a, q.b),
+        exponents=q.exponents,
         nodes=x,
         alternation=s,
         norm=norm,
-        doubled=dbl,
         flags=flags,
+        doubled=dbl,
     )
 
 

@@ -25,6 +25,7 @@ from .evaluator import Problem
 from .torus import (
     TWO_PI,
     NodeSystem,
+    Record,
     ValidationError,
     as_permutation,
     min_gap,
@@ -189,7 +190,7 @@ def grid_profile(p: Problem, y, sigma, resolution: int = 512):
 
 
 @dataclass
-class GridMinimax:
+class GridMinimax(Record):
     value: float
     nodes: NodeSystem
     coarse_value: float
@@ -199,16 +200,6 @@ class GridMinimax:
 
     def __iter__(self):  # (M_estimate, argmin nodes) unpacking
         return iter((self.value, self.nodes))
-
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "nodes": list(self.nodes.values),
-            "coarse_value": self.coarse_value,
-            "coarse_nodes": list(self.coarse_nodes.values),
-            "tolerance": self.tolerance,
-            "node_resolution": self.node_resolution,
-        }
 
 
 def grid_minimax(
@@ -343,23 +334,13 @@ def grid_minimax(
 
 
 @dataclass
-class SandwichReport:
+class SandwichReport(Record):
     ok: bool
     m_estimate: float
     samples: int
     seed: int
     tol: float
     violations: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "m_estimate": self.m_estimate,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "violations": list(self.violations),
-        }
 
 
 def _sample_cell(rng, n, min_sep=1e-3, tries=1000):
@@ -446,7 +427,7 @@ def check_majorization(profile_x, profile_y) -> str:
 
 
 @dataclass
-class MMatrixReport:
+class MMatrixReport(Record):
     ok: bool
     diag_ok: bool
     offdiag_ok: bool
@@ -456,15 +437,6 @@ class MMatrixReport:
     def __bool__(self):
         return self.ok
 
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "diag_ok": self.diag_ok,
-            "offdiag_ok": self.offdiag_ok,
-            "colsum_ok": self.colsum_ok,
-            "failures": list(self.failures),
-        }
-
 
 def check_mmatrix(J) -> MMatrixReport:
     """M-matrix test for A = -J: positive diagonal, negative off-diagonal,
@@ -472,53 +444,41 @@ def check_mmatrix(J) -> MMatrixReport:
     A = -np.asarray(J, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError("expected a square matrix")
-    n = A.shape[0]
-    failures = []
-    diag_ok = bool(np.all(np.diag(A) > 0.0))
-    off = A[~np.eye(n, dtype=bool)]
-    offdiag_ok = bool(np.all(off < 0.0)) if off.size else True
+    eye = np.eye(A.shape[0], dtype=bool)
     sums = np.sum(A, axis=0)
-    colsum_ok = bool(np.all(sums > 0.0))
-    for i in range(n):
-        for j in range(n):
-            v = float(A[i, j])
-            if i == j and not v > 0.0:
-                failures.append({"entry": [i, j], "value": v, "expected": "> 0"})
-            if i != j and not v < 0.0:
-                failures.append({"entry": [i, j], "value": v, "expected": "< 0"})
-    for j in range(n):
-        if not sums[j] > 0.0:
-            failures.append({"column": j, "sum": float(sums[j]), "expected": "> 0"})
+    # each condition once, as the mask of the entries that break it (NaN breaks all)
+    bad_diag = eye & ~(A > 0.0)
+    bad_off = ~eye & ~(A < 0.0)
+    bad_sum = ~(sums > 0.0)
+    failures = [{"entry": [int(i), int(j)], "value": float(A[i, j]),
+                 "expected": "> 0" if i == j else "< 0"}
+                for i, j in np.argwhere(bad_diag | bad_off)]
+    failures += [{"column": int(j), "sum": float(sums[j]), "expected": "> 0"}
+                 for j in np.flatnonzero(bad_sum)]
     return MMatrixReport(
-        ok=diag_ok and offdiag_ok and colsum_ok,
-        diag_ok=diag_ok,
-        offdiag_ok=offdiag_ok,
-        colsum_ok=colsum_ok,
+        ok=not failures,
+        diag_ok=not bad_diag.any(),
+        offdiag_ok=not bad_off.any(),
+        colsum_ok=not bad_sum.any(),
         failures=failures,
     )
 
 
 @dataclass
-class ProbeRow:
+class ProbeRow(Record):
     level: float
     deviation: float
 
 
 @dataclass
-class ProbeTable:
+class ProbeTable(Record):
     kind: str
     rows: list
     decreasing: bool
+    bound_ok: bool  # every deviation <= (n + 1)/level + 1e-7
 
     def deviations(self):
         return [r.deviation for r in self.rows]
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "rows": [{"level": r.level, "deviation": r.deviation} for r in self.rows],
-            "decreasing": self.decreasing,
-        }
 
 
 def convergence_probe(
@@ -531,7 +491,8 @@ def convergence_probe(
     """Sorted-arc-maxima deviation of regularized kernels from the base.
 
     Arc structure comes from the sorted node positions alone; deviations
-    should shrink toward zero as the level grows.
+    should shrink toward zero as the level grows (decreasing), each within
+    (n + 1)/level + 1e-7 (bound_ok).
     """
     from .kernels import approximant
 
@@ -555,7 +516,8 @@ def convergence_probe(
         rows.append(ProbeRow(level=float(level), deviation=dev))
     devs = [r.deviation for r in rows]
     decreasing = all(devs[i + 1] <= devs[i] + 1e-12 for i in range(len(devs) - 1))
-    return ProbeTable(kind=kind, rows=rows, decreasing=decreasing)
+    bound_ok = all(r.deviation <= (p.n + 1) / r.level + 1e-7 for r in rows)
+    return ProbeTable(kind=kind, rows=rows, decreasing=decreasing, bound_ok=bound_ok)
 
 
 def interval_gap_minimax(

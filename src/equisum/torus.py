@@ -13,7 +13,7 @@ where y_0 = 0 and y_{n+1} = 2*pi.  Arcs may be degenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -129,6 +129,28 @@ class NodeSystem:
     def full_positions(self) -> np.ndarray:
         """Positions of all n+1 nodes: the fixed one at 0, then y_1..y_n."""
         return node_positions(self)
+
+
+class Record:
+    """Base of the result dataclasses: to_dict() is the fields, in declaration order."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(v):
+    """v with node systems as angle lists, to_dict() where defined, arrays as lists."""
+    if isinstance(v, NodeSystem):
+        return list(v.values)
+    if hasattr(v, "to_dict"):
+        return v.to_dict()
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return v
 
 
 @dataclass(frozen=True)

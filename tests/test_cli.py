@@ -2,8 +2,10 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,29 @@ def test_solver_options_reach_the_report(tmp_path, capsys):
     assert stages.count("secant") <= 3
 
 
+@pytest.mark.parametrize("cfg, seed", [
+    ({"seed": 7}, 7),
+    ({"options": {"seed": 3}}, 3),
+    ({"seed": 7, "options": {"seed": 3}}, 3),
+], ids=["top_level", "options", "options_over_top_level"])
+def test_report_names_the_seed_its_solve_used(tmp_path, capsys, cfg, seed):
+    """--seed, else options.seed, else the config's seed: the document's seed
+    is the one the solve drew from."""
+    code, doc = run_json(capsys, ["minimax", "--config",
+                                  write_config(tmp_path, dict(LOGSINE_CONFIG, **cfg))])
+    assert code == 0
+    assert doc["seed"] == doc["result"]["seed"] == seed
+
+
+def test_sandwich_draws_from_the_options_seed(tmp_path, capsys):
+    cfg = dict(LOGSINE_CONFIG, m_estimate=-2 * math.log(2.0), samples=2, seed=7,
+               options={"seed": 3})
+    code, doc = run_json(capsys, ["verify", "--config", write_config(tmp_path, cfg),
+                                  "--check", "sandwich", "--sigma", "1,2"])
+    assert code == 0
+    assert doc["seed"] == doc["result"]["seed"] == 3
+
+
 def test_minimax_and_maximin_agree_for_smooth_kernels(tmp_path, capsys):
     path = write_config(tmp_path, LOGSINE_CONFIG)
     code1, doc1 = run_json(capsys, ["minimax", "--config", path])
@@ -218,6 +243,11 @@ def test_jsonify_refuses_unknown_types():
     assert cli._jsonify(doc) == {"a": [1.5, "-inf", 2, None]}
     with pytest.raises(TypeError, match="ndarray"):
         cli._jsonify({"a": np.zeros(2)})
+
+
+def test_jsonify_writes_non_finite_floats_as_strings():
+    doc = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf")]
+    assert cli._jsonify(doc) == ["nan", "inf", "-inf", "nan", "inf"]
 
 
 def test_gtp_command(capsys):
@@ -553,6 +583,32 @@ def test_validation_exits_print_one_error_line(tmp_path, capsys, config, argv, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_python_m_equisum_exits_with_the_run_code(tmp_path, capsys, monkeypatch):
+    """`python -m equisum` calls cli.main(), which exits with run()'s code,
+    here run in this process."""
+    path = write_config(tmp_path, dict(EX_CONFIG, t=0.0))
+    for argv, code in ((["eval", "--config", path, "--no-timestamp"], 0),
+                       (["eval", "--config", str(tmp_path / "missing.json")], 1)):
+        monkeypatch.setattr(sys, "argv", ["equisum"] + argv)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("equisum", run_name="__main__")
+        assert exc.value.code == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert math.isclose(json.loads(out)["result"]["F"][0], E_VALUE, abs_tol=1e-12)
+
+
+def test_timestamp_is_utc_iso8601(tmp_path, capsys):
+    path = write_config(tmp_path, dict(EX_CONFIG, t=0.0))
+    before = datetime.now(timezone.utc)
+    assert run(["eval", "--config", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["schema", "command", "timestamp", "seed", "result"]
+    stamp = datetime.fromisoformat(doc["timestamp"])
+    assert stamp.utcoffset() == timedelta(0)
+    assert before <= stamp <= datetime.now(timezone.utc)
 
 
 def test_installed_script_smoke(tmp_path):

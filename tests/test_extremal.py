@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import equisum.extremal
 from equisum.extremal import (
     BojanovProblem,
     GtpProblem,
@@ -82,6 +84,28 @@ def test_transfer_to_interval_roundtrip():
         transfer_to_interval([PI / 4, 3 * PI / 4], q)  # wrong count
     with pytest.raises(ValidationError):
         transfer_to_interval([0.3, 1.0, 2.0, 5.0], q)  # not symmetric
+
+
+def test_transfer_to_interval_refuses_coincident_nodes():
+    """Mirror-symmetric torus nodes with a repeated angle map to a repeated
+    interval node."""
+    q = BojanovProblem(-1.0, 1.0, (1.0, 1.0))
+    with pytest.raises(ValidationError, match="not strictly increasing"):
+        transfer_to_interval([1.0, 1.0, TWO_PI - 1.0, TWO_PI - 1.0], q)
+
+
+def test_bojanov_refuses_a_missing_alternation_angle(monkeypatch):
+    """n + 1 alternation angles must span [0, pi]; a doubled solution with a
+    maximizer dropped leaves n."""
+    solve = equisum.extremal.solve_doubled_symmetric
+
+    def drop_one(exponents, opts=None):
+        dbl = solve(exponents, opts)
+        return dataclasses.replace(dbl, maximizers=dbl.maximizers[1:])
+
+    monkeypatch.setattr(equisum.extremal, "solve_doubled_symmetric", drop_one)
+    with pytest.raises(ValidationError, match="expected 3 alternation angles"):
+        solve_bojanov(BojanovProblem(-1.0, 1.0, (1.0, 1.0)))
 
 
 def test_bojanov_chebyshev_pair():

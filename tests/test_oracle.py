@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 import equisum.oracle
 from equisum.evaluator import Problem, profile
-from equisum.kernels import log_sine, parabola, riesz, tent, weighted
+from equisum.kernels import Kernel, log_sine, parabola, riesz, tent, weighted
 from equisum.oracle import (
     _golden_max,
     check_majorization,
@@ -127,6 +128,30 @@ def test_grid_minimax_validates():
             grid_minimax(LOGSINE_3, (1, 2), t_resolution=t_resolution)
 
 
+class _NanKernel(Kernel):
+    """A kernel with no value anywhere: every sup of the sweep is NaN."""
+
+    family = "nan"
+    value, deriv = Kernel.value, Kernel.deriv  # per-class hooks look here, as on every kernel
+
+    def _value(self, tt):
+        return np.full(np.shape(tt), np.nan)
+
+
+def test_grid_minimax_refuses_a_sweep_with_no_finite_sup():
+    p = Problem((_NanKernel(), _NanKernel(), _NanKernel()))
+    with pytest.raises(ValidationError, match="sweep found no interior configuration"):
+        grid_minimax(p, (1, 2), node_resolution=8)
+
+
+def test_sandwich_refuses_when_no_separated_sample_exists():
+    """2000 free nodes cannot all sit 1e-3 apart on a circle of length 2*pi,
+    so no interior sample is drawn."""
+    p = Problem(tuple(log_sine() for _ in range(2001)))
+    with pytest.raises(ValidationError, match="could not draw a well-separated interior sample"):
+        check_sandwich(p, None, m_estimate=0.0, samples=1)
+
+
 def test_sandwich_clean_on_smooth_problem():
     rep = check_sandwich(LOGSINE_3, (1, 2), m_estimate=-2 * math.log(2.0),
                          samples=50)
@@ -196,6 +221,45 @@ def test_mmatrix_colsum_failure():
     assert any("column" in f for f in rep.failures)
 
 
+def _mmatrix_failures_by_entry(J):
+    """The failures of check_mmatrix, entry by entry in row-major order, then
+    column by column."""
+    A = -np.asarray(J, dtype=float)
+    failures = []
+    for i in range(len(A)):
+        for j in range(len(A)):
+            v = float(A[i, j])
+            if i == j and not v > 0.0:
+                failures.append({"entry": [i, j], "value": v, "expected": "> 0"})
+            if i != j and not v < 0.0:
+                failures.append({"entry": [i, j], "value": v, "expected": "< 0"})
+    for j, s in enumerate(A.sum(axis=0)):
+        if not s > 0.0:
+            failures.append({"column": j, "sum": float(s), "expected": "> 0"})
+    return failures
+
+
+@pytest.mark.parametrize("J", [
+    [[-2.0, 1.0], [1.0, -2.0]],
+    [[-1.0, -1.0], [1.0, -1.0]],
+    [[1.0, 0.0, 2.0], [-3.0, math.nan, 0.5], [0.0, 1.0, -1.0]],
+    [[math.nan]],
+    np.zeros((0, 0)),
+], ids=["m_matrix", "offdiag", "mixed_nan", "nan_1x1", "empty"])
+def test_mmatrix_failures_and_flags_agree(J):
+    """Each flag is the absence of its kind of failure, and the failures come
+    entry by entry, then column by column."""
+    rep = check_mmatrix(J)
+    failures = _mmatrix_failures_by_entry(J)
+    # json.dumps compares NaN values, and refuses numpy integers
+    assert json.dumps(rep.to_dict()["failures"]) == json.dumps(failures)
+    entries = [f["entry"] for f in failures if "entry" in f]
+    assert rep.diag_ok == all(i != j for i, j in entries)
+    assert rep.offdiag_ok == all(i == j for i, j in entries)
+    assert rep.colsum_ok == all("entry" in f for f in failures)
+    assert rep.ok == (failures == []) == (rep.diag_ok and rep.offdiag_ok and rep.colsum_ok)
+
+
 def test_convergence_probe_decreasing_and_bounded():
     tab = convergence_probe(EX_P, E_POINT)
     assert tab.kind == "sqrt_cusp"
@@ -208,6 +272,7 @@ def test_convergence_probe_decreasing_and_bounded():
     assert devs[-1] < 1e-9
     d = tab.to_dict()
     assert d["decreasing"] and len(d["rows"]) == 4
+    assert tab.bound_ok and d["bound_ok"]
 
 
 def test_convergence_probe_rejects_empty_levels():
