@@ -5,13 +5,14 @@ plus golden-section refinement — deliberately sharing no search code with
 the evaluator or the solvers, so agreement between the two is evidence
 rather than tautology.
 
-The oracles work in lockstep batches: one grid over every arc of every
-node system in a batch, then one golden-section loop that refines all
-those arcs together, each stopping on its own width test.  A step costs
-one Kernel.value call per kernel, whatever the batch size.  This relies on
-the elementwise contract stated in kernels.py: a point's value does not
-depend on the array it sits in, so each batch row reproduces, bit for bit,
-what it would give on its own.
+Every arc maximum comes from _arc_sups: a grid on the arc, then a golden
+run on the bracket of its best point (F is concave between nodes), in
+lockstep batches: one grid over every arc of every node system in a batch,
+then one golden loop that refines all those arcs together, each stopping
+on its own width test.  A step costs one Kernel.value call per kernel,
+whatever the batch size.  This relies on the elementwise contract stated
+in kernels.py: a point's value does not depend on the array it sits in,
+so each batch row reproduces, bit for bit, what it would give on its own.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .evaluator import Problem
 from .torus import (
     TWO_PI,
     NodeSystem,
+    Permutation,
     Record,
     ValidationError,
     as_permutation,
@@ -93,49 +95,6 @@ def _golden_max(p: Problem, positions, lo, hi, iters=80):
     return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
-def _sorted_arcs(positions):
-    """(lo, hi) of the arcs between consecutive nodes on the circle, from
-    the sorted rows of positions (..., n+1) alone."""
-    ends = np.full(positions.shape[:-1] + (1,), TWO_PI)
-    cuts = np.concatenate((np.sort(positions, axis=-1), ends), axis=-1)
-    return cuts[..., :-1], cuts[..., 1:]
-
-
-def _grid_sups(p: Problem, positions, resolution: int, refine: bool):
-    """grid_sup for each row of positions (B, n+1), full node vectors with
-    node 0 first."""
-    ts = np.arange(resolution) * (TWO_PI / resolution)
-    B = len(positions)
-    best = np.max(_F(p, positions, np.broadcast_to(ts, (B, resolution))), axis=1)
-    if not refine:
-        return best
-    # F is concave between consecutive nodes, so one golden run per arc
-    # nails every mode -- including narrow kink spikes the grid undersamples
-    lo, hi = _sorted_arcs(positions)
-    row, arc = np.nonzero(np.isfinite(best)[:, None] & ~(hi - lo <= 1e-13))
-    _, refined = _golden_max(p, positions[row], lo[row, arc], hi[row, arc])
-    per_arc = np.full(lo.shape, -math.inf)
-    per_arc[row, arc] = np.where(np.isnan(refined), -math.inf, refined)
-    top = np.max(per_arc, axis=1)
-    return np.where(top > best, top, best)
-
-
-def grid_sup(p: Problem, y, resolution: int = 4096, refine: bool = True) -> float:
-    """Max of F(y, .) over a uniform circle grid, then golden refinement.
-
-    Always a lower bound for the true sup (up to refinement rounding).
-    Refinement runs one golden pass per arc between consecutive nodes —
-    F is concave there — so narrow kink spikes whose sampled neighbourhood
-    ranks below a smooth mode are still found.
-    """
-    positions = node_positions(y, p.n)
-    if resolution < 10 * (p.n + 1):
-        raise ValidationError(
-            f"resolution {resolution} too coarse; need at least {10 * (p.n + 1)}"
-        )
-    return float(_grid_sups(p, positions[None, :], resolution, refine)[0])
-
-
 def _check_arc_resolution(resolution):
     # one point per arc is the arc's left end: no maximum is located
     if resolution < 2:
@@ -150,7 +109,8 @@ def _arc_sups(p: Problem, positions, lo, hi, resolution):
     flat = hi - lo <= 1e-13  # a collapsed arc reports its left end
     v[flat] = _F(p, positions[flat], t[flat, None])[:, 0]
     wide = np.flatnonzero(~flat)
-    ts = np.linspace(lo[wide], hi[wide], resolution, axis=1)
+    # C-contiguous rows: every kernel call runs faster than on linspace's strided view
+    ts = np.ascontiguousarray(np.linspace(lo[wide], hi[wide], resolution, axis=1))
     vals = _F(p, positions[wide], ts)
     i = np.argmax(vals, axis=1)
     rows = np.arange(len(wide))
@@ -178,6 +138,26 @@ def _profiles(p: Problem, slots, sig, resolution):
     z, m = _arc_sups(p, np.repeat(positions, arcs, axis=0), cuts[:, :-1].ravel(),
                      cuts[:, 1:].ravel(), resolution)
     return z.reshape(-1, arcs), m.reshape(-1, arcs)
+
+
+def _sorted_cell(y, n):
+    """(sig, slots): the ordering that sorts y's angles, and the sorted angles."""
+    angles = node_angles(y, n)
+    order = np.argsort(angles, kind="stable")
+    return Permutation(tuple(int(k) + 1 for k in order)), angles[order]
+
+
+def grid_sup(p: Problem, y, resolution: int = 4096) -> float:
+    """Max of F(y, .) over the circle: the largest arc maximum between
+    sorted nodes.  The n+1 arcs share the resolution, resolution // (n+1)
+    grid points each, as one circle grid would.  A lower bound for the true
+    sup, up to refinement rounding."""
+    if resolution < 10 * (p.n + 1):
+        raise ValidationError(
+            f"resolution {resolution} too coarse; need at least {10 * (p.n + 1)}"
+        )
+    sig, slots = _sorted_cell(y, p.n)
+    return float(np.max(_profiles(p, slots[None], sig, resolution // (p.n + 1))[1]))
 
 
 def grid_profile(p: Problem, y, sigma, resolution: int = 512):
@@ -211,8 +191,9 @@ def grid_minimax(
     """Exhaustive sweep of node grids inside one cell, minimizing sup F.
 
     Cost grows as node_resolution^n, so n <= 3.  The best coarse cell is
-    sharpened by a joint pattern search scored with grid_sup; ties in the
-    sweep resolve to the lexicographically first grid cell.
+    sharpened by a joint pattern search; the coarse winner and every
+    candidate are scored as grid_sup(p, nodes, 4096) scores them.  Ties in
+    the sweep resolve to the lexicographically first grid cell.
     """
     if p.n > 3:
         raise ValidationError("grid_minimax supports n <= 3 only")
@@ -254,25 +235,25 @@ def grid_minimax(
     def nodes_of(slot_values):
         return NodeSystem(sig.nodes(slot_values))
 
-    coarse_slots = [float(g[i]) for i in best_idx]
+    def exact(cand):
+        # grid_sup(p, nodes_of(c), 4096) of every candidate row c in one batch
+        return np.max(_profiles(p, cand, sig, 4096 // (n + 1))[1], axis=1)
+
+    coarse_slots = g[list(best_idx)]
     coarse_nodes = nodes_of(coarse_slots)
-    coarse_value = grid_sup(p, coarse_nodes, max(t_resolution, 2048), refine=True)
+    coarse_value = float(exact(coarse_slots[None])[0])
     step = TWO_PI / (R + 1.0)
 
     # joint pattern search: all slots move together, so diagonal valleys
     # (symmetric configurations) are followed correctly; the window shrinks
     # only when a round fails, letting the search walk out of a shallow
     # coarse winner into a narrow distant basin
-    slots = np.asarray(coarse_slots)
+    slots = coarse_slots
     value = coarse_value
     per_axis = {1: 129, 2: 33, 3: 9}[n]
     rescores = 8  # raw-grid ranking is biased near kinks; check several
     ts_fine = np.arange(2048) * (TWO_PI / 2048)
     base_fine = p.kernels[0].value(ts_fine)
-
-    def exact(cand):
-        # grid_sup(p, nodes_of(c), 4096) of every candidate row c in one batch
-        return _grid_sups(p, node_positions(sig.nodes(cand)), 4096, refine=True)
 
     def cell_mask(cand):
         ok = np.all((cand > 1e-9) & (cand < TWO_PI - 1e-9), axis=1)
@@ -490,7 +471,8 @@ def convergence_probe(
 ) -> ProbeTable:
     """Sorted-arc-maxima deviation of regularized kernels from the base.
 
-    Arc structure comes from the sorted node positions alone; deviations
+    Arc structure comes from the sorted node positions alone, arcs of
+    width at most 1e-13 left out; deviations
     should shrink toward zero as the level grows (decreasing), each within
     (n + 1)/level + 1e-7 (bound_ok).
     """
@@ -499,14 +481,11 @@ def convergence_probe(
     _check_arc_resolution(resolution)
     if len(levels) == 0:
         raise ValidationError("convergence_probe needs at least one level")
-    positions = node_positions(y, p.n)
-    lo, hi = _sorted_arcs(positions)
-    wide = ~(hi - lo <= 1e-13)
-    lo, hi = lo[wide], hi[wide]
-    batch = np.broadcast_to(positions, (len(lo), len(positions)))
+    sig, slots = _sorted_cell(y, p.n)
+    wide = ~(np.diff(np.concatenate(([0.0], slots, [TWO_PI]))) <= 1e-13)
 
     def sorted_m(q: Problem):
-        return np.sort(_arc_sups(q, batch, lo, hi, resolution)[1])
+        return np.sort(_profiles(q, slots[None], sig, resolution)[1][0, wide])
 
     base = sorted_m(p)
     rows = []

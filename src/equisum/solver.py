@@ -124,7 +124,10 @@ def equidistant_nodes(n: int, sigma) -> NodeSystem:
 
 
 def _project_cell(y_vec: np.ndarray, sig: Permutation, margin: float) -> np.ndarray:
-    """Clamp a free-node vector back into the ordering cell, `margin` inside."""
+    """Clamp a free-node vector back into the ordering cell, `margin` inside.
+
+    No node lands on 2*pi, even for a margin below half an ulp of 2*pi:
+    profile() would reduce it to 0, outside the cell."""
     n = len(y_vec)
     margin = min(margin, TWO_PI / (4.0 * (n + 1)))
     v = [float(x) for x in sig.slots(y_vec)]
@@ -132,9 +135,9 @@ def _project_cell(y_vec: np.ndarray, sig: Permutation, margin: float) -> np.ndar
     for k in range(n):
         v[k] = max(v[k], lo + margin)
         lo = v[k]
-    hi = TWO_PI
+    hi, top = TWO_PI, math.nextafter(TWO_PI, 0.0)
     for k in reversed(range(n)):
-        v[k] = min(v[k], hi - margin)
+        v[k] = min(v[k], hi - margin, top)
         hi = v[k]
     return sig.nodes(v)
 

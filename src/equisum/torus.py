@@ -29,7 +29,7 @@ class ValidationError(ValueError):
 
 
 # arrays at least this long take the cheap branch of reduce_angle when they
-# fit in (-2*pi, 2*pi); below it the range test and the masked add cost more
+# fit in (-2*pi, 2*pi]; below it the range test and the masked add cost more
 # than np.mod saves (crossover measured at 600-800 points)
 _CHEAP_MIN = 1024
 
@@ -44,9 +44,11 @@ def reduce_angle(t):
     - scalars use float %, which is fmod plus the same sign adjustment as
       np.mod, and maps -0.0 to +0.0 as np.mod does;
     - a float64 array of at least _CHEAP_MIN points that lies in
-      (-2*pi, 2*pi) skips np.mod: there fmod(t, 2*pi) is t exactly, so
-      np.mod gives t + 2*pi for t < 0 and t otherwise, and t + 0.0 turns
-      -0.0 into +0.0.  NaN and inf fail the range test and take np.mod.
+      (-2*pi, 2*pi] skips np.mod: below 2*pi, fmod(t, 2*pi) is t exactly,
+      so np.mod gives t + 2*pi for t < 0 and t otherwise, and t + 0.0 turns
+      -0.0 into +0.0; a t of exactly 2*pi stays 2*pi until the fix maps it
+      to 0.0, as np.mod does.  (A grid over an arc that ends at 2*pi
+      reaches it.)  NaN and inf fail the range test and take np.mod.
     """
     if np.ndim(t) == 0:
         r = float(t) % TWO_PI
@@ -54,7 +56,7 @@ def reduce_angle(t):
         return r - TWO_PI if r >= TWO_PI else r
     t = np.asarray(t)
     if (t.size >= _CHEAP_MIN and t.dtype == np.float64
-            and -TWO_PI < t.min() and t.max() < TWO_PI):
+            and -TWO_PI < t.min() and t.max() <= TWO_PI):
         r = t + 0.0
         np.add(r, TWO_PI, out=r, where=r < 0.0)
     else:

@@ -30,6 +30,8 @@ EXPECTED_EXIT = {
     "extra/logsine_riesz/equioscillate_degrees": 0,
     "extra/logsine_riesz/minimax_degrees": 0,
     "extra/logsine_riesz/maximin_degrees": 0,
+    "extra/example/grid_minimax": 0,
+    "extra/logsine_tent/sandwich": 0,
     "extra/gtp_degrees": 0,
     "extra/bojanov_degrees": 0,
 }

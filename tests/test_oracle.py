@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import equisum.oracle
-from equisum.evaluator import Problem, profile
+from equisum.evaluator import Problem, profile, sum_translates
 from equisum.kernels import Kernel, log_sine, parabola, riesz, tent, weighted
 from equisum.oracle import (
     _golden_max,
@@ -20,7 +20,7 @@ from equisum.oracle import (
     grid_sup,
     interval_gap_minimax,
 )
-from equisum.torus import TWO_PI, Permutation, ValidationError
+from equisum.torus import TWO_PI, Permutation, ValidationError, locate
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -46,8 +46,9 @@ def test_grid_sup_matches_equioscillation_value():
 
 
 def test_grid_sup_boundary_configuration_closed_form():
-    # the sup sits off the raw grid here; per-arc refinement must find it
-    raw = grid_sup(EX_P, STEP2_POINT, 4096, refine=False)
+    # the sup sits off the 4096-point circle grid here; the golden runs on
+    # the arcs must find it
+    raw = float(np.max(sum_translates(EX_P, STEP2_POINT, np.arange(4096) * (TWO_PI / 4096))))
     v = grid_sup(EX_P, STEP2_POINT, 4096)
     assert raw <= v
     assert math.isclose(v, STEP2_SUP, abs_tol=1e-9)
@@ -60,6 +61,23 @@ def test_grid_sup_equidistant_log_sine():
         y = [2 * PI * k / (n + 1) for k in range(1, n + 1)]
         v = grid_sup(p, y, 8192)
         assert math.isclose(v, -n * math.log(2.0), abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("p, y, sigma, resolution", [
+    (EX_P, E_POINT, None, 4096),
+    (EX_P, (2.3, 1.1, 4.9), None, 4096),
+    (LOGSINE_3, EQ_2, None, 1000),
+    (Problem((log_sine(), riesz(2.0), weighted(parabola(), 0.3), tent())),
+     (4.1, 0.8, 2.2), None, 777),
+    # a node pair 1e-14 apart makes a degenerate arc; so does a node on 0
+    (EX_P, (1.0, 1.0 + 1e-14, 4.0), (1, 2, 3), 4096),
+    (EX_P, STEP2_POINT, (3, 2, 1), 4096),
+], ids=["example", "generic", "log_sine", "mixed", "close_pair", "node_on_anchor"])
+def test_grid_sup_is_the_largest_grid_profile_maximum(p, y, sigma, resolution):
+    # grid_sup shares its resolution across the n+1 arcs of the sorted nodes
+    sigma = sigma or locate(y)
+    _, _, m = grid_profile(p, y, sigma, resolution // (p.n + 1))
+    assert grid_sup(p, y, resolution) == max(m)
 
 
 def test_grid_sup_resolution_contract():

@@ -51,8 +51,7 @@ def _hex(values):
 
 
 def _sup(p, y, resolution):
-    return lambda: {"refined": grid_sup(p, y, resolution).hex(),
-                    "raw": grid_sup(p, y, resolution, refine=False).hex()}
+    return lambda: {"refined": grid_sup(p, y, resolution).hex()}
 
 
 def _profile(p, y, sigma, resolution=512):

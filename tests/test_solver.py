@@ -16,6 +16,7 @@ from equisum.solver import (
     SolveOptions,
     _coarse_grid_start,
     _newton_stage,
+    _project_cell,
     _secant_stage,
     equidistant_nodes,
     maximin,
@@ -236,6 +237,17 @@ def test_settled_start_with_collapsed_nodes_is_boundary_suspected():
     rep = solve_equioscillation(p, Permutation((1, 2)), SolveOptions(start=(PI, PI)))
     assert rep.residual == 0.0
     assert rep.status == BOUNDARY_SUSPECTED
+
+
+def test_project_cell_keeps_nodes_below_two_pi_at_a_tiny_margin():
+    """A margin below half an ulp of 2*pi must not clamp a node onto 2*pi:
+    profile() would reduce it to 0, outside the cell (wide-corpus cell
+    048/3412)."""
+    sig = Permutation((1, 2))
+    y = _project_cell(np.array([3.0, TWO_PI + 1e-3]), sig, 8.9e-19)
+    assert y[0] == 3.0 and y[1] == np.nextafter(TWO_PI, 0.0)
+    prof = profile(unit_problem(3), y, sig)
+    assert prof.m_trav.shape == (3,)
 
 
 def test_coarse_grid_start_matches_equidistant():

@@ -70,15 +70,18 @@ def test_reduce_angle_scalar_bits(v, kind):
 
 @pytest.mark.parametrize("size", [1, 7, torus._CHEAP_MIN - 1, torus._CHEAP_MIN,
                                   3 * torus._CHEAP_MIN + 5])
-@pytest.mark.parametrize("spread", ["in_range", "below", "above", "wide", "nonfinite"])
+@pytest.mark.parametrize("spread", ["in_range", "two_pi", "below", "above", "wide",
+                                    "nonfinite"])
 def test_reduce_angle_array_bits(size, spread):
-    """Below and above the cheap branch's size threshold, inside (-2*pi, 2*pi)
+    """Below and above the cheap branch's size threshold, inside (-2*pi, 2*pi]
     (where the cheap branch applies) and outside it, the bits are np.mod's."""
     rng = np.random.default_rng(size)
     inside = [v for v in _EDGES if abs(v) < TWO_PI]
     # one side at most one turn out: the range test alone must send it to np.mod
     edges, lo, hi = {
         "in_range": (inside, -TWO_PI, TWO_PI),
+        # exactly 2*pi, as at the end of a grid over the last arc
+        "two_pi": ([TWO_PI] + inside, -TWO_PI, TWO_PI),
         "below": (inside + [-TWO_PI, -2 * TWO_PI], -2 * TWO_PI, TWO_PI),
         "above": (inside + [TWO_PI, 2 * TWO_PI], -TWO_PI, 2 * TWO_PI),
         "wide": (_EDGES, -50.0, 50.0),

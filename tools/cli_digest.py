@@ -57,6 +57,11 @@ def _extra_cases():
         ] + [(f"{name}/{command}_degrees", [command, "--degrees"], solve_cfg)
              for command in ("equioscillate", "minimax", "maximin")]
     cases += [
+        ("example/grid_minimax", ["verify", "--check", "grid-minimax", "--sigma", "2,1,3"],
+         dict(_EXAMPLE, node_resolution=12)),
+        # no m_estimate: grid_minimax supplies M
+        ("logsine_tent/sandwich", ["verify", "--check", "sandwich", "--sigma", "1"],
+         {"kernels": [{"family": "log_sine"}, {"family": "tent"}]}),
         ("gtp_degrees", ["gtp", "--degrees", "--exponents", "1,2,1"], {}),
         ("bojanov_degrees", ["bojanov", "--degrees", "--interval=-1,2", "--exponents", "1,2"], {}),
     ]
