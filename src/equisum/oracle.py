@@ -1,18 +1,18 @@
 """Brute-force oracles and property checkers.
 
 Everything here recomputes values from kernel evaluations alone — grids
-plus golden-section refinement — deliberately sharing no search code with
-the evaluator or the solvers, so agreement between the two is evidence
-rather than tautology.
+and zoom grids — deliberately sharing no search code with the evaluator
+or the solvers, so agreement between the two is evidence rather than
+tautology.
 
-Every arc maximum comes from _arc_sups: a grid on the arc, then a golden
-run on the bracket of its best point (F is concave between nodes), in
-lockstep batches: one grid over every arc of every node system in a batch,
-then one golden loop that refines all those arcs together, each stopping
-on its own width test.  A step costs one Kernel.value call per kernel,
-whatever the batch size.  This relies on the elementwise contract stated
-in kernels.py: a point's value does not depend on the array it sits in,
-so each batch row reproduces, bit for bit, what it would give on its own.
+Every arc maximum comes from _arc_sups: a grid on the arc, then zoom grids
+on the bracket of the best point (F is concave between nodes), in lockstep
+batches: one grid over every arc of every node system in a batch, then one
+zoom loop that refines all those arcs together, each stopping on its own
+width test.  A level costs one Kernel.value call per kernel, whatever the
+batch size.  This relies on the elementwise contract stated in kernels.py:
+a point's value does not depend on the array it sits in, so each batch row
+reproduces, bit for bit, what it would give on its own.
 """
 from __future__ import annotations
 
@@ -37,7 +37,8 @@ from .torus import (
 
 DEFAULT_SEED = 12345
 MAJORIZATION_TOL = 1e-12  # m-vector differences within it count as equal
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ZOOM = 33  # points of a zoom grid: its best point's bracket is 1/16 of the last
+_ZOOM_LEVELS = 16  # a 2*pi bracket is below 1e-14 after 13 levels
 
 
 def _F(p: Problem, positions, ts):
@@ -56,45 +57,6 @@ def _F(p: Problem, positions, ts):
     return acc
 
 
-def _golden_step(p: Problem, positions, a, b, x1, x2, f1, f2):
-    """One golden-section step of every interval: the new (a, b, x1, x2, f1, f2)."""
-    up = f1 < f2  # the max lies right of x1: drop [a, x1]
-    a = np.where(up, x1, a)
-    b = np.where(up, b, x2)
-    x_new = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
-    f_new = _F(p, positions, x_new[:, None])[:, 0]
-    return (a, b, np.where(up, x2, x_new), np.where(up, x_new, x1),
-            np.where(up, f2, f_new), np.where(up, f_new, f1))
-
-
-def _golden_max(p: Problem, positions, lo, hi, iters=80):
-    """Golden-section maxima of F on the intervals [lo[b], hi[b]] (F concave
-    on each), row b against positions[b]: arrays (x, F(x)).
-
-    All intervals step together; each stops on its own width test, so its
-    iterates are those of a golden run on that interval alone.  While every
-    interval is still live the step works on the whole arrays; once some
-    have stopped it gathers the live rows and scatters them back.
-    """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f = _F(p, positions, np.stack((x1, x2), axis=1))
-    f1, f2 = f[:, 0].copy(), f[:, 1].copy()
-    for _ in range(iters):
-        live = np.flatnonzero(~(b - a < 1e-14))
-        if not live.size:
-            break
-        if live.size == a.size:
-            a, b, x1, x2, f1, f2 = _golden_step(p, positions, a, b, x1, x2, f1, f2)
-        else:
-            a[live], b[live], x1[live], x2[live], f1[live], f2[live] = _golden_step(
-                p, positions[live], a[live], b[live], x1[live], x2[live], f1[live], f2[live])
-    first = f1 >= f2
-    return np.where(first, x1, x2), np.where(first, f1, f2)
-
-
 def _check_arc_resolution(resolution):
     # one point per arc is the arc's left end: no maximum is located
     if resolution < 2:
@@ -102,25 +64,36 @@ def _check_arc_resolution(resolution):
 
 
 def _arc_sups(p: Problem, positions, lo, hi, resolution):
-    """Grid + golden maxima of F over the arcs [lo[b], hi[b]], row b against
-    positions[b]: arrays (t, F(t))."""
+    """Maxima of F over the arcs [lo[b], hi[b]], row b against positions[b]:
+    arrays (t, F(t)).
+
+    A grid of `resolution` points on each arc, then zoom levels: a grid of
+    _ZOOM points on the bracket of the last grid's best point, until that
+    bracket is narrower than 1e-14 or _ZOOM_LEVELS levels have run.  F is
+    concave on an arc, so every bracket holds a maximizer; each arc keeps
+    the best point any of its grids saw, a value of F, so a lower bound for
+    the sup.  Arcs whose brackets are still wide step together, one _F call
+    per level.
+    """
     t = np.array(lo, dtype=float)
     v = np.empty(len(t))
     flat = hi - lo <= 1e-13  # a collapsed arc reports its left end
     v[flat] = _F(p, positions[flat], t[flat, None])[:, 0]
-    wide = np.flatnonzero(~flat)
-    # C-contiguous rows: every kernel call runs faster than on linspace's strided view
-    ts = np.ascontiguousarray(np.linspace(lo[wide], hi[wide], resolution, axis=1))
-    vals = _F(p, positions[wide], ts)
-    i = np.argmax(vals, axis=1)
-    rows = np.arange(len(wide))
-    t[wide], v[wide] = ts[rows, i], vals[rows, i]
-    fin = np.flatnonzero(np.isfinite(v[wide]))
-    a = ts[fin, np.maximum(i[fin] - 1, 0)]
-    b = ts[fin, np.minimum(i[fin] + 1, resolution - 1)]
-    t2, v2 = _golden_max(p, positions[wide[fin]], a, b)
-    better = v2 > v[wide[fin]]
-    t[wide[fin[better]]], v[wide[fin[better]]] = t2[better], v2[better]
+    rows = np.flatnonzero(~flat)
+    a, b, size = lo[rows], hi[rows], resolution
+    for level in range(_ZOOM_LEVELS + 1):
+        if not rows.size:
+            break
+        # C-contiguous rows: every kernel call runs faster than on linspace's strided view
+        ts = np.ascontiguousarray(np.linspace(a, b, size, axis=1))
+        vals = _F(p, positions[rows], ts)
+        i = np.argmax(vals, axis=1)
+        k = np.arange(len(rows))
+        up = vals[k, i] > v[rows] if level else np.ones(len(rows), dtype=bool)
+        t[rows[up]], v[rows[up]] = ts[k[up], i[up]], vals[k[up], i[up]]
+        a, b = ts[k, np.maximum(i - 1, 0)], ts[k, np.minimum(i + 1, size - 1)]
+        live = np.isfinite(v[rows]) & ~(b - a < 1e-14)
+        rows, a, b, size = rows[live], a[live], b[live], _ZOOM
     return t, v
 
 
@@ -300,6 +273,8 @@ def grid_minimax(
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         cand = slots[None, :] + h * np.vstack((offsets, extra))
         cand = cand[cell_mask(cand)]
+        # score each distinct row once (at n = 1 every direction is +-1)
+        cand = cand[np.sort(np.unique(cand, axis=0, return_index=True)[1])]
         vals = exact(cand)
         if len(vals) and float(np.min(vals)) < value - 1e-15:
             i = int(np.argmin(vals))

@@ -10,7 +10,9 @@ import equisum.oracle
 from equisum.evaluator import Problem, profile, sum_translates
 from equisum.kernels import Kernel, log_sine, parabola, riesz, tent, weighted
 from equisum.oracle import (
-    _golden_max,
+    _ZOOM,
+    _ZOOM_LEVELS,
+    _arc_sups,
     check_majorization,
     check_mmatrix,
     check_sandwich,
@@ -46,7 +48,7 @@ def test_grid_sup_matches_equioscillation_value():
 
 
 def test_grid_sup_boundary_configuration_closed_form():
-    # the sup sits off the 4096-point circle grid here; the golden runs on
+    # the sup sits off the 4096-point circle grid here; the zoom grids on
     # the arcs must find it
     raw = float(np.max(sum_translates(EX_P, STEP2_POINT, np.arange(4096) * (TWO_PI / 4096))))
     v = grid_sup(EX_P, STEP2_POINT, 4096)
@@ -363,34 +365,37 @@ def test_sandwich_margins_match_single_profiles(p):
             assert v["margin"] == -float(np.max(m))
 
 
-def _golden_reference(p, positions, lo, hi, iters=80):
-    """One golden-section run on one interval, a point at a time."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-
+def _zoom_reference(p, positions, lo, hi, resolution):
+    """The arc grid and zoom levels of _arc_sups on one arc, a point at a time."""
     def f(t):
         acc = np.zeros(1)
         for j, k in enumerate(p.kernels):
             acc = acc + k.value(np.array([t]) - positions[j])
         return float(acc[0])
 
-    a, b = float(lo), float(hi)
-    x1, x2 = b - g * (b - a), a + g * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if b - a < 1e-14:
+    def grid(a, b, size):  # np.linspace's points: a + k * step, ending on b
+        step = (b - a) / (size - 1)
+        return [a + k * step for k in range(size - 1)] + [b]
+
+    lo, hi = float(lo), float(hi)
+    if hi - lo <= 1e-13:
+        return lo, f(lo)
+    a, b, size = lo, hi, resolution
+    best = None
+    for _ in range(_ZOOM_LEVELS + 1):
+        ts = grid(a, b, size)
+        vals = [f(x) for x in ts]
+        i = max(range(size), key=vals.__getitem__)  # the first largest
+        if best is None or vals[i] > best[1]:
+            best = (ts[i], vals[i])
+        a, b, size = ts[max(i - 1, 0)], ts[min(i + 1, size - 1)], _ZOOM
+        if not math.isfinite(best[1]) or b - a < 1e-14:
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + g * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - g * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+    return best
 
 
-def test_lockstep_golden_matches_scalar_reference():
+def _random_intervals():
+    """60 intervals in arcs of random node systems of a mixed problem."""
     rng = np.random.default_rng(20261018)
     p = Problem((log_sine(), weighted(tent(), 0.7), riesz(1.5), weighted(parabola(), 0.2)))
     positions = np.concatenate((np.zeros((60, 1)),
@@ -404,10 +409,64 @@ def test_lockstep_golden_matches_scalar_reference():
     lo[10:20] = left[10:20]       # starting on a node ...
     hi[20:30] = right[20:30]      # ... or ending on one
     lo[30:33], hi[30:33] = 0.0, cuts[30:33, 1]  # log-sine is -inf at node 0
-    x, fx = _golden_max(p, positions, lo, hi)
+    return p, positions, lo, hi
+
+
+def test_lockstep_zoom_matches_scalar_reference():
+    p, positions, lo, hi = _random_intervals()
+    for resolution in (2, 64):  # from the whole arc, and from a fine grid
+        x, fx = _arc_sups(p, positions, lo, hi, resolution)
+        for b in range(60):
+            want = _zoom_reference(p, positions[b], lo[b], hi[b], resolution)
+            assert (float(x[b]).hex(), float(fx[b]).hex()) == (want[0].hex(), want[1].hex())
+
+
+def _count_value_calls(monkeypatch, p):
+    """A list that grows by one at every Kernel.value call of p's kernel
+    classes; p's kernels must not call each other."""
+    calls = []
+    for cls in {type(k) for k in p.kernels}:
+        def counted(self, t, _value=cls.value):
+            calls.append(None)
+            return _value(self, t)
+        monkeypatch.setattr(cls, "value", counted)
+    return calls
+
+
+def test_arc_sups_calls_each_kernel_once_per_level(monkeypatch):
+    # the arcs of a batch step together: one _F call per level, so a batch
+    # costs what its slowest arc costs alone, whatever its size
+    _, positions, lo, hi = _random_intervals()
+    p = Problem((log_sine(), tent(), riesz(1.5), parabola()))
+    calls = _count_value_calls(monkeypatch, p)
+    alone = []
     for b in range(60):
-        want = _golden_reference(p, positions[b], lo[b], hi[b])
-        assert (float(x[b]).hex(), float(fx[b]).hex()) == (want[0].hex(), want[1].hex())
+        calls.clear()
+        _arc_sups(p, positions[b:b + 1], lo[b:b + 1], hi[b:b + 1], 64)
+        alone.append(len(calls))
+    # the flat-arc call, then the arc grid and each zoom level
+    assert all(c % 4 == 0 and 4 <= c <= 4 * (_ZOOM_LEVELS + 2) for c in alone)
+    for size in (2, 7, 60):
+        calls.clear()
+        _arc_sups(p, positions[:size], lo[:size], hi[:size], 64)
+        assert len(calls) == max(alone[:size])
+
+
+def test_zoom_level_cap_ends_a_plateau(monkeypatch):
+    # tents at 0 and pi sum to pi everywhere: every grid point ties, so each
+    # level brackets the first point and the width test ends the loop, or
+    # the level cap does first
+    p = Problem((tent(), tent()))
+    positions, lo, hi = np.array([[0.0, PI]]), np.array([0.0]), np.array([PI])
+    calls = _count_value_calls(monkeypatch, p)
+    t, v = _arc_sups(p, positions, lo, hi, 2)
+    assert 0.0 <= t[0] <= PI and math.isclose(v[0], PI, rel_tol=1e-15)
+    assert len(calls) <= 2 * (_ZOOM_LEVELS + 2)
+    monkeypatch.setattr(equisum.oracle, "_ZOOM_LEVELS", 3)
+    calls.clear()
+    t, v = _arc_sups(p, positions, lo, hi, 2)
+    assert len(calls) == 2 * (1 + 1 + 3)  # the flat-arc call, the arc grid, 3 levels
+    assert 0.0 <= t[0] <= PI and math.isclose(v[0], PI, rel_tol=1e-15)
 
 
 def test_arc_resolutions_below_two_are_rejected():

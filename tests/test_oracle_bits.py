@@ -3,7 +3,7 @@
 tests/data/oracle_bits.json holds float.hex of what grid_sup, grid_profile,
 grid_minimax, check_sandwich and convergence_probe return for each case
 below.  The oracles must reproduce them exactly, so a change to how their
-grids and golden-section runs are batched cannot shift a bit unnoticed.
+grids and zoom levels are batched cannot shift a bit unnoticed.
 Regenerate the file only for a change that means to move the results, and
 say so where the change is recorded.  The bits were recorded with numpy 2.4
 on x86-64; a numpy build whose sin, tan or log round differently needs its
