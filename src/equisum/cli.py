@@ -167,8 +167,6 @@ def _options_from(cfg, args) -> SolveOptions:
     for key, val in raw.items():
         if key not in known:
             raise ValidationError(f"unknown solver option {key!r}")
-        if key in ("homotopy_levels",):
-            val = tuple(None if v in (None, "inf") else v for v in val)
         if key == "start" and isinstance(val, list):
             val = tuple(val)
         setattr(opts, key, val)
@@ -353,7 +351,6 @@ def _cmd_verify(cfg, args):
         res = grid_minimax(
             p, sig,
             node_resolution=int(cfg.get("node_resolution", 120)),
-            t_resolution=int(cfg.get("t_resolution", 512)),
         )
         result = res.to_dict()
         result["grid_sup_at_nodes"] = grid_sup(p, res.nodes, 4096)

@@ -57,12 +57,6 @@ def _F(p: Problem, positions, ts):
     return acc
 
 
-def _check_arc_resolution(resolution):
-    # one point per arc is the arc's left end: no maximum is located
-    if resolution < 2:
-        raise ValidationError(f"resolution {resolution} too coarse; need at least 2 per arc")
-
-
 def _arc_sups(p: Problem, positions, lo, hi, resolution):
     """Maxima of F over the arcs [lo[b], hi[b]], row b against positions[b]:
     arrays (t, F(t)).
@@ -135,7 +129,9 @@ def grid_sup(p: Problem, y, resolution: int = 4096) -> float:
 
 def grid_profile(p: Problem, y, sigma, resolution: int = 512):
     """Arc-wise grid maxima: (labels, z, m) in traversal order."""
-    _check_arc_resolution(resolution)
+    # one point per arc is the arc's left end: no maximum is located
+    if resolution < 2:
+        raise ValidationError(f"resolution {resolution} too coarse; need at least 2 per arc")
     angles = node_angles(y, p.n)
     sig = as_permutation(sigma, p.n)
     z, m = _profiles(p, sig.slots(angles)[None], sig, resolution)
@@ -159,14 +155,14 @@ def grid_minimax(
     p: Problem,
     sigma,
     node_resolution: int = 120,
-    t_resolution: int = 512,
 ) -> GridMinimax:
     """Exhaustive sweep of node grids inside one cell, minimizing sup F.
 
-    Cost grows as node_resolution^n, so n <= 3.  The best coarse cell is
-    sharpened by a joint pattern search; the coarse winner and every
-    candidate are scored as grid_sup(p, nodes, 4096) scores them.  Ties in
-    the sweep resolve to the lexicographically first grid cell.
+    Cost grows as node_resolution^n, so n <= 3.  Each grid cell is scored
+    on a 512-point circle grid; the best is sharpened by a joint pattern
+    search, and the coarse winner and every candidate are scored as
+    grid_sup(p, nodes, 4096) scores them.  Ties in the sweep resolve to the
+    lexicographically first grid cell.
     """
     if p.n > 3:
         raise ValidationError("grid_minimax supports n <= 3 only")
@@ -175,11 +171,8 @@ def grid_minimax(
     R = int(node_resolution)
     if R < 4:
         raise ValidationError("node_resolution too small")
-    if t_resolution < 10 * (n + 1):
-        raise ValidationError(
-            f"t_resolution {t_resolution} too coarse; need at least {10 * (n + 1)}")
     g = TWO_PI * (np.arange(R) + 1.0) / (R + 1.0)  # strictly interior grid
-    ts = np.arange(t_resolution) * (TWO_PI / t_resolution)
+    ts = np.arange(512) * (TWO_PI / 512)
     base = p.kernels[0].value(ts)  # anchored kernel
     kernels_in_slots = [p.kernels[j] for j in sig.sigma]
     # V[k][i, :] = kernel for slot k evaluated at ts - g[i]
@@ -315,17 +308,15 @@ def check_sandwich(
     seed: int = DEFAULT_SEED,
     tol: float = 1e-9,
     include=(),
-    resolution: int = 512,
 ) -> SandwichReport:
     """Test min-arc-max(x) <= M(S) <= max-arc-max(y) on random interior points.
 
     M(S) defaults to the grid_minimax estimate, in which case `tol` is
     widened to that estimate's own tolerance — margins below the
     uncertainty of M are not resolvable.  The equidistant configuration is
-    always among the tested points, plus any in `include`; each violation
-    is reported with its margin.
+    always among the tested points, plus any in `include`; each arc is
+    gridded at 512 points, and each violation is reported with its margin.
     """
-    _check_arc_resolution(resolution)
     if samples < 0:
         raise ValidationError(f"samples must be at least 0, got {samples}")
     sig = as_permutation(sigma, p.n)
@@ -341,7 +332,7 @@ def check_sandwich(
              + [f"sample[{i}]" for i in range(samples)])
     slots = np.array([TWO_PI * np.arange(1, n + 1) / (n + 1)] + include
                      + [_sample_cell(rng, n) for _ in range(samples)])
-    _, profiles = _profiles(p, slots, sig, resolution)
+    _, profiles = _profiles(p, slots, sig, 512)
     violations = []
     for name, row, ms in zip(names, slots, profiles):
         m_lo = float(np.min(ms))
@@ -442,25 +433,23 @@ def convergence_probe(
     y,
     kind: str = "sqrt_cusp",
     levels=(4, 16, 64, 256),
-    resolution: int = 2048,
 ) -> ProbeTable:
     """Sorted-arc-maxima deviation of regularized kernels from the base.
 
     Arc structure comes from the sorted node positions alone, arcs of
-    width at most 1e-13 left out; deviations
+    width at most 1e-13 left out, each gridded at 2048 points; deviations
     should shrink toward zero as the level grows (decreasing), each within
     (n + 1)/level + 1e-7 (bound_ok).
     """
     from .kernels import approximant
 
-    _check_arc_resolution(resolution)
     if len(levels) == 0:
         raise ValidationError("convergence_probe needs at least one level")
     sig, slots = _sorted_cell(y, p.n)
     wide = ~(np.diff(np.concatenate(([0.0], slots, [TWO_PI]))) <= 1e-13)
 
     def sorted_m(q: Problem):
-        return np.sort(_profiles(q, slots[None], sig, resolution)[1][0, wide])
+        return np.sort(_profiles(q, slots[None], sig, 2048)[1][0, wide])
 
     base = sorted_m(p)
     rows = []

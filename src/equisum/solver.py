@@ -4,9 +4,9 @@ The interior equation is Delta(y) = 0, where Delta is the vector of
 consecutive differences of arc maxima in traversal order.  The core solver
 is a damped Newton iteration on Delta with projection into the ordering
 cell; problems whose kernels have kinks or lack endpoint slope blow-up are
-driven through a ladder of regularized kernels (warm-started homotopy) and
-finished on the exact kernels, with a coordinate-secant polish as the last
-resort.
+driven through a ladder of regularized kernels at the fixed HOMOTOPY_LEVELS
+(warm-started homotopy) and finished on the exact kernels, with a
+coordinate-secant polish of at most SECANT_SWEEPS sweeps as the last resort.
 
 A ladder rung only warm-starts the next, so every rung but the last stops
 at residual max(tol_residual, level**-2): the bump term moves F by at most
@@ -53,6 +53,8 @@ JACOBIAN_SINGULAR = "jacobian_singular"
 # node separation below which the iteration is assumed to be leaving the cell
 COLLAPSE_TOL = 1e-9
 HOMOTOPY_KIND = "bump"  # regularization of the ladder's kernels
+HOMOTOPY_LEVELS = (4, 16, 64, 256)  # smoothing levels of the ladder's rungs
+SECANT_SWEEPS = 80  # sweep cap of the secant polish
 MARGIN_FRACTION = 1e-3  # cell projection margin, fraction of min gap
 MIN_STEP = 2.0 ** -30  # smallest Newton line-search step
 # trial points profiled together by a line search: the first alone (most
@@ -71,10 +73,8 @@ MULTISTART = 3  # seeded restarts after a failed certificate
 class SolveOptions:
     tol_residual: float = 1e-10
     max_iter: int = 200
-    homotopy_levels: tuple = (4, 16, 64, 256)
     start: object = "equidistant"  # "equidistant" | "coarse_grid" | node angles
     seed: int = 12345
-    secant_sweeps: int = 80
 
 
 @dataclass
@@ -243,7 +243,7 @@ def _secant_stage(p, sig, y_vec, opts: SolveOptions, label="secant"):
     y = np.asarray(y_vec, dtype=float).copy()
     prof = profile(p, y, sig)
     res, d = _residual(prof)
-    for sweep in range(opts.secant_sweeps):
+    for sweep in range(SECANT_SWEEPS):
         trace.append({"stage": label, "iter": sweep, "residual": res})
         if _settled(res, prof, opts):
             return y, CONVERGED, trace, prof
@@ -364,9 +364,8 @@ def solve_equioscillation(p: Problem, sigma, opts: SolveOptions | None = None) -
         reached: the exact problem, the regularized ladder (its rungs but
         the last with the looser tolerance), the exact endgame."""
         yield "direct", p, opts
-        levels = [lv for lv in opts.homotopy_levels if lv is not None and math.isfinite(lv)]
-        for i, level in enumerate(levels):
-            rung_opts = opts if i == len(levels) - 1 else replace(
+        for i, level in enumerate(HOMOTOPY_LEVELS):
+            rung_opts = opts if i == len(HOMOTOPY_LEVELS) - 1 else replace(
                 opts, tol_residual=max(opts.tol_residual, level ** -2.0))
             yield f"level:{level:g}", Problem(
                 tuple(approximant(k, level, HOMOTOPY_KIND) for k in p.kernels)), rung_opts

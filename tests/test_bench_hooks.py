@@ -64,8 +64,10 @@ def test_newton_stage_label_is_fifth_argument():
     assert list(inspect.signature(_newton_stage).parameters)[4] == "label"
 
 
-def test_ladder_and_certificate_counters_fire():
+def test_ladder_and_certificate_counters_fire(monkeypatch):
     """The spans behind solver.ladder_iters and solver.certificate_profiles."""
+    monkeypatch.setattr(solver, "HOMOTOPY_LEVELS", (4,))
+    monkeypatch.setattr(solver, "SECANT_SWEEPS", 1)
     example = Problem((tent(), tent(), weighted(parabola(), 0.1), weighted(parabola(), 0.1)))
     tr = _load("spans").Tracer()
     tr.install()
@@ -74,7 +76,7 @@ def test_ladder_and_certificate_counters_fire():
         # from the default start, Newton with midpoint rows misses this cell's
         # interior point: direct Newton stops at max_iter, the ladder follows
         solve_equioscillation(example, Permutation((3, 2, 1)),
-                              SolveOptions(max_iter=2, homotopy_levels=(4,), secant_sweeps=1))
+                              SolveOptions(max_iter=2))
         # tent kinks: no Gordan verdict, so the axis probes certify
         minimax(example, Permutation((2, 1, 3)))
         tr.end_task()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import equisum
-from equisum import cli
+from equisum import cli, solver
 from equisum.cli import run
 
 PI = math.pi
@@ -108,11 +108,12 @@ def test_equioscillate_converges(tmp_path, capsys):
     assert math.isclose(res["objective"], E_VALUE, abs_tol=1e-9)
 
 
-def test_solver_options_reach_the_report(tmp_path, capsys):
-    """--tol, --max-iter and --seed, and the config's homotopy_levels (with
-    non-finite entries), start list and secant_sweeps, all reach the solve."""
-    options = {"homotopy_levels": [4, None, "inf"], "start": [2.5, 1.0, 4.5],
-               "secant_sweeps": 3}
+def test_solver_options_reach_the_report(tmp_path, capsys, monkeypatch):
+    """--tol, --max-iter and --seed, and the config's start list, all reach
+    the solve; a one-rung ladder and a 3-sweep polish keep the trace short."""
+    monkeypatch.setattr(solver, "HOMOTOPY_LEVELS", (4,))
+    monkeypatch.setattr(solver, "SECANT_SWEEPS", 3)
+    options = {"start": [2.5, 1.0, 4.5]}
     cfg = {"kernels": EX_CONFIG["kernels"], "sigma": [2, 1, 3], "options": options}
     code, doc = run_json(capsys, ["equioscillate", "--config", write_config(tmp_path, cfg),
                                   "--tol", "1e-9", "--max-iter", "3", "--seed", "7"])
@@ -507,12 +508,12 @@ def test_error_paths_exit_one(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "cell face" in captured.err and captured.out == ""
 
-    # grid-minimax on a circle grid below 10 * (n + 1) points: 0 used to
-    # raise ZeroDivisionError out of run()
-    cfg = dict(LOGSINE_CONFIG, t_resolution=0)
-    assert run(["verify", "--config", write_config(tmp_path, cfg, "c10.json"),
-                "--check", "grid-minimax", "--sigma", "1,2"]) == 1
-    assert capsys.readouterr().err == "error: t_resolution 0 too coarse; need at least 30\n"
+    # the ladder's levels and the polish's sweep cap are solver constants
+    for knob, val in (("homotopy_levels", [4, 16]), ("secant_sweeps", 80)):
+        cfg = {"kernels": LOGSINE_CONFIG["kernels"], "options": {knob: val}}
+        assert run(["equioscillate", "--config", write_config(tmp_path, cfg, "c10.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown solver option '{knob}'\n" and captured.out == ""
 
     # a convergence check with no level has nothing to check
     cfg = dict(EX_CONFIG, levels=[])

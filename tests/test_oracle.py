@@ -136,16 +136,23 @@ def test_grid_minimax_single_node():
                       "tolerance", "node_resolution"}
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "grid_minimax's tolerance understates its error on a kinked cell: at "
+    "node_resolution 40 the search stops at pi + 0.15 pi^2 with tolerance 1e-4, "
+    "and at 60 it finds sup F 1.45e-2 lower at an interior point of the cell"))
+def test_grid_minimax_tolerance_bounds_the_example_cell():
+    """value - tolerance is a claimed lower bound for the cell's minimax, so
+    no finer search may report a value below it."""
+    a = grid_minimax(EX_P, E_SIGMA, node_resolution=40)
+    b = grid_minimax(EX_P, E_SIGMA, node_resolution=60)
+    assert a.value - a.tolerance <= b.value + 1e-12
+
+
 def test_grid_minimax_validates():
     with pytest.raises(ValidationError):
         grid_minimax(Problem(tuple(tent() for _ in range(5))), (1, 2, 3, 4))
     with pytest.raises(ValidationError):
         grid_minimax(LOGSINE_3, (1, 2), node_resolution=2)
-    # the circle grid needs grid_sup's 10 * (n + 1) points: 0 once divided
-    # by zero, and -4 failed on an empty maximum
-    for t_resolution in (0, -4, 29):
-        with pytest.raises(ValidationError, match=f"t_resolution {t_resolution} too coarse"):
-            grid_minimax(LOGSINE_3, (1, 2), t_resolution=t_resolution)
 
 
 class _NanKernel(Kernel):
@@ -475,10 +482,6 @@ def test_arc_resolutions_below_two_are_rejected():
     for bad in (1, 0):
         with pytest.raises(ValidationError):
             grid_profile(EX_P, E_POINT, E_SIGMA, resolution=bad)
-        with pytest.raises(ValidationError):
-            check_sandwich(EX_P, E_SIGMA, samples=2, resolution=bad)
-        with pytest.raises(ValidationError):
-            convergence_probe(EX_P, E_POINT, resolution=bad)
     _, _, m = grid_profile(EX_P, E_POINT, E_SIGMA, resolution=2)
     assert np.allclose(m, E_VALUE, atol=1e-9)
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,21 +119,24 @@ def test_example_cell_123_has_an_interior_equioscillation_point():
     assert float(np.max(m) - np.min(m)) <= 1e-6
 
 
-def test_solve_flat_cell_is_honest():
+def test_solve_flat_cell_is_honest(monkeypatch):
     """sigma=(3,2,1) holds an interior equioscillation point (level
     4.57785413), but from the default start Newton with midpoint rows at the
     kinks misses it; a capped solve that misses it must not claim it."""
-    opts = SolveOptions(max_iter=40, homotopy_levels=(), secant_sweeps=20)
+    monkeypatch.setattr(solver, "HOMOTOPY_LEVELS", ())
+    monkeypatch.setattr(solver, "SECANT_SWEEPS", 20)
+    opts = SolveOptions(max_iter=40)
     rep = solve_equioscillation(EX_P, Permutation((3, 2, 1)), opts)
     assert rep.status != CONVERGED
     assert math.isfinite(rep.residual)
 
 
 @pytest.mark.parametrize("sweeps", (2, 4, 5))
-def test_secant_stage_returns_profile_of_its_nodes(sweeps):
+def test_secant_stage_returns_profile_of_its_nodes(sweeps, monkeypatch):
+    monkeypatch.setattr(solver, "SECANT_SWEEPS", sweeps)
     sig = Permutation((1, 2, 3))
     start = equidistant_nodes(3, sig).array
-    y, _, _, prof = _secant_stage(EX_P, sig, start, SolveOptions(secant_sweeps=sweeps))
+    y, _, _, prof = _secant_stage(EX_P, sig, start, SolveOptions())
     assert np.array_equal(prof.m_trav, profile(EX_P, y, sig).m_trav)
 
 
@@ -202,11 +204,13 @@ def test_secant_stage_ends_boundary_suspected_at_fixed_node():
     assert stages[first + 1] == "restart"
 
 
-def test_maximin_ends_boundary_suspected_at_fixed_node():
+def test_maximin_ends_boundary_suspected_at_fixed_node(monkeypatch):
     """The capped equioscillation solve fails, so the ascent starts at the
     configured start, whose node 1 sits on the fixed node: m_under is -inf.
     The report is the failed solve's last iterate, with finite maxima."""
-    opts = SolveOptions(start=(0.0, 3.0), max_iter=1, secant_sweeps=0, homotopy_levels=())
+    monkeypatch.setattr(solver, "HOMOTOPY_LEVELS", ())
+    monkeypatch.setattr(solver, "SECANT_SWEEPS", 0)
+    opts = SolveOptions(start=(0.0, 3.0), max_iter=1)
     rep = maximin(unit_problem(3), Permutation((1, 2)), opts)
     ascent = [e for e in rep.trace if e["stage"] == "ascent"]
     assert rep.status == BOUNDARY_SUSPECTED
@@ -216,13 +220,15 @@ def test_maximin_ends_boundary_suspected_at_fixed_node():
     assert rep.objective == rep.profile.m_under == pytest.approx(-2.094659, abs=1e-6)
 
 
-def test_maximin_ends_jacobian_singular_on_coincident_nodes():
+def test_maximin_ends_jacobian_singular_on_coincident_nodes(monkeypatch):
     """Bump-smoothed tents have infinite one-sided slopes at 0 but finite
     values.  From the coincident start (2, 2) the capped equioscillation
     solve fails; the ascent's degenerate arc is active and its maximizer sits
     on both nodes, where the midpoint slope is (-inf + inf) / 2 = nan."""
+    monkeypatch.setattr(solver, "HOMOTOPY_LEVELS", ())
+    monkeypatch.setattr(solver, "SECANT_SWEEPS", 0)
     p = Problem(tuple(approximant(tent(), 4, "bump") for _ in range(3)))
-    opts = SolveOptions(start=(2.0, 2.0), max_iter=1, secant_sweeps=0, homotopy_levels=())
+    opts = SolveOptions(start=(2.0, 2.0), max_iter=1)
     rep = maximin(p, Permutation((1, 2)), opts)
     ascent = [e for e in rep.trace if e["stage"] == "ascent"]
     assert rep.status == JACOBIAN_SINGULAR
@@ -281,16 +287,6 @@ def test_coarse_grid_start_falls_back_to_equidistant():
     assert np.array_equal(start, equidistant_nodes(39, sig).array)
 
 
-def test_homotopy_levels_skip_non_finite():
-    opts = SolveOptions(max_iter=2, secant_sweeps=1)
-    with_none = solve_equioscillation(EX_P, Permutation((3, 2, 1)),
-                                      replace(opts, homotopy_levels=(4, None)))
-    without = solve_equioscillation(EX_P, Permutation((3, 2, 1)),
-                                    replace(opts, homotopy_levels=(4,)))
-    assert any(e["stage"] == "level:4" for e in without.trace)
-    assert with_none.to_dict() == without.to_dict()
-
-
 # bench/workloads.py's LADDER_N5 in its cell: direct Newton stalls, and the
 # bump ladder plus the exact endgame converge it
 LADDER_N5 = Problem((weighted(log_sine(), 1.2405), weighted(log_sine(), 0.7694),
@@ -310,7 +306,7 @@ def test_intermediate_rungs_stop_at_the_rung_tolerance():
     since the exact stages start from it."""
     opts = SolveOptions()
     ends = _stage_ends(solve_equioscillation(EX_P, Permutation((1, 2, 3)), opts))
-    *intermediate, last = opts.homotopy_levels
+    *intermediate, last = solver.HOMOTOPY_LEVELS
     for level in intermediate:
         assert ends[f"level:{level:g}"] <= max(opts.tol_residual, level ** -2.0)
     # the rule is active: some rung stops short of tol_residual
@@ -325,11 +321,12 @@ def test_ladder_n5_converges_through_the_ladder():
     assert grid_sup(LADDER_N5, rep.nodes, 4096) == pytest.approx(rep.objective, abs=1e-8)
 
 
-def test_one_level_ladder_is_held_to_tol_residual():
+def test_one_level_ladder_is_held_to_tol_residual(monkeypatch):
     """A one-level ladder's rung is its last, so it runs to tol_residual as
     every rung did before intermediate rungs were loosened: the report's
     bits are those recorded then."""
-    rep = solve_equioscillation(LADDER_N5, LADDER_SIGMA, SolveOptions(homotopy_levels=(4,)))
+    monkeypatch.setattr(solver, "HOMOTOPY_LEVELS", (4,))
+    rep = solve_equioscillation(LADDER_N5, LADDER_SIGMA)
     assert (rep.status, rep.iterations) == (CONVERGED, 11)
     assert rep.residual.hex() == "0x1.d000000000000p-43"
     assert rep.objective.hex() == "-0x1.a98f15358a766p+1"

@@ -13,10 +13,12 @@ import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from equisum import solver
 from equisum.evaluator import Problem, profile
 from equisum.kernels import log_sine, parabola, riesz, table, tent, weighted
 from equisum.solver import (
@@ -95,15 +97,17 @@ def _coarse_grid_n3():
 # the direct solve fails in two iterations, so the ascent starts at `start`;
 # its one line search accepts alpha = 1/4
 def _maximin_ascent_backtrack():
-    opts = SolveOptions(max_iter=2, homotopy_levels=(), secant_sweeps=0, start=(4.0, 1.0))
-    return maximin(TENTS, Permutation((2, 1)), opts).to_dict()
+    opts = SolveOptions(max_iter=2, start=(4.0, 1.0))
+    with patch.object(solver, "HOMOTOPY_LEVELS", ()), patch.object(solver, "SECANT_SWEEPS", 0):
+        return maximin(TENTS, Permutation((2, 1)), opts).to_dict()
 
 
 # the ascent's fifth search accepts alpha / 2, its sixth runs every halving
 # down to the floor and stops
 def _maximin_ascent_stall():
-    opts = SolveOptions(max_iter=10, homotopy_levels=(), secant_sweeps=0, start=(3.5, 0.3, 6.0))
-    return maximin(EXAMPLE, Permutation((2, 1, 3)), opts).to_dict()
+    opts = SolveOptions(max_iter=10, start=(3.5, 0.3, 6.0))
+    with patch.object(solver, "HOMOTOPY_LEVELS", ()), patch.object(solver, "SECANT_SWEEPS", 0):
+        return maximin(EXAMPLE, Permutation((2, 1, 3)), opts).to_dict()
 
 
 CASES = {
