@@ -67,6 +67,8 @@ CERTIFICATE_SLACK = 1e-9  # m_bar drop a certificate probe may show
 GORDAN_RANK_TOL = 1e-10  # sigma_min / sigma_max of Jm at or below which rank Jm < n
 GORDAN_SIGN_TOL = 1e-8  # |lambda_j| / max |lambda| at or below which lambda_j has no sign
 MULTISTART = 3  # seeded restarts after a failed certificate
+LP_PIVOTS = 1000  # pivot cap of the ascent LP's simplex
+LP_TOL = 1e-12  # pivot tolerance of the ascent LP, on max |G| = 1
 
 
 @dataclass
@@ -556,23 +558,46 @@ def minimax_global(p: Problem, opts: SolveOptions | None = None,
 def _steepest_lp(G):
     """Direction maximizing the smallest row rate, inf-norm box.
 
-    maximize s  s.t.  G a >= s,  -1 <= a <= 1.  Returns (s*, a*),
-    or (0, 0) when the LP fails.  s* > 0 means every row of G can grow at
-    once; this is the one first-order question the solvers ask.
-    """
-    from scipy.optimize import linprog
+    maximize s  s.t.  G a >= s,  -1 <= a <= 1, for a G with at least one
+    row.  Returns (s*, a*); s* > 0 means every row of G can grow at once,
+    the one first-order question the solvers ask.
 
+    A dense tableau simplex on a = a+ - a-, with 0 <= a+, a- <= 1 and
+    s >= 0, which loses nothing: a = 0, s = 0 is feasible, so s* >= 0.  Every
+    right-hand side is >= 0, so the origin is a feasible start vertex (no
+    phase 1); it is degenerate in the rows of G, so the pivots follow
+    Bland's rule, which cannot cycle.  G is scaled to max |G| = 1 first, so
+    LP_TOL is absolute.  Returns (0, 0) only when LP_PIVOTS pivots do not
+    reach the optimum.
+    """
     mrows, n = G.shape
-    # variables x = (a_1..a_n, s); minimize -s
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-G, np.ones((mrows, 1))])
-    b_ub = np.zeros(mrows)
-    bounds = [(-1.0, 1.0)] * n + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return 0.0, np.zeros(n)
-    return float(-res.fun), np.asarray(res.x[:n])
+    scale = float(np.abs(G).max()) or 1.0
+    k, rows = 2 * n + 1, mrows + 2 * n  # columns a+, a-, s; then one slack per row
+    T = np.zeros((rows + 1, k + rows + 1))
+    T[:mrows, :2 * n] = np.hstack((-G, G)) / scale
+    T[:mrows, 2 * n] = 1.0
+    T[mrows:rows, :2 * n] = np.eye(2 * n)
+    T[mrows:rows, -1] = 1.0
+    T[:rows, k:-1] = np.eye(rows)
+    T[-1, 2 * n] = -1.0  # objective row of max s: reduced costs | s
+    basis = np.arange(k, k + rows)
+    for _ in range(LP_PIVOTS):
+        entering = np.flatnonzero(T[-1, :-1] < -LP_TOL)
+        if entering.size == 0:
+            x = np.zeros(k + rows)
+            x[basis] = T[:rows, -1]
+            return float(T[-1, -1]) * scale, x[:n] - x[n:2 * n]
+        j = entering[0]
+        cand = np.flatnonzero(T[:rows, j] > LP_TOL)
+        ratio = T[cand, -1] / T[cand, j]
+        tied = cand[ratio <= ratio.min() + LP_TOL]
+        i = tied[np.argmin(basis[tied])]
+        T[i] /= T[i, j]
+        col = T[:, j].copy()
+        col[i] = 0.0
+        T -= np.outer(col, T[i])
+        basis[i] = j
+    return 0.0, np.zeros(n)
 
 
 def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:

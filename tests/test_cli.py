@@ -626,3 +626,31 @@ def test_installed_script_smoke(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert math.isclose(doc["result"]["F"][0], E_VALUE, abs_tol=1e-12)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """maximin on the Example's cell (3,1,2), whose ascent runs the LP, and
+    minimax --all-sigma on three tents exit as usual in a process where
+    every import of scipy fails."""
+    argvs = [
+        ["maximin", "--sigma", "3,1,2", "--no-timestamp",
+         "--config", write_config(tmp_path, {"kernels": EX_CONFIG["kernels"]}, "ex.json")],
+        ["minimax", "--all-sigma", "--no-timestamp",
+         "--config", write_config(tmp_path, {"kernels": TENT3}, "tents.json")],
+    ]
+    child = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from equisum.cli import run\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(run(argv))\n"
+        "print(json.dumps(codes))\n"
+    )
+    src = str(Path(equisum.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0]

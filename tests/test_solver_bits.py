@@ -102,12 +102,12 @@ def _maximin_ascent_backtrack():
         return maximin(TENTS, Permutation((2, 1)), opts).to_dict()
 
 
-# the ascent's fifth search accepts alpha / 2, its sixth runs every halving
-# down to the floor and stops
+# the direct solve stalls, so the ascent starts at the equidistant nodes; its
+# 27th search runs every halving down to the floor with no progress, and the
+# unsettled spread ends the solve max_iter
 def _maximin_ascent_stall():
-    opts = SolveOptions(max_iter=10, start=(3.5, 0.3, 6.0))
     with patch.object(solver, "HOMOTOPY_LEVELS", ()), patch.object(solver, "SECANT_SWEEPS", 0):
-        return maximin(EXAMPLE, Permutation((2, 1, 3)), opts).to_dict()
+        return maximin(EXAMPLE, Permutation((1, 2, 3))).to_dict()
 
 
 CASES = {
