@@ -14,6 +14,17 @@ gives B profiles from one lockstep bisection over the arcs of all of them,
 each bit for bit the profile of its system alone.  The solvers profile
 their line-search trials, certificate probes and coarse-grid candidates
 this way.
+
+The bisection is fixed: each edge of a maximizing set gets the same
+midpoints, the same verdicts and so the same bits as one-level bisection.
+Only the number of slope calls it takes varies.  The first call settles a
+few levels of every bracket at once as a bisection tree.  Then, when every
+kernel is C1 and the brackets are few, each call tests a path per bracket:
+the midpoints one-level bisection would visit if the edge sat at the
+secant root of the bracket's end slopes.  A bracket keeps the levels up to
+the first verdict the path did not expect, so a good guess settles many
+levels per call and a bad one still settles one.  Kinked kernels keep the
+tree, which their guesses would not beat.
 """
 from __future__ import annotations
 
@@ -49,6 +60,15 @@ _GLUE_CLEAR = 16.0 * float(np.spacing(TWO_PI))
 # points.  Below it a slope call costs mostly its fixed numpy overhead.
 _TREE_POINTS = 1024
 
+# C1 brackets after the first tree pass follow guided paths (_guided_levels),
+# built in Python floats at a cost per bracket and level.  Against the tree
+# alone, profiles of weighted log-sines on a 2-vCPU VM took 0.6x the time at
+# 6-12 brackets, 0.5-0.75x at 26-34, 0.9x at 42, 1.1x at 48-52 and 1.5-1.9x
+# at 96-180.  Up to _PATH_BRACKETS brackets take them; a path is
+# _PATH_MARGIN levels longer than twice the last one its bracket kept.
+_PATH_BRACKETS = 40
+_PATH_MARGIN = 6
+
 
 class JacobianUnavailableError(ValueError):
     """The slope formula for the profile Jacobian does not apply here."""
@@ -82,7 +102,8 @@ class Problem:
 
         A tuple of (base, kernel indices, weights): kernel idx[i] equals
         weights[i] * base, with a leading Weighted unwrapped.  Bases with the
-        same type and spec behave alike, so one deriv call serves a group.
+        same type and spec behave alike, so one value or deriv call serves a
+        group.
         """
         groups = {}
         for j, k in enumerate(self.kernels):
@@ -112,21 +133,22 @@ def sum_translates_full(p: Problem, positions, t):
     pos = np.atleast_1d(np.asarray(positions, dtype=float))
     if len(pos) != len(p.kernels):
         raise ValidationError(f"{len(pos)} positions for {len(p.kernels)} kernels")
-    tt = np.asarray(t, dtype=float)
-    acc = np.zeros(tt.shape, dtype=float)
-    for k, at in zip(p.kernels, pos):
-        acc = acc + np.asarray(k.value(tt - at))
+    V = _slopes(p, pos, t, None)
+    acc = V[0] + 0.0  # the sum starts from 0, as a zero array would
+    for row in V[1:]:
+        acc += row
     if np.ndim(t) == 0:
         return float(acc)
     return acc
 
 
 def _slopes(p: Problem, pos, ts, side):
-    """Per-kernel one-sided slopes K_j'(t - pos_j): shape (n+1,) + shape of ts.
+    """Per-kernel one-sided slopes K_j'(t - pos_j), or with side None the
+    values K_j(t - pos_j): shape (n+1,) + shape of ts.
 
     pos is (n+1,), one node system for every point, or (n+1, c): the node
-    system of each of the c columns of ts (its last axis).  One deriv call
-    per group of p.slope_plan, on the (group, points) grid.
+    system of each of the c columns of ts (its last axis).  One value or
+    deriv call per group of p.slope_plan, on the (group, points) grid.
     """
     ts = np.asarray(ts, dtype=float)
     col = (-1,) + (1,) * ts.ndim
@@ -134,7 +156,8 @@ def _slopes(p: Problem, pos, ts, side):
     out = np.empty((len(p.kernels),) + ts.shape, dtype=float)
     for base, idx, w in p.slope_plan:
         grid = ts - pos[idx].reshape(at)
-        out[idx] = w.reshape(col) * np.asarray(base.deriv(grid, side))
+        rows = base.value(grid) if side is None else base.deriv(grid, side)
+        out[idx] = w.reshape(col) * np.asarray(rows)
     return out
 
 
@@ -144,7 +167,11 @@ def _slope_sum(p: Problem, pos, ts, side):
     The running sum adds the kernels in index order, one at a time, so the
     result does not depend on how the slopes were grouped.
     """
-    return np.cumsum(_slopes(p, pos, ts, side), axis=0)[-1]
+    S = _slopes(p, pos, ts, side)
+    acc = S[0] + S[1]
+    for row in S[2:]:
+        acc += row
+    return acc
 
 
 @dataclass
@@ -230,6 +257,7 @@ def _step_preds(p: Problem, pos, pts, nl, shared):
     """The bisection predicate at pts, one column per bracket: D+ F > 0 in
     the first nl columns (the left edges), D- F >= 0 in the rest (the right
     edges).  pos: the node positions of each column, as in _slopes.
+    Returns (pred, s), s the slope sums the predicate reads.
 
     shared: the right-edge points are clear of every node, so one "right"
     call, which equals "left" there for C1 kernels, serves both kinds.
@@ -246,10 +274,10 @@ def _step_preds(p: Problem, pos, pts, nl, shared):
             s[..., nl:] = _slope_sum(p, right, pts[..., nl:], "left")
     pred = s >= 0.0
     pred[..., :nl] = s[..., :nl] > 0.0
-    return pred
+    return pred, s
 
 
-def _bisect_levels(p: Problem, pos, lo, hi, nl, shared, d):
+def _bisect_levels(p: Problem, pos, lo, hi, nl, shared, d, ends=None):
     """The next d bisection steps of every bracket, from one slope call.
 
     pos: the node positions of each bracket's system, as in _slopes.
@@ -262,12 +290,18 @@ def _bisect_levels(p: Problem, pos, lo, hi, nl, shared, d):
     and ends on exactly the bracket, that d one-level steps give.  The right
     edges share the "right" call while every interval that gets a midpoint
     is wider than _GLUE_CLEAR; the deepest of them are the narrowest.
+
+    Returns the new (lo, hi); given ends, the slope sums at lo and hi, also
+    the slope sums at the new lo and hi.
     """
     if d == 1:  # the plain step: no tree to build or walk
         mid = 0.5 * (lo + hi)
         shared = shared and float(np.min(hi[nl:] - lo[nl:], initial=INF)) > _GLUE_CLEAR
-        go = _step_preds(p, pos, mid, nl, shared)
-        return np.where(go, mid, lo), np.where(go, hi, mid)
+        go, s = _step_preds(p, pos, mid, nl, shared)
+        new = (np.where(go, mid, lo), np.where(go, hi, mid))
+        if ends is None:
+            return new
+        return new + (np.where(go, s, ends[0]), np.where(go, ends[1], s))
     w, cols = 2**d, len(lo)
     E = np.empty((w + 1, cols))
     E[0] = lo
@@ -276,7 +310,8 @@ def _bisect_levels(p: Problem, pos, lo, hi, nl, shared, d):
         s = w >> k
         E[s // 2::s] = 0.5 * (E[:-1:s] + E[s::s])
     shared = shared and float(np.min(E[2::2, nl:] - E[:-2:2, nl:], initial=INF)) > _GLUE_CLEAR
-    go = _step_preds(p, pos, E[1:w], nl, shared).ravel()
+    go, s = _step_preds(p, pos, E[1:w], nl, shared)
+    go = go.ravel()
     # a bracket that starts at E[i, c] tests E[i + h, c] at depth k,
     # h = 2^(d-1-k), and moves its start there when the predicate holds;
     # E[i, c] is E.flat[i * cols + c] and go[(i - 1) * cols + c]
@@ -285,7 +320,86 @@ def _bisect_levels(p: Problem, pos, lo, hi, nl, shared, d):
         jump = (w >> (k + 1)) * cols  # h rows of E
         at += jump * go[at + (jump - cols)]
     E = E.ravel()
-    return E[at], E[at + cols]
+    if ends is None:
+        return E[at], E[at + cols]
+    S = np.concatenate((ends[0], s.ravel(), ends[1]))
+    return E[at], E[at + cols], S[at], S[at + cols]
+
+
+def _secant_guess(lo, hi, slo, shi):
+    """Where the line through (lo, slo) and (hi, shi) meets 0: a guided
+    path's guess of the edge in [lo, hi] (lo when the slopes do not fall)."""
+    den = slo - shi
+    return lo + (hi - lo) * (slo / den) if den > 0.0 else lo
+
+
+def _guided_levels(p: Problem, pos, lo, hi, slo, shi, nl, shared, steps, d):
+    """Bisect bracket c steps[c] levels: d by one tree call, then one path
+    per bracket and call.
+
+    pos: the node positions of each bracket's system, as in _slopes; slo,
+    shi: the slope sums at lo and hi.  After the tree, a call guesses each
+    edge at the secant root g of its bracket's end slopes and evaluates the
+    path: the midpoints one-level bisection would test if the edge sat at
+    g, each 0.5 * (a + b) of its own interval, which moves its lower end up
+    when the midpoint is below g.  The bracket keeps the levels up to and
+    including the first whose predicate disagrees with the path's move.  Up
+    to there the path's midpoints are the ones one-level bisection tests,
+    and the last kept verdict, right or wrong for the path, moves the
+    bracket as one level would.  So every bracket is one-level bisection's
+    bit for bit, whatever g is.  A path is twice as long as the last one
+    kept plus a margin, and the right edges share the "right" call while
+    every interval of theirs that gets a midpoint is wider than _GLUE_CLEAR.
+    The paths are built in Python floats, for the few brackets this serves.
+    Returns the new (lo, hi).
+    """
+    d = min(d, int(steps.min()))
+    lo, hi, slo, shi = _bisect_levels(p, pos, lo, hi, nl, shared, d, (slo, shi))
+    A, B, SA, SB = lo.tolist(), hi.tolist(), slo.tolist(), shi.tolist()
+    rem = (steps - d).tolist()
+    span = [d] * len(A)
+    live = [c for c in range(len(A)) if rem[c] > 0]
+    while live:
+        pts, guesses, lengths, npl, narrowest = [], [], [], 0, INF
+        for c in live:
+            x, y, s0, s1 = A[c], B[c], SA[c], SB[c]
+            g = _secant_guess(x, y, s0, s1)
+            length = min(rem[c], 2 * span[c] + _PATH_MARGIN)
+            for _ in range(length - 1):
+                m = 0.5 * (x + y)
+                pts.append(m)
+                if m < g:
+                    x = m
+                else:
+                    y = m
+            pts.append(0.5 * (x + y))
+            if c < nl:
+                npl = len(pts)  # the left edges' points come first
+            else:
+                narrowest = min(narrowest, y - x)
+            guesses.append(g)
+            lengths.append(length)
+        at = pos if pos.ndim == 1 else np.repeat(pos[:, live], lengths, axis=1)
+        pred, s = _step_preds(p, at, np.array(pts), npl, shared and narrowest > _GLUE_CLEAR)
+        pred, s = pred.tolist(), s.tolist()
+        i = 0
+        for c, g, length in zip(live, guesses, lengths):
+            x, y, s0, s1 = A[c], B[c], SA[c], SB[c]
+            for j in range(i, i + length):
+                m, v = pts[j], pred[j]
+                if v:
+                    x, s0 = m, s[j]
+                else:
+                    y, s1 = m, s[j]
+                if v != (m < g):
+                    break
+            kept = j + 1 - i
+            A[c], B[c], SA[c], SB[c] = x, y, s0, s1
+            span[c] = kept
+            rem[c] -= kept
+            i += length
+        live = [c for c in live if rem[c] > 0]
+    return np.array(A), np.array(B)
 
 
 def _arc_maxima(p: Problem, pos, los, his, tol_z):
@@ -307,6 +421,13 @@ def _arc_maxima(p: Problem, pos, los, his, tol_z):
     bisection of each system alone, whatever the sign pattern of the
     slopes.  The depth d is the largest that keeps a call within
     _TREE_POINTS kernel points, at least 1, counted over all brackets.
+    When every kernel is C1 and there are at most _PATH_BRACKETS brackets,
+    one tree call is followed by guided paths (_guided_levels): each call
+    tests the midpoints of the levels one-level bisection would take if
+    the edge sat at a secant guess, and keeps them up to the first verdict
+    that disagrees with the guess.  Those are the midpoints one-level
+    bisection tests, and the verdicts are read from the same slope bits, so
+    this too gives its brackets bit for bit, for any guess.
     Returns (z, m, on_boundary, unique) arrays of shape (B, n+1).
     """
     B, k = los.shape
@@ -352,18 +473,24 @@ def _arc_maxima(p: Problem, pos, los, his, tol_z):
         if len(lo):
             d = _tree_depth(len(lo), len(p.kernels))
             steps = iters[edges // k]
-            done, keep, nkeep = 0, slice(None), nl
-            # the brackets of the systems with the fewest steps stop first
-            for stop in sorted(set(steps.tolist())):
-                if done:
-                    keep = np.flatnonzero(steps > done)
-                    nkeep = int(np.count_nonzero(keep < nl))
-                at = cols if B == 1 else cols[:, edges[keep]]
-                blo, bhi = lo[keep], hi[keep]
-                for start in range(done, stop, d):
-                    blo, bhi = _bisect_levels(p, at, blo, bhi, nkeep, shared, min(d, stop - start))
-                lo[keep], hi[keep] = blo, bhi
-                done = stop
+            if p.all_c1 and len(lo) <= _PATH_BRACKETS:
+                at = cols if B == 1 else cols[:, edges]
+                lo, hi = _guided_levels(p, at, lo, hi, dpa[edges], dmb[edges], nl, shared,
+                                        steps, d)
+            else:
+                done, keep, nkeep = 0, slice(None), nl
+                # the brackets of the systems with the fewest steps stop first
+                for stop in sorted(set(steps.tolist())):
+                    if done:
+                        keep = np.flatnonzero(steps > done)
+                        nkeep = int(np.count_nonzero(keep < nl))
+                    at = cols if B == 1 else cols[:, edges[keep]]
+                    blo, bhi = lo[keep], hi[keep]
+                    for start in range(done, stop, d):
+                        blo, bhi = _bisect_levels(p, at, blo, bhi, nkeep, shared,
+                                                  min(d, stop - start))
+                    lo[keep], hi[keep] = blo, bhi
+                    done = stop
         edge = 0.5 * (lo + hi)
         t_left[L] = edge[:nl]
         t_right[R] = edge[nl:]

@@ -66,13 +66,14 @@ def _arc_sups(p: Problem, positions, lo, hi, resolution):
     bracket is narrower than 1e-14 or _ZOOM_LEVELS levels have run.  F is
     concave on an arc, so every bracket holds a maximizer; each arc keeps
     the best point any of its grids saw, a value of F, so a lower bound for
-    the sup.  Arcs whose brackets are still wide step together, one _F call
-    per level.
+    the sup.  Arcs whose brackets are still wide step together: one _F call
+    per level, plus one when the batch has collapsed arcs.
     """
     t = np.array(lo, dtype=float)
     v = np.empty(len(t))
     flat = hi - lo <= 1e-13  # a collapsed arc reports its left end
-    v[flat] = _F(p, positions[flat], t[flat, None])[:, 0]
+    if flat.any():
+        v[flat] = _F(p, positions[flat], t[flat, None])[:, 0]
     rows = np.flatnonzero(~flat)
     a, b, size = lo[rows], hi[rows], resolution
     for level in range(_ZOOM_LEVELS + 1):

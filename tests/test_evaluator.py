@@ -522,6 +522,191 @@ def test_tree_shares_the_right_call_only_on_clear_brackets(monkeypatch, depth):
     assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
 
 
+# --- guided paths: one slope call tests a path toward the secant root -------
+
+def _edge_brackets(p, pos, los, his, tol_z=TOL_Z):
+    """The edge brackets of one system as _arc_maxima sets them up: (lo, hi,
+    slope sums at lo and hi, left-edge count, shared, steps)."""
+    dpa = evaluator._slope_sum(p, pos, los, "right")
+    dmb = evaluator._slope_sum(p, pos, his, "left")
+    active = his - los > ANGLE_TOL
+    span = float(np.max(his - los, where=active, initial=0.0))
+    iters = max(8, int(math.ceil(math.log2(max(span / tol_z, 2.0))))) + 2
+    L = np.flatnonzero(active & ~(dpa <= 0.0) & ~(dmb > 0.0))
+    R = np.flatnonzero(active & ~(dpa < 0.0) & ~(dmb >= 0.0))
+    e = np.concatenate((L, R))
+    shared = p.all_c1 and bool(np.all((pos <= los[R, None]) | (pos >= his[R, None])))
+    return los[e], his[e], dpa[e], dmb[e], len(L), shared, np.full(len(e), iters)
+
+
+def _one_level_brackets(p, pos, lo, hi, nl, shared, steps):
+    """steps[0] plain one-level steps (the tree at depth 1) of one system's brackets."""
+    for _ in range(int(steps[0])):
+        lo, hi = evaluator._bisect_levels(p, pos, lo, hi, nl, shared, 1)
+    return lo, hi
+
+
+def _guided_batch(p, systems, sig):
+    """The brackets of the node systems of one cell as one guided call takes
+    them, the left edges of every system first, and where each system's own
+    one-level steps leave them: (args of _guided_levels, (lo, hi))."""
+    left, right, shared = [], [], True
+    for y in systems:
+        pos, los, his = _arc_bounds(y, sig)
+        lo, hi, slo, shi, nl, clear, steps = _edge_brackets(p, pos, los, his)
+        want = _one_level_brackets(p, pos, lo, hi, nl, clear, steps)
+        # per bracket, along the last axis: its system's positions, its ends
+        # and their slope sums, its steps, and the one-level result
+        rows = (np.repeat(pos[:, None], len(lo), axis=1), lo, hi, slo, shi, steps) + want
+        left.append([r[..., :nl] for r in rows])
+        right.append([r[..., nl:] for r in rows])
+        shared = shared and clear
+    cols, lo, hi, slo, shi, steps, want_lo, want_hi = (
+        np.concatenate(parts, axis=-1) for parts in zip(*(left + right)))
+    nl = sum(part[1].size for part in left)
+    return (cols, lo, hi, slo, shi, nl, shared, steps), (want_lo, want_hi)
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5])
+@pytest.mark.parametrize("bases", [C1_BASES, KINKED_BASES], ids=["c1", "kinked"])
+def test_guided_path_matches_one_level_loop(bases, depth):
+    """_guided_levels leaves every bracket where plain one-level steps do,
+    for one system and for a batch of systems of one cell, C1 or kinked
+    (kinked kernels never share the "right" call)."""
+    rng = np.random.default_rng(8000 + depth)
+    for _ in range(25):
+        p, y, sig = _random_case(rng, bases)
+        pos, los, his = _arc_bounds(y, sig)
+        lo, hi, slo, shi, nl, shared, steps = _edge_brackets(p, pos, los, his)
+        want = _one_level_brackets(p, pos, lo, hi, nl, shared, steps)
+        if len(lo):
+            got = evaluator._guided_levels(p, pos, lo, hi, slo, shi, nl, shared, steps, depth)
+            assert _bits(*got) == _bits(*want)
+        # more systems of the same cell: the first one moved a little
+        systems = [y] + [sig.nodes(np.sort(np.clip(sig.slots(y) + rng.normal(0.0, 0.01, p.n),
+                                                    0.0, _LAST))) for _ in range(3)]
+        args, want = _guided_batch(p, systems, sig)
+        if len(args[1]):
+            got = evaluator._guided_levels(p, *args, depth)
+            assert _bits(*got) == _bits(*want)
+
+
+_SECANT_GUESS = evaluator._secant_guess
+_BAD_GUESSES = {
+    "nan": lambda lo, hi, slo, shi: math.nan,
+    "inf": lambda lo, hi, slo, shi: math.inf,
+    "minus_inf": lambda lo, hi, slo, shi: -math.inf,
+    "below": lambda lo, hi, slo, shi: lo - (hi - lo),
+    "above": lambda lo, hi, slo, shi: hi + 1.0,
+    "midpoint": lambda lo, hi, slo, shi: 0.5 * (lo + hi),
+    # the secant root mirrored through the bracket's middle
+    "wrong_side": lambda lo, hi, slo, shi: lo + hi - _SECANT_GUESS(lo, hi, slo, shi),
+}
+
+# slope sums with the verdicts of the true ones but ends that give no
+# secant root (NaN where the slope falls, or infinite), or exactly 0 near
+# every edge, so that each maximizing set is a plateau whose left and right
+# edges differ and the two kinds of predicate disagree on it
+_BAD_SLOPES = {
+    "nan_where_falling": lambda s: np.where(s < 0.0, np.nan, s),
+    "infinite": lambda s: np.sign(s) * np.inf,
+    "zero_plateau": lambda s: np.where(np.abs(s) < 1e-3, 0.0, s),
+}
+
+
+@pytest.mark.parametrize("guess", sorted(_BAD_GUESSES) + sorted(_BAD_SLOPES))
+@pytest.mark.parametrize("bases", [C1_BASES, KINKED_BASES], ids=["c1", "kinked"])
+def test_guided_path_survives_any_guess(monkeypatch, bases, guess):
+    """Guesses outside the bracket, on its midpoint, on the wrong side of
+    the edge or not a number, and plateaus of zero slope, move no bracket
+    off one-level bisection."""
+    if guess in _BAD_GUESSES:
+        monkeypatch.setattr(evaluator, "_secant_guess", _BAD_GUESSES[guess])
+    else:
+        true_sum, change = evaluator._slope_sum, _BAD_SLOPES[guess]
+        monkeypatch.setattr(evaluator, "_slope_sum",
+                            lambda p, pos, ts, side: change(true_sum(p, pos, ts, side)))
+    rng = np.random.default_rng(9000)
+    with np.errstate(invalid="ignore"):
+        for _ in range(12):
+            p, y, sig = _random_case(rng, bases)
+            args, want = _guided_batch(p, [y], sig)
+            if len(args[1]):
+                got = evaluator._guided_levels(p, *args, 2)
+                assert _bits(*got) == _bits(*want)
+            if bases is C1_BASES:
+                pos, los, his = _arc_bounds(y, sig)
+                got = _arc_maxima(p, pos[None], los[None], his[None], TOL_Z)
+                assert _bits(*got) == _bits(*_one_level_arc_maxima(p, pos, los, his))
+
+
+@pytest.mark.parametrize("guess", [None, "midpoint", "wrong_side", "nan"])
+def test_guided_path_shares_the_right_call_only_on_clear_brackets(monkeypatch, guess):
+    """The right edges stop sharing the "right" call inside the guided
+    calls, where their brackets narrow below _GLUE_CLEAR, and every bit is
+    the one-level loop's, whatever the guess."""
+    p = Problem((log_sine(), riesz(1.5), log_sine()))
+    y = np.array([2.0, 2.0 + 1e-11])
+    pos, los, his = _arc_bounds(y, Permutation((1, 2)))
+    monkeypatch.setattr(evaluator, "_slope_sum", _sides_differ_next_to(y[1]))
+    want = _one_level_arc_maxima(p, pos, los, his)
+    if guess:
+        monkeypatch.setattr(evaluator, "_secant_guess", _BAD_GUESSES[guess])
+    calls, step_preds = [], evaluator._step_preds
+    monkeypatch.setattr(evaluator, "_step_preds", lambda p, pos, pts, nl, shared: (
+        calls.append(shared), step_preds(p, pos, pts, nl, shared))[1])
+    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
+    # the tree pass shares; a later, guided call does not
+    assert calls[0] and not calls[-1] and len(calls) > 2
+
+
+@pytest.mark.parametrize("depth", [2, 4, 6])
+def test_c1_tree_alone_matches_one_level_loop(monkeypatch, depth):
+    """C1 brackets past _PATH_BRACKETS stay on the tree for every pass: its
+    bits are the one-level loop's, also where the right edges stop sharing
+    the "right" call inside a pass."""
+    monkeypatch.setattr(evaluator, "_PATH_BRACKETS", 0)
+    monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
+    rng = np.random.default_rng(7100 + depth)
+    for _ in range(15):
+        p, y, sig = _random_case(rng, C1_BASES)
+        pos, los, his = _arc_bounds(y, sig)
+        want = _one_level_arc_maxima(p, pos, los, his)
+        assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
+    p = Problem((log_sine(), riesz(1.5), log_sine()))
+    y = np.array([2.0, 2.0 + 1e-11])
+    pos, los, his = _arc_bounds(y, Permutation((1, 2)))
+    monkeypatch.setattr(evaluator, "_slope_sum", _sides_differ_next_to(y[1]))
+    want = _one_level_arc_maxima(p, pos, los, his)
+    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
+
+
+def _weighted_log_sine(n):
+    w = np.random.default_rng(0).uniform(0.5, 2.0, n + 1)
+    return Problem(tuple(weighted(log_sine(), float(v)) for v in w))
+
+
+@pytest.mark.parametrize("n, most", [(3, 5), (10, 8)])
+def test_guided_path_cuts_the_slope_calls(monkeypatch, n, most):
+    """A weighted log-sine profile at the equidistant start takes at most
+    `most` slope calls (8 at n = 3 and 20 at n = 10 by the tree alone), so a
+    silent fall back to the tree fails here."""
+    p = _weighted_log_sine(n)
+    assert p.all_c1
+    sig = Permutation.identity(n)
+    y = NodeSystem(tuple(TWO_PI * np.arange(1, n + 1) / (n + 1)))
+    calls, step_preds = [], evaluator._step_preds
+    monkeypatch.setattr(evaluator, "_step_preds",
+                        lambda *args: (calls.append(None), step_preds(*args))[1])
+    prof = profile(p, y, sig)
+    assert 1 < len(calls) <= most
+    monkeypatch.setattr(evaluator, "_PATH_BRACKETS", 0)  # the tree alone
+    calls.clear()
+    assert _bits(prof.z_trav, prof.m_trav) == _bits(*(lambda q: (q.z_trav, q.m_trav))(
+        profile(p, y, sig)))
+    assert len(calls) > most
+
+
 # --- batches: one lockstep bisection over many node systems -----------------
 
 _LAST = float(np.nextafter(TWO_PI, 0.0))

@@ -441,8 +441,9 @@ def _count_value_calls(monkeypatch, p):
 
 
 def test_arc_sups_calls_each_kernel_once_per_level(monkeypatch):
-    # the arcs of a batch step together: one _F call per level, so a batch
-    # costs what its slowest arc costs alone, whatever its size
+    # the arcs of a batch step together: one _F call per level, plus one when
+    # the batch has collapsed arcs, so a batch costs what its slowest arc
+    # costs alone, whatever its size
     _, positions, lo, hi = _random_intervals()
     p = Problem((log_sine(), tent(), riesz(1.5), parabola()))
     calls = _count_value_calls(monkeypatch, p)
@@ -451,12 +452,15 @@ def test_arc_sups_calls_each_kernel_once_per_level(monkeypatch):
         calls.clear()
         _arc_sups(p, positions[b:b + 1], lo[b:b + 1], hi[b:b + 1], 64)
         alone.append(len(calls))
-    # the flat-arc call, then the arc grid and each zoom level
-    assert all(c % 4 == 0 and 4 <= c <= 4 * (_ZOOM_LEVELS + 2) for c in alone)
-    for size in (2, 7, 60):
+    flat = (hi - lo <= 1e-13).tolist()  # arcs 0-9: the collapsed-arc call only
+    assert all(c == 4 for c, f in zip(alone, flat) if f)
+    # the arc grid, then each zoom level
+    assert all(c % 4 == 0 and 4 <= c <= 4 * (_ZOOM_LEVELS + 1) for c in alone)
+    for start, stop in ((0, 2), (0, 7), (0, 60), (10, 60)):
         calls.clear()
-        _arc_sups(p, positions[:size], lo[:size], hi[:size], 64)
-        assert len(calls) == max(alone[:size])
+        _arc_sups(p, positions[start:stop], lo[start:stop], hi[start:stop], 64)
+        levels = max((c for c, f in zip(alone[start:stop], flat[start:stop]) if not f), default=0)
+        assert len(calls) == 4 * any(flat[start:stop]) + levels
 
 
 def test_zoom_level_cap_ends_a_plateau(monkeypatch):
@@ -468,11 +472,12 @@ def test_zoom_level_cap_ends_a_plateau(monkeypatch):
     calls = _count_value_calls(monkeypatch, p)
     t, v = _arc_sups(p, positions, lo, hi, 2)
     assert 0.0 <= t[0] <= PI and math.isclose(v[0], PI, rel_tol=1e-15)
-    assert len(calls) <= 2 * (_ZOOM_LEVELS + 2)
+    # one call per level, plus one when the batch has collapsed arcs (none here)
+    assert len(calls) <= 2 * (_ZOOM_LEVELS + 1)
     monkeypatch.setattr(equisum.oracle, "_ZOOM_LEVELS", 3)
     calls.clear()
     t, v = _arc_sups(p, positions, lo, hi, 2)
-    assert len(calls) == 2 * (1 + 1 + 3)  # the flat-arc call, the arc grid, 3 levels
+    assert len(calls) == 2 * (1 + 3)  # the arc grid, 3 levels
     assert 0.0 <= t[0] <= PI and math.isclose(v[0], PI, rel_tol=1e-15)
 
 

@@ -68,8 +68,11 @@ def test_reduce_angle_scalar_bits(v, kind):
     assert _same_bits(out, _reference_reduce(v))
 
 
-@pytest.mark.parametrize("size", [1, 7, torus._CHEAP_MIN - 1, torus._CHEAP_MIN,
-                                  3 * torus._CHEAP_MIN + 5])
+# both edges of the cheap branch's threshold, plus fixed sizes that keep
+# their names when the threshold moves
+@pytest.mark.parametrize("size", sorted({1, 7, 1023, 1024, 3077,
+                                         torus._CHEAP_MIN - 1, torus._CHEAP_MIN,
+                                         3 * torus._CHEAP_MIN + 5}))
 @pytest.mark.parametrize("spread", ["in_range", "two_pi", "below", "above", "wide",
                                     "nonfinite"])
 def test_reduce_angle_array_bits(size, spread):
