@@ -49,6 +49,8 @@ INF = math.inf
 
 # endpoint bisection resolution: absolute angle tolerance
 TOL_Z = 1e-12 * TWO_PI
+_BOUNDARY_TOL = 4.0 * TOL_Z  # a maximizer this close to an arc end is on it
+_UNIQUE_TOL = 1e-10  # a maximizing set at most this wide is one point
 
 # A bracket wider than this, inside an arc with no node in its interior,
 # keeps its midpoint t so far from every node y_j that t - y_j never reduces
@@ -133,10 +135,8 @@ def sum_translates_full(p: Problem, positions, t):
     pos = np.atleast_1d(np.asarray(positions, dtype=float))
     if len(pos) != len(p.kernels):
         raise ValidationError(f"{len(pos)} positions for {len(p.kernels)} kernels")
-    V = _slopes(p, pos, t, None)
-    acc = V[0] + 0.0  # the sum starts from 0, as a zero array would
-    for row in V[1:]:
-        acc += row
+    # + 0.0 turns a -0.0 sum into 0.0, as a sum started from 0 would
+    acc = _slope_sum(p, pos, t, None) + 0.0
     if np.ndim(t) == 0:
         return float(acc)
     return acc
@@ -162,7 +162,8 @@ def _slopes(p: Problem, pos, ts, side):
 
 
 def _slope_sum(p: Problem, pos, ts, side):
-    """One-sided slope of t -> F(y, t) at each entry of ts (pos as in _slopes).
+    """One-sided slope of t -> F(y, t) at each entry of ts, or with side None
+    the value F(y, t) (pos as in _slopes).
 
     The running sum adds the kernels in index order, one at a time, so the
     result does not depend on how the slopes were grouped.
@@ -402,7 +403,7 @@ def _guided_levels(p: Problem, pos, lo, hi, slo, shi, nl, shared, steps, d):
     return np.array(A), np.array(B)
 
 
-def _arc_maxima(p: Problem, pos, los, his, tol_z):
+def _arc_maxima(p: Problem, pos, los, his):
     """Maximizing set edges for each arc of B node systems, by bisection on
     one-sided slopes.
 
@@ -412,9 +413,9 @@ def _arc_maxima(p: Problem, pos, los, his, tol_z):
     edge of {D- F >= 0}; either may sit on the arc boundary.  The arcs of
     all systems are worked on as one flat list, each with its own system's
     node positions.  Both edges of every arc that needs one are bisected in
-    lockstep, each bracket the fixed number of steps of its own system.
-    The steps are taken d at a time as a bisection tree (_bisect_levels):
-    one slope call settles d levels of every bracket.  Each tree point is
+    lockstep, each bracket the steps that narrow its system's widest arc
+    below TOL_Z, d at a time as a bisection tree (_bisect_levels): one
+    slope call settles d levels of every bracket.  Each tree point is
     the midpoint of its own parent interval and each bracket's walk applies
     the same predicate to the same slope bits as a one-level step would, so
     the brackets, and the results, are bit for bit those of one-level
@@ -448,7 +449,7 @@ def _arc_maxima(p: Problem, pos, los, his, tol_z):
         dmb = _slope_sum(p, cols, his, "left")
         span = np.where(active, length, 0.0).reshape(B, k).max(axis=1)
         iters = np.array([
-            max(8, int(math.ceil(math.log2(max(s / max(tol_z, 1e-300), 2.0)))) + 2)
+            max(8, int(math.ceil(math.log2(max(s / TOL_Z, 2.0)))) + 2)
             for s in span.tolist()])
 
         # left edge: lo if already non-increasing, hi if still increasing at hi
@@ -500,13 +501,12 @@ def _arc_maxima(p: Problem, pos, los, his, tol_z):
     z = np.where(degenerate, los, z)
     m = sum_translates_full(p, cols, z)
 
-    b_tol = max(4.0 * tol_z, 1e-12)
-    on_boundary = degenerate | (z - los <= b_tol) | (his - z <= b_tol)
-    unique = degenerate | ((t_right - t_left) <= max(8.0 * tol_z, 1e-10))
+    on_boundary = degenerate | (z - los <= _BOUNDARY_TOL) | (his - z <= _BOUNDARY_TOL)
+    unique = degenerate | ((t_right - t_left) <= _UNIQUE_TOL)
     return tuple(a.reshape(B, k) for a in (z, m, on_boundary, unique))
 
 
-def profile(p: Problem, y, sigma, *, tol_z: float = TOL_Z):
+def profile(p: Problem, y, sigma):
     """Arc maxima, maximizers and aggregates of F(y, .) under sigma.
 
     y is one node system, and the result one ArcProfile; or y is a 2-D
@@ -518,7 +518,7 @@ def profile(p: Problem, y, sigma, *, tol_z: float = TOL_Z):
     pos = np.atleast_2d(node_positions(y, p.n))
     sig = as_permutation(sigma, p.n)
     cuts = _cuts(pos[:, 1:], sig)
-    z, m, onb, uni = _arc_maxima(p, pos, cuts[:, :-1], cuts[:, 1:], tol_z)
+    z, m, onb, uni = _arc_maxima(p, pos, cuts[:, :-1], cuts[:, 1:])
     profs = [
         ArcProfile(sigma=sig, positions=pos[b], cuts=cuts[b], z_trav=z[b], m_trav=m[b],
                    z_on_boundary_trav=onb[b], unique_trav=uni[b])

@@ -22,6 +22,7 @@ PI = math.pi
 # mirror residuals up to which a doubled solution counts as symmetric
 SYMMETRY_TOL = 1e-8  # nodes
 MAXIMIZER_SYMMETRY_TOL = 1e-7  # arc maximizers
+WRAP_TOL = 1e-9  # angles closer than this to 2*pi, or to each other, are one angle
 
 
 def _positive_tuple(values, what):
@@ -139,10 +140,10 @@ class DoubledResult(Record):
         return self.flags.get("symmetric", False)
 
 
-def _wrap_to_zero(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Send angles within tol below 2*pi to exactly 0."""
+def _wrap_to_zero(values: np.ndarray) -> np.ndarray:
+    """Send angles within WRAP_TOL below 2*pi to exactly 0."""
     v = np.mod(np.asarray(values, dtype=float), TWO_PI)
-    return np.where(v > TWO_PI - tol, 0.0, v)
+    return np.where(v > TWO_PI - WRAP_TOL, 0.0, v)
 
 
 def _mirror_residual(values: np.ndarray) -> float:
@@ -213,14 +214,14 @@ def transfer_to_interval(t_nodes, q: BojanovProblem, tol_sym: float = 1e-6) -> n
     return x
 
 
-def _half_circle_points(values, tol=1e-9):
+def _half_circle_points(values):
     """Representatives inside [0, pi] of a symmetric multiset of angles
     already wrapped into [0, 2*pi) and sorted (as _wrap_to_zero and a sort
     leave them)."""
-    half = np.clip(values[values <= PI + tol], 0.0, PI)
+    half = np.clip(values[values <= PI + WRAP_TOL], 0.0, PI)
     # merge duplicates (0 can appear twice after wrap reduction)
     if len(half) > 1:
-        keep = np.concatenate(([True], np.diff(half) > tol))
+        keep = np.concatenate(([True], np.diff(half) > WRAP_TOL))
         half = half[keep]
     return half
 

@@ -459,8 +459,6 @@ def kernel_weight(k: Kernel) -> float:
 
 def from_config(cfg) -> Kernel:
     """Build a kernel from a JSON-style dict, e.g. {"family": "riesz", "p": 2}."""
-    if isinstance(cfg, Kernel):
-        return cfg
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise ValidationError(f"kernel config must be a dict with a 'family': {cfg!r}")
     fam = cfg["family"]

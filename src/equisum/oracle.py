@@ -293,10 +293,10 @@ class SandwichReport(Record):
     violations: list = field(default_factory=list)
 
 
-def _sample_cell(rng, n, min_sep=1e-3, tries=1000):
-    for _ in range(tries):
+def _sample_cell(rng, n):
+    for _ in range(1000):
         v = np.sort(rng.uniform(0.0, TWO_PI, n))
-        if min_gap(v) > min_sep:
+        if min_gap(v) > 1e-3:
             return v
     raise ValidationError("could not draw a well-separated interior sample")
 

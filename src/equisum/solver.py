@@ -231,7 +231,7 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label):
     return y, status, trace, prof
 
 
-def _secant_stage(p, sig, y_vec, opts: SolveOptions, label="secant"):
+def _secant_stage(p, sig, y_vec, opts: SolveOptions):
     """Cyclic one-dimensional secant on the components of Delta.
 
     Component k of Delta is decreasing in the k-th sorted node, so each
@@ -246,7 +246,7 @@ def _secant_stage(p, sig, y_vec, opts: SolveOptions, label="secant"):
     prof = profile(p, y, sig)
     res, d = _residual(prof)
     for sweep in range(SECANT_SWEEPS):
-        trace.append({"stage": label, "iter": sweep, "residual": res})
+        trace.append({"stage": "secant", "iter": sweep, "residual": res})
         if _settled(res, prof, opts):
             return y, CONVERGED, trace, prof
         if not math.isfinite(res):
@@ -308,8 +308,7 @@ def _coarse_grid_start(p, sig, opts: SolveOptions) -> np.ndarray:
     best_res = INF
     if candidates:
         ys = np.array([sig.nodes(v) for v in candidates])
-        # coarse ranking only
-        for y, prof in zip(ys, profile(p, ys, sig, tol_z=1e-9)):
+        for y, prof in zip(ys, profile(p, ys, sig)):
             res = _residual(prof)[0]
             if res < best_res:
                 best_res = res
@@ -604,20 +603,26 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     """Maximize the smallest arc maximum over one ordering cell.
 
     Starts at the equioscillation point when the solver finds one (for
-    singular kernels it is the maximin point), else at the configured start,
-    and ascends m_under along directions that raise every nearly-active arc
-    at once (a small linear program).  The LP value doubles as the stationarity
+    singular kernels it is the maximin point).  Otherwise it starts at
+    whichever of the failed solve's last iterate and the configured start
+    has the larger m_under, the iterate on a tie: the ascent only rises, so
+    it must not start below a point the solve already holds.  It ascends
+    m_under along directions that raise every nearly-active arc at once (a
+    small linear program).  The LP value doubles as the stationarity
     certificate.  A start with a Gordan certificate (see _gordan) is a sharp
     local maximum of m_under and converges with no LP; its ascent entry is
-    marked.  A start with an arc maximum of -inf ends boundary_suspected;
-    the report is then the failed solve's last iterate when its residual is
-    finite.  The trace opens with the equioscillation solve's.
+    marked.  A start with an arc maximum of -inf ends boundary_suspected.
+    The trace opens with the equioscillation solve's.
     """
     opts = opts or SolveOptions()
     sig = as_permutation(sigma, p.n)
     equi = solve_equioscillation(p, sig, opts)
     trace = equi.trace
-    prof = equi.profile if equi.converged else profile(p, _initial_nodes(p, sig, opts), sig)
+    prof = equi.profile
+    if not equi.converged:
+        start = profile(p, _initial_nodes(p, sig, opts), sig)
+        if start.m_under > prof.m_under:
+            prof = start
     certified = _gordan(p, equi) == []
     status = MAX_ITER
     for it in range(opts.max_iter):
@@ -661,8 +666,6 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
             status = CONVERGED if _settled(res, prof, opts) else MAX_ITER
             break
 
-    if status == BOUNDARY_SUSPECTED and math.isfinite(equi.residual):
-        prof = equi.profile
     return SolveReport(
         status=status,
         residual=_residual(prof)[0],

@@ -114,7 +114,8 @@ def test_natural_c1_refusal_lowers_every_arc_maximum():
     np.zeros((3, 2)),
     # rank 2, left null vector (1, 1, 0): one entry has no sign
     np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
-], ids=["rank1", "zero", "unsigned"])
+    np.array([[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]]),
+], ids=["rank1", "zero", "unsigned", "not_finite"])
 def test_no_verdict_falls_back_to_probes(monkeypatch, Jm):
     p, sig, rep = _unit_report()
     monkeypatch.setattr(solver, "jacobian_m", lambda *args, **kwargs: Jm)

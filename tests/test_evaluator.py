@@ -267,7 +267,7 @@ def _ref_bisect_mask(p, pos, lo, hi, mask, side, want_positive, iters):
     return 0.5 * (lo + hi)
 
 
-def _ref_arc_maxima(p, pos, los, his, tol_z=TOL_Z):
+def _ref_arc_maxima(p, pos, los, his):
     length = his - los
     degenerate = length <= ANGLE_TOL
     active = ~degenerate
@@ -277,7 +277,7 @@ def _ref_arc_maxima(p, pos, los, his, tol_z=TOL_Z):
         dpa = _ref_slope_sum(p, pos, los, "right")
         dmb = _ref_slope_sum(p, pos, his, "left")
         span = float(np.max(length[active]))
-        iters = max(8, int(math.ceil(math.log2(max(span / max(tol_z, 1e-300), 2.0)))) + 2)
+        iters = max(8, int(math.ceil(math.log2(max(span / TOL_Z, 2.0)))) + 2)
         at_lo = active & (dpa <= 0.0)
         at_hi = active & (dmb > 0.0)
         mask = active & ~at_lo & ~at_hi
@@ -297,9 +297,9 @@ def _ref_arc_maxima(p, pos, los, his, tol_z=TOL_Z):
     m = np.zeros_like(z)
     for j, k in enumerate(p.kernels):
         m = m + np.asarray(k.value(z - pos[j]))
-    b_tol = max(4.0 * tol_z, 1e-12)
+    b_tol = 4.0 * TOL_Z
     on_boundary = degenerate | (z - los <= b_tol) | (his - z <= b_tol)
-    unique = degenerate | ((t_right - t_left) <= max(8.0 * tol_z, 1e-10))
+    unique = degenerate | ((t_right - t_left) <= 1e-10)
     return z, m, on_boundary, unique
 
 
@@ -381,7 +381,7 @@ def test_slopes_match_per_kernel_deriv():
 
 # --- bisection tree: replays the one-level lockstep loop bit for bit ---------
 
-def _one_level_arc_maxima(p, pos, los, his, tol_z=TOL_Z, log=None):
+def _one_level_arc_maxima(p, pos, los, his, log=None):
     """The lockstep loop as it was before the tree: one slope call (two when
     the right edges cannot share the "right" call) per bisection step.
     Calls evaluator._slope_sum through the module, so a monkeypatch reaches
@@ -395,7 +395,7 @@ def _one_level_arc_maxima(p, pos, los, his, tol_z=TOL_Z, log=None):
         dpa = evaluator._slope_sum(p, pos, los, "right")
         dmb = evaluator._slope_sum(p, pos, his, "left")
         span = float(np.max(length[active]))
-        iters = max(8, int(math.ceil(math.log2(max(span / max(tol_z, 1e-300), 2.0)))) + 2)
+        iters = max(8, int(math.ceil(math.log2(max(span / TOL_Z, 2.0)))) + 2)
         at_lo, at_hi = dpa <= 0.0, dmb > 0.0
         t_left = np.where(active & ~at_lo & at_hi, his, los)
         L = np.flatnonzero(active & ~at_lo & ~at_hi)
@@ -430,9 +430,9 @@ def _one_level_arc_maxima(p, pos, los, his, tol_z=TOL_Z, log=None):
     t_right = np.maximum(t_right, t_left)
     z = np.where(degenerate, los, 0.5 * (t_left + t_right))
     m = sum_translates_full(p, pos, z)
-    b_tol = max(4.0 * tol_z, 1e-12)
+    b_tol = 4.0 * TOL_Z
     on_boundary = degenerate | (z - los <= b_tol) | (his - z <= b_tol)
-    unique = degenerate | ((t_right - t_left) <= max(8.0 * tol_z, 1e-10))
+    unique = degenerate | ((t_right - t_left) <= 1e-10)
     return z, m, on_boundary, unique
 
 
@@ -466,7 +466,7 @@ def test_tree_matches_one_level_loop(monkeypatch, bases, depth):
         pos, los, his = _arc_bounds(y, sig)
         log = []
         want = _one_level_arc_maxima(p, pos, los, his, log=log)
-        assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
+        assert _bits(*_arc_maxima(p, pos[None], los[None], his[None])) == _bits(*want)
         short_last_pass += len(log) % depth != 0
         shared_ends += log[:1] == [True] and not log[-1]
     assert short_last_pass or depth in (1, 2)
@@ -488,7 +488,7 @@ def test_tree_replays_a_non_monotone_sign_pattern(monkeypatch, depth):
     pos, los, his = _arc_bounds(np.array([1.1, 2.9, 4.0]), Permutation((1, 2, 3)))
     want = _one_level_arc_maxima(p, pos, los, his)
     monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
-    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
+    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None])) == _bits(*want)
 
 
 def _sides_differ_next_to(y):
@@ -519,19 +519,19 @@ def test_tree_shares_the_right_call_only_on_clear_brackets(monkeypatch, depth):
     want = _one_level_arc_maxima(p, pos, los, his, log=log)
     assert log[0] and not log[-1]
     monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
-    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
+    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None])) == _bits(*want)
 
 
 # --- guided paths: one slope call tests a path toward the secant root -------
 
-def _edge_brackets(p, pos, los, his, tol_z=TOL_Z):
+def _edge_brackets(p, pos, los, his):
     """The edge brackets of one system as _arc_maxima sets them up: (lo, hi,
     slope sums at lo and hi, left-edge count, shared, steps)."""
     dpa = evaluator._slope_sum(p, pos, los, "right")
     dmb = evaluator._slope_sum(p, pos, his, "left")
     active = his - los > ANGLE_TOL
     span = float(np.max(his - los, where=active, initial=0.0))
-    iters = max(8, int(math.ceil(math.log2(max(span / tol_z, 2.0))))) + 2
+    iters = max(8, int(math.ceil(math.log2(max(span / TOL_Z, 2.0))))) + 2
     L = np.flatnonzero(active & ~(dpa <= 0.0) & ~(dmb > 0.0))
     R = np.flatnonzero(active & ~(dpa < 0.0) & ~(dmb >= 0.0))
     e = np.concatenate((L, R))
@@ -636,7 +636,7 @@ def test_guided_path_survives_any_guess(monkeypatch, bases, guess):
                 assert _bits(*got) == _bits(*want)
             if bases is C1_BASES:
                 pos, los, his = _arc_bounds(y, sig)
-                got = _arc_maxima(p, pos[None], los[None], his[None], TOL_Z)
+                got = _arc_maxima(p, pos[None], los[None], his[None])
                 assert _bits(*got) == _bits(*_one_level_arc_maxima(p, pos, los, his))
 
 
@@ -655,7 +655,7 @@ def test_guided_path_shares_the_right_call_only_on_clear_brackets(monkeypatch, g
     calls, step_preds = [], evaluator._step_preds
     monkeypatch.setattr(evaluator, "_step_preds", lambda p, pos, pts, nl, shared: (
         calls.append(shared), step_preds(p, pos, pts, nl, shared))[1])
-    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
+    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None])) == _bits(*want)
     # the tree pass shares; a later, guided call does not
     assert calls[0] and not calls[-1] and len(calls) > 2
 
@@ -672,13 +672,13 @@ def test_c1_tree_alone_matches_one_level_loop(monkeypatch, depth):
         p, y, sig = _random_case(rng, C1_BASES)
         pos, los, his = _arc_bounds(y, sig)
         want = _one_level_arc_maxima(p, pos, los, his)
-        assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
+        assert _bits(*_arc_maxima(p, pos[None], los[None], his[None])) == _bits(*want)
     p = Problem((log_sine(), riesz(1.5), log_sine()))
     y = np.array([2.0, 2.0 + 1e-11])
     pos, los, his = _arc_bounds(y, Permutation((1, 2)))
     monkeypatch.setattr(evaluator, "_slope_sum", _sides_differ_next_to(y[1]))
     want = _one_level_arc_maxima(p, pos, los, his)
-    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None], TOL_Z)) == _bits(*want)
+    assert _bits(*_arc_maxima(p, pos[None], los[None], his[None])) == _bits(*want)
 
 
 def _weighted_log_sine(n):

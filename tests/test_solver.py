@@ -204,20 +204,52 @@ def test_secant_stage_ends_boundary_suspected_at_fixed_node():
     assert stages[first + 1] == "restart"
 
 
-def test_maximin_ends_boundary_suspected_at_fixed_node(monkeypatch):
-    """The capped equioscillation solve fails, so the ascent starts at the
-    configured start, whose node 1 sits on the fixed node: m_under is -inf.
-    The report is the failed solve's last iterate, with finite maxima."""
-    monkeypatch.setattr(solver, "HOMOTOPY_LEVELS", ())
-    monkeypatch.setattr(solver, "SECANT_SWEEPS", 0)
-    opts = SolveOptions(start=(0.0, 3.0), max_iter=1)
-    rep = maximin(unit_problem(3), Permutation((1, 2)), opts)
+def test_secant_stage_skips_a_node_on_its_pad_bound(monkeypatch):
+    """Node 1 sits on its pad bound, 1e-3 of its gap above the fixed node,
+    and Delta pushes it down: its clipped probe equals its start, so the
+    stage moves on to node 2 with no profile of the unchanged system."""
+    p = Problem((weighted(tent(), 1e-6), weighted(tent(), 1e-6), tent()))
+    sig = Permutation((1, 2))
+    start = np.array([1e-3 * PI, PI])
+    profiled, original = [], solver.profile
+    monkeypatch.setattr(solver, "profile",
+                        lambda p, y, sig: profiled.append(np.array(y)) or original(p, y, sig))
+    _secant_stage(p, sig, start, SolveOptions())
+    assert profiled[0].tolist() == start.tolist()
+    assert profiled[1][0] == start[0] and profiled[1][1] != start[1]
+
+
+def test_maximin_ends_boundary_suspected_at_fixed_node():
+    """Every node of the start sits on the fixed node.  The equioscillation
+    solve fails there, and its spread-apart restarts keep two nodes on one
+    point, so its last iterate too has an arc maximum of -inf: whichever of
+    the two the ascent starts at, it ends at once."""
+    p = unit_problem(4)
+    sig = Permutation((1, 2, 3))
+    opts = SolveOptions(start=(0.0, 0.0, 0.0))
+    equi = solve_equioscillation(p, sig, opts)
+    assert equi.status == BOUNDARY_SUSPECTED and equi.profile.m_under == -math.inf
+    rep = maximin(p, sig, opts)
     ascent = [e for e in rep.trace if e["stage"] == "ascent"]
     assert rep.status == BOUNDARY_SUSPECTED
     assert ascent == [{"stage": "ascent", "iter": 0, "m_under": -math.inf, "spread": math.inf}]
-    assert rep.nodes.values == pytest.approx((1.434015, 3.858577), abs=1e-6)
-    assert rep.residual == pytest.approx(0.942806, abs=1e-6)
-    assert rep.objective == rep.profile.m_under == pytest.approx(-2.094659, abs=1e-6)
+    assert rep.objective == rep.profile.m_under == -math.inf
+
+
+@pytest.mark.parametrize("iterate, start", [((0.3, 6.0), (2.0, 4.0)), ((2.0, 4.0), (0.3, 6.0))],
+                         ids=["start_higher", "iterate_higher"])
+def test_maximin_ascends_from_the_higher_point_it_holds(monkeypatch, iterate, start):
+    """After a failed equioscillation solve the ascent opens at whichever of
+    the solve's last iterate and the configured start has the larger m_under."""
+    p, sig = unit_problem(3), Permutation((1, 2))
+    last = profile(p, np.array(iterate), sig)
+    failed = solver.SolveReport(status=MAX_ITER, residual=1.0, objective=last.m_bar,
+                                profile=last, iterations=1, trace=[], seed=0)
+    monkeypatch.setattr(solver, "solve_equioscillation", lambda p, sig, opts: failed)
+    rep = maximin(p, sig, SolveOptions(start=start))
+    opened = next(e for e in rep.trace if e["stage"] == "ascent")["m_under"]
+    other = profile(p, np.array(start), sig).m_under
+    assert opened == max(last.m_under, other) and last.m_under != other
 
 
 def test_maximin_ends_jacobian_singular_on_coincident_nodes(monkeypatch):

@@ -94,17 +94,18 @@ def _coarse_grid_n3():
             "solve": solve_equioscillation(LOG_SINES, sig, opts).to_dict()}
 
 
-# the direct solve fails in two iterations, so the ascent starts at `start`;
-# its one line search accepts alpha = 1/4
+# the direct solve fails in two iterations, at a higher m_under than
+# `start`, so the ascent starts at its last iterate; its one line search
+# tries alpha = 1/2 and accepts 1/16
 def _maximin_ascent_backtrack():
     opts = SolveOptions(max_iter=2, start=(4.0, 1.0))
     with patch.object(solver, "HOMOTOPY_LEVELS", ()), patch.object(solver, "SECANT_SWEEPS", 0):
         return maximin(TENTS, Permutation((2, 1)), opts).to_dict()
 
 
-# the direct solve stalls, so the ascent starts at the equidistant nodes; its
-# 27th search runs every halving down to the floor with no progress, and the
-# unsettled spread ends the solve max_iter
+# the direct solve stalls above the equidistant nodes, so the ascent starts
+# at its last iterate; its 52nd search runs every halving down to the floor
+# with no progress, and the unsettled spread ends the solve max_iter
 def _maximin_ascent_stall():
     with patch.object(solver, "HOMOTOPY_LEVELS", ()), patch.object(solver, "SECANT_SWEEPS", 0):
         return maximin(EXAMPLE, Permutation((1, 2, 3))).to_dict()
