@@ -339,9 +339,8 @@ def _cmd_verify(cfg, args):
         return result, OK if rep.ok else FLAGGED, functools.partial(_f_curve, p, ns)
     if check == "convergence":
         ns = _nodes_from(cfg, p.n)
-        kind = cfg.get("kind", "sqrt_cusp")
         levels = tuple(cfg.get("levels", (4, 16, 64, 256)))
-        tab = convergence_probe(p, ns, kind, levels)
+        tab = convergence_probe(p, ns, levels)
         code = OK if (tab.decreasing and tab.bound_ok) else FLAGGED
         return tab.to_dict(), code, functools.partial(_f_curve, p, ns)
     if check == "grid-minimax":

@@ -336,7 +336,8 @@ def _secant_guess(lo, hi, slo, shi):
 
 def _guided_levels(p: Problem, pos, lo, hi, slo, shi, nl, shared, steps, d):
     """Bisect bracket c steps[c] levels: d by one tree call, then one path
-    per bracket and call.
+    per bracket and call.  d is at most steps.min(): a tree is at most 9
+    levels deep (_tree_depth) and a bracket takes at least 12 (_arc_maxima).
 
     pos: the node positions of each bracket's system, as in _slopes; slo,
     shi: the slope sums at lo and hi.  After the tree, a call guesses each
@@ -354,7 +355,6 @@ def _guided_levels(p: Problem, pos, lo, hi, slo, shi, nl, shared, steps, d):
     The paths are built in Python floats, for the few brackets this serves.
     Returns the new (lo, hi).
     """
-    d = min(d, int(steps.min()))
     lo, hi, slo, shi = _bisect_levels(p, pos, lo, hi, nl, shared, d, (slo, shi))
     A, B, SA, SB = lo.tolist(), hi.tolist(), slo.tolist(), shi.tolist()
     rem = (steps - d).tolist()
@@ -447,9 +447,11 @@ def _arc_maxima(p: Problem, pos, los, his):
     if np.any(active):
         dpa = _slope_sum(p, cols, los, "right")
         dmb = _slope_sum(p, cols, his, "left")
+        # a system's widest arc spans at least 2*pi/(n+1), so every system
+        # takes at least 12 steps for n below 10^9
         span = np.where(active, length, 0.0).reshape(B, k).max(axis=1)
         iters = np.array([
-            max(8, int(math.ceil(math.log2(max(s / TOL_Z, 2.0)))) + 2)
+            int(math.ceil(math.log2(s / TOL_Z))) + 2
             for s in span.tolist()])
 
         # left edge: lo if already non-increasing, hi if still increasing at hi

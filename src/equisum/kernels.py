@@ -337,16 +337,16 @@ class Smoothed(Kernel):
     """base + a concave regularizing term, used to build approximant ladders.
 
     kind = "bump":      + sqrt(pi^2 - (t-pi)^2) / level
-                        strictly concave, slope blow-up at both ends.
-    kind = "log_cusp":  + min(0, log(level * d(t)))  with d = distance to 0
-                        drives the glue-point value to -inf.
-    kind = "sqrt_cusp": + min(0, sqrt(d(t)) - 1/level)
-                        slope blow-up at both ends, uniformly within 1/level.
+                        strictly concave, slope blow-up at both ends; the
+                        solver's homotopy ladder uses it.
+    kind = "sqrt_cusp": + min(0, sqrt(d(t)) - 1/level)  with d = distance to 0
+                        slope blow-up at both ends, uniformly within 1/level;
+                        the oracle's convergence probe uses it.
     """
 
     family = "smoothed"
     value, deriv = Kernel.value, Kernel.deriv
-    KINDS = ("bump", "log_cusp", "sqrt_cusp")
+    KINDS = ("bump", "sqrt_cusp")
 
     def __init__(self, base: Kernel, level: float, kind: str = "bump"):
         level = float(level)
@@ -368,11 +368,7 @@ class Smoothed(Kernel):
             np.maximum(u, 0.0, out=u)
             np.sqrt(u, out=u)
             return np.divide(u, self.level, out=u)
-        d = _circle_dist0(tt)
-        if self.kind == "log_cusp":
-            with np.errstate(divide="ignore"):
-                return np.minimum(0.0, np.log(self.level * d))
-        return np.minimum(0.0, np.sqrt(d) - 1.0 / self.level)
+        return np.minimum(0.0, np.sqrt(_circle_dist0(tt)) - 1.0 / self.level)
 
     def _term_deriv(self, tt, side):
         if self.kind == "bump":
@@ -388,15 +384,11 @@ class Smoothed(Kernel):
                 np.divide(u, s, out=u)
             u[tt == 0.0] = INF if side == "right" else -INF
             return u
-        lo_thr = (1.0 / self.level) if self.kind == "log_cusp" else 1.0 / self.level**2
+        lo_thr = 1.0 / self.level**2
         hi_thr = TWO_PI - lo_thr
         with np.errstate(divide="ignore"):
-            if self.kind == "log_cusp":
-                slope_lo = 1.0 / tt
-                slope_hi = -1.0 / (TWO_PI - tt)
-            else:
-                slope_lo = 0.5 / np.sqrt(tt)
-                slope_hi = -0.5 / np.sqrt(TWO_PI - tt)
+            slope_lo = 0.5 / np.sqrt(tt)
+            slope_hi = -0.5 / np.sqrt(TWO_PI - tt)
         if side == "right":
             d = np.where(tt < lo_thr, slope_lo, np.where(tt >= hi_thr, slope_hi, 0.0))
             d = np.where(tt == 0.0, INF, d)
@@ -419,9 +411,6 @@ class Smoothed(Kernel):
         if self.kind == "bump":
             return KernelClass(cond_inf=b.cond_inf, cond_inf_prime=True,
                                c1=b.c1, strictly_concave=True)
-        if self.kind == "log_cusp":  # (inf) implies (inf')
-            return KernelClass(cond_inf=True, cond_inf_prime=True,
-                               c1=False, strictly_concave=b.strictly_concave)
         return KernelClass(cond_inf=b.cond_inf, cond_inf_prime=True,
                            c1=False, strictly_concave=b.strictly_concave)
 
@@ -441,13 +430,7 @@ parabola = Parabola
 table = TableKernel
 weighted = Weighted
 kernel_sum = SumKernel
-
-
-def approximant(k: Kernel, level, kind: str = "bump") -> Kernel:
-    """Regularized copy of k; level None or inf returns k unchanged."""
-    if level is None or (isinstance(level, float) and math.isinf(level)):
-        return k
-    return Smoothed(k, level, kind)
+approximant = Smoothed
 
 
 def kernel_weight(k: Kernel) -> float:

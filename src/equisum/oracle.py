@@ -39,6 +39,7 @@ DEFAULT_SEED = 12345
 MAJORIZATION_TOL = 1e-12  # m-vector differences within it count as equal
 _ZOOM = 33  # points of a zoom grid: its best point's bracket is 1/16 of the last
 _ZOOM_LEVELS = 16  # a 2*pi bracket is below 1e-14 after 13 levels
+PROBE_KIND = "sqrt_cusp"  # smoothing of the convergence probe's kernels
 
 
 def _F(p: Problem, positions, ts):
@@ -147,9 +148,6 @@ class GridMinimax(Record):
     coarse_nodes: NodeSystem
     tolerance: float
     node_resolution: int
-
-    def __iter__(self):  # (M_estimate, argmin nodes) unpacking
-        return iter((self.value, self.nodes))
 
 
 def grid_minimax(
@@ -429,13 +427,8 @@ class ProbeTable(Record):
         return [r.deviation for r in self.rows]
 
 
-def convergence_probe(
-    p: Problem,
-    y,
-    kind: str = "sqrt_cusp",
-    levels=(4, 16, 64, 256),
-) -> ProbeTable:
-    """Sorted-arc-maxima deviation of regularized kernels from the base.
+def convergence_probe(p: Problem, y, levels=(4, 16, 64, 256)) -> ProbeTable:
+    """Sorted-arc-maxima deviation of PROBE_KIND-smoothed kernels from the base.
 
     Arc structure comes from the sorted node positions alone, arcs of
     width at most 1e-13 left out, each gridded at 2048 points; deviations
@@ -455,13 +448,13 @@ def convergence_probe(
     base = sorted_m(p)
     rows = []
     for level in levels:
-        q = Problem(tuple(approximant(k, level, kind) for k in p.kernels))
+        q = Problem(tuple(approximant(k, level, PROBE_KIND) for k in p.kernels))
         dev = float(np.max(np.abs(sorted_m(q) - base)))
         rows.append(ProbeRow(level=float(level), deviation=dev))
     devs = [r.deviation for r in rows]
     decreasing = all(devs[i + 1] <= devs[i] + 1e-12 for i in range(len(devs) - 1))
     bound_ok = all(r.deviation <= (p.n + 1) / r.level + 1e-7 for r in rows)
-    return ProbeTable(kind=kind, rows=rows, decreasing=decreasing, bound_ok=bound_ok)
+    return ProbeTable(kind=PROBE_KIND, rows=rows, decreasing=decreasing, bound_ok=bound_ok)
 
 
 def interval_gap_minimax(

@@ -128,10 +128,11 @@ def equidistant_nodes(n: int, sigma) -> NodeSystem:
 def _project_cell(y_vec: np.ndarray, sig: Permutation, margin: float) -> np.ndarray:
     """Clamp a free-node vector back into the ordering cell, `margin` inside.
 
-    No node lands on 2*pi, even for a margin below half an ulp of 2*pi:
-    profile() would reduce it to 0, outside the cell."""
+    Callers pass a margin of 0 or MARGIN_FRACTION * min_gap, far below the
+    2*pi/(n+1) at which the clamps would cross.  No node lands on 2*pi,
+    even for a margin below half an ulp of 2*pi: profile() would reduce it
+    to 0, outside the cell."""
     n = len(y_vec)
-    margin = min(margin, TWO_PI / (4.0 * (n + 1)))
     v = [float(x) for x in sig.slots(y_vec)]
     lo = 0.0
     for k in range(n):
@@ -609,8 +610,11 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
     it must not start below a point the solve already holds.  It ascends
     m_under along directions that raise every nearly-active arc at once (a
     small linear program).  The LP value doubles as the stationarity
-    certificate.  A start with a Gordan certificate (see _gordan) is a sharp
-    local maximum of m_under and converges with no LP; its ascent entry is
+    certificate; a stationary point whose arc maxima are not settled gets
+    one direct Newton stage (trace label "polish"), kept when it settles at
+    an m_under at most 10 tol_residual lower, and ends max_iter otherwise.
+    A start with a Gordan certificate (see _gordan) is a sharp local
+    maximum of m_under and converges with no LP; its ascent entry is
     marked.  A start with an arc maximum of -inf ends boundary_suspected.
     The trace opens with the equioscillation solve's.
     """
@@ -650,6 +654,13 @@ def maximin(p: Problem, sigma, opts: SolveOptions | None = None) -> SolveReport:
         scale = max(1.0, abs(m_under))
         if s_star <= 1e-11 * scale:
             status = CONVERGED
+            if not _settled(_residual(prof)[0], prof, opts):
+                _, status, tr, polished = _newton_stage(p, sig, prof.positions[1:], opts, "polish")
+                trace.extend(tr)
+                if status == CONVERGED and polished.m_under >= m_under - 10.0 * opts.tol_residual:
+                    prof = polished
+                else:
+                    status = MAX_ITER
             break
         y = prof.positions[1:]
         gap = min_gap(y)

@@ -290,7 +290,7 @@ def test_criterion_09_convergence_probe(capsys):
     )
     bounded = decreasing = True
     for p, y in cases:
-        tab = convergence_probe(p, y, "sqrt_cusp", (4, 16, 64, 256))
+        tab = convergence_probe(p, y, levels=(4, 16, 64, 256))
         devs = tab.deviations()
         bounded = bounded and all(
             r.deviation <= (p.n + 1) / r.level for r in tab.rows

@@ -1,9 +1,9 @@
 """Invariants that tie the three solvers of one ordering cell together.
 
 A failure names a solver that reports what the others refute: a
-`converged` maximin below a point the equioscillation solve already held,
-or singular kernels whose minimax, maximin and equioscillation values
-come apart.
+`converged` maximin below a point the equioscillation solve already held
+or with arc maxima that are not level, or singular kernels whose minimax,
+maximin and equioscillation values come apart.
 """
 import itertools
 import math
@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 
 from equisum.evaluator import Problem
 from equisum.kernels import kernel_sum, log_sine, parabola, riesz, tent, weighted
-from equisum.solver import CONVERGED, MAX_ITER, maximin, minimax, solve_equioscillation
+from equisum.solver import (CONVERGED, MAX_ITER, SolveOptions, maximin, minimax,
+                            solve_equioscillation)
 from equisum.torus import Permutation
 
 # in each of its six cells the equioscillation solve ends max_iter at
 # m_under 13.63449, far above where an ascent from the equidistant start stops
 TENTS = (0.171, 0.677, 0.158, 4.34)
+# the README Example; its identity cell's ascent stops at an LP-stationary
+# point with spread 4.5e-10, which the polish levels
+EXAMPLE = (tent(), tent(), weighted(parabola(), 0.1), weighted(parabola(), 0.1))
 
 _BASES = {"tent": tent(), "parabola": parabola(), "log_sine": log_sine(), "riesz": riesz(2.0)}
 
@@ -51,6 +55,20 @@ def test_converged_maximin_is_not_below_the_equioscillation_iterate(case):
         assert rep.objective >= equi.profile.m_under
     ascent = [e for e in rep.trace if e["stage"] == "ascent"]
     assert ascent[0]["m_under"] >= equi.profile.m_under
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@seed(20261020)
+@given(case=_cell(sorted(_BASES), st.floats(0.1, 5.0)))
+@example(case=(Problem(EXAMPLE), Permutation((1, 2, 3))))
+def test_converged_maximin_is_settled(case):
+    """`converged` means the arc maxima agree, for maximin as for the
+    equioscillation solve: spread m_bar - m_under <= 2 tol_residual."""
+    p, sig = case
+    with np.errstate(all="ignore"):
+        rep = maximin(p, sig)
+    if rep.status == CONVERGED:
+        assert rep.profile.m_bar - rep.profile.m_under <= 2.0 * SolveOptions().tol_residual
 
 
 def test_weighted_tents_report_max_iter_at_the_iterate_level():

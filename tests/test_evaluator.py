@@ -309,7 +309,7 @@ def _bits(*arrays):
 
 C1_BASES = (log_sine(), riesz(1.5), riesz(3.0), parabola(),
             approximant(parabola(), 8, "bump"))
-KINKED_BASES = (tent(), approximant(tent(), 8, "bump"), approximant(log_sine(), 8, "log_cusp"),
+KINKED_BASES = (tent(), approximant(tent(), 8, "bump"), approximant(log_sine(), 8, "sqrt_cusp"),
                 approximant(parabola(), 8, "sqrt_cusp"),
                 table([0.0, 1.0, 3.0, TWO_PI], [0.0, 1.0, 1.5, 0.0]))
 
@@ -358,7 +358,7 @@ def test_slopes_match_per_kernel_deriv():
         riesz(1.5), riesz(3.0), weighted(riesz(1.5), 4.0),
         tent(), weighted(tent(), 0.5), parabola(), weighted(parabola(), 0.1),
         tab, weighted(tab, 3.0), kernel_sum(tent(), weighted(parabola(), 0.5)),
-        approximant(tent(), 10, "bump"), approximant(tent(), 10, "log_cusp"),
+        approximant(tent(), 10, "bump"), approximant(log_sine(), 10, "sqrt_cusp"),
         weighted(approximant(tent(), 10, "sqrt_cusp"), 2.0),
         approximant(tent(), 4, "sqrt_cusp"),
     )

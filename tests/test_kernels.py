@@ -29,7 +29,7 @@ ALL_FAMILIES = [
     weighted(parabola(), 0.1),
     kernel_sum(tent(), weighted(parabola(), 0.5)),
     approximant(tent(), 10, "bump"),
-    approximant(tent(), 10, "log_cusp"),
+    approximant(log_sine(), 10, "sqrt_cusp"),
     approximant(tent(), 10, "sqrt_cusp"),
 ]
 
@@ -159,7 +159,7 @@ _TABLE = table([0.0, 1.0, PI, 5.0, TWO_PI], [0.0, 0.9, 1.2, 0.7, 0.0])
 _REDUCE_ONCE = ALL_FAMILIES + [
     riesz(0.5), _TABLE, weighted(riesz(3.0), 2.0),
     approximant(weighted(log_sine(), 2.0), 8, "bump"),
-    approximant(riesz(1.0), 5, "log_cusp"), approximant(_TABLE, 4, "sqrt_cusp"),
+    approximant(riesz(1.0), 5, "sqrt_cusp"), approximant(_TABLE, 4, "sqrt_cusp"),
     kernel_sum(log_sine(), _TABLE, approximant(parabola(), 3, "sqrt_cusp")),
 ]
 
@@ -257,11 +257,6 @@ def test_sqrt_cusp_outside_window_is_exact():
             assert math.isclose(k.value(t), base.value(t), rel_tol=0, abs_tol=1e-12)
 
 
-def test_log_cusp_pins_minus_inf_at_zero():
-    k = approximant(tent(), 5, "log_cusp")
-    assert k.value(0.0) == -math.inf
-
-
 def test_sqrt_cusp_uniform_closeness():
     """K - 1/level <= approximant <= K on a fine grid."""
     ts = np.linspace(1e-6, TWO_PI - 1e-6, 4001)
@@ -275,15 +270,9 @@ def test_sqrt_cusp_uniform_closeness():
             assert np.all(v <= hi + 1e-12)
 
 
-def test_approximant_level_none_is_identity():
-    base = tent()
-    assert approximant(base, None) is base
-    assert approximant(base, math.inf) is base
-
-
 def test_smoothed_stays_concave():
     rng = np.random.default_rng(41)
-    for kind in ("bump", "log_cusp", "sqrt_cusp"):
+    for kind in Smoothed.KINDS:
         k = approximant(tent(), 6, kind)
         for _ in range(200):
             a, b = np.sort(rng.uniform(1e-3, TWO_PI - 1e-3, size=2))
@@ -334,7 +323,7 @@ _NAN = float("nan")
     (lambda: kernel_sum(), "sum kernel needs at least one term"),
     (lambda: Smoothed(tent(), 0.5), "smoothing level must be >= 1, got 0.5"),
     (lambda: Smoothed(tent(), 4, "spline"),
-     "unknown smoothing kind 'spline', pick from ('bump', 'log_cusp', 'sqrt_cusp')"),
+     "unknown smoothing kind 'spline', pick from ('bump', 'sqrt_cusp')"),
     (lambda: from_config({"family": "table"}),
      "table kernel config needs 'points': [[t, v], ...]"),
     (lambda: from_config({"family": "table", "points": [0.0, PI, TWO_PI]}),

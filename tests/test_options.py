@@ -1,10 +1,11 @@
 """The option surface: what a caller or a config may set.
 
 Numerics that no caller tunes (the ladder's levels, the secant polish's
-sweep cap, the oracles' grid sizes) are module constants, not options.  The
-README documents what a config may set: its option bullets must name
-exactly the fields of SolveOptions, and its config-key table every key the
-CLI reads.
+sweep cap, the oracles' grid sizes, the convergence probe's smoothing kind)
+are module constants, not options.  The README documents what a config may
+set: its option bullets must name exactly the fields of SolveOptions, its
+config-key table every key the CLI reads, and its kernel list the
+smoothing kinds.
 """
 import ast
 import dataclasses
@@ -13,6 +14,7 @@ import re
 from pathlib import Path
 
 import equisum.cli
+from equisum.kernels import Smoothed
 from equisum.oracle import check_sandwich, convergence_probe, grid_minimax
 from equisum.solver import SolveOptions
 
@@ -34,6 +36,7 @@ def test_solve_options_and_oracle_checks_take_no_numerics_knob():
     for fn in (grid_minimax, check_sandwich, convergence_probe):
         params = inspect.signature(fn).parameters
         assert "t_resolution" not in params and "resolution" not in params, fn.__name__
+    assert "kind" not in inspect.signature(convergence_probe).parameters
 
 
 def _cli_config_keys():
@@ -65,3 +68,9 @@ def test_readme_lists_exactly_the_keys_the_cli_reads():
     assert keys["cfg"] and keys["opts"]
     assert keys["cfg"] <= in_table, sorted(keys["cfg"] - in_table)
     assert keys["opts"] <= documented, sorted(keys["opts"] - documented)
+
+
+def test_readme_lists_exactly_the_smoothing_kinds():
+    text = " ".join(README.read_text().split())
+    sentence = re.search(r"`approximant\(base, level, kind\)`(.*?)\.", text).group(1)
+    assert tuple(re.findall(r'`"(\w+)"`', sentence)) == Smoothed.KINDS

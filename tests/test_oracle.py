@@ -128,9 +128,6 @@ def test_grid_minimax_single_node():
     gm = grid_minimax(p, (1,), node_resolution=24)
     assert math.isclose(gm.value, -math.log(2.0), abs_tol=1e-9)
     assert math.isclose(gm.nodes.values[0], PI, abs_tol=1e-6)
-    # tuple protocol and serialization
-    value, nodes = gm
-    assert value == gm.value and nodes is gm.nodes
     d = gm.to_dict()
     assert set(d) == {"value", "nodes", "coarse_value", "coarse_nodes",
                       "tolerance", "node_resolution"}

@@ -56,7 +56,7 @@ def _cases():
     out["example_123"] = _case(EXAMPLE, *_spread(3, (1, 2, 3)))
     out["example_equioscillation"] = _case(EXAMPLE, (PI, PI / 2, 3 * PI / 2),
                                            Permutation((2, 1, 3)))
-    for kind in ("bump", "sqrt_cusp", "log_cusp"):
+    for kind in ("bump", "sqrt_cusp"):
         out[f"example_{kind}"] = _case(tuple(approximant(k, 16, kind) for k in EXAMPLE),
                                        *_spread(3, (2, 1, 3)))
     tab = table([0.0, 1.0, PI, 5.0, TWO_PI], [0.0, 1.0, PI, 5.0 - 2 * (5.0 - PI), 0.0])

@@ -174,6 +174,22 @@ def test_newton_stage_ends_jacobian_singular_on_tents():
     assert np.all(np.isfinite(y))
 
 
+@pytest.mark.parametrize("failing", ["cond", "solve"])
+def test_newton_stage_ends_jacobian_singular_on_a_linalg_error(monkeypatch, failing):
+    """numpy documents LinAlgError for cond and solve; either ends the stage
+    jacobian_singular where it stands."""
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, failing, refuse)
+    y0 = np.array([2.0, 4.0])
+    y, status, trace, _ = _newton_stage(unit_problem(3), Permutation((1, 2)), y0,
+                                        SolveOptions(), "direct")
+    assert status == JACOBIAN_SINGULAR
+    assert len(trace) == 1 and trace[0]["residual"] > 0.0
+    assert y.tolist() == y0.tolist()
+
+
 def test_newton_stage_ends_boundary_suspected_at_fixed_node():
     """Three log-sines in cell (1,2) with node 1 on the fixed node: an arc
     maximum is -inf, so the stage stops at once; the solve then restarts

@@ -96,7 +96,8 @@ def _coarse_grid_n3():
 
 # the direct solve fails in two iterations, at a higher m_under than
 # `start`, so the ascent starts at its last iterate; its one line search
-# tries alpha = 1/2 and accepts 1/16
+# tries alpha = 1/2 and accepts 1/16; the LP then finds a stationary point
+# whose arcs are not level, and two polish iterations do not settle them
 def _maximin_ascent_backtrack():
     opts = SolveOptions(max_iter=2, start=(4.0, 1.0))
     with patch.object(solver, "HOMOTOPY_LEVELS", ()), patch.object(solver, "SECANT_SWEEPS", 0):
