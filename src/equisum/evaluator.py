@@ -17,8 +17,14 @@ this way.
 
 The bisection is fixed: each edge of a maximizing set gets the same
 midpoints, the same verdicts and so the same bits as one-level bisection.
-Only the number of slope calls it takes varies.  The first call settles a
-few levels of every bracket at once as a bisection tree.  Then, when every
+Only the number of slope calls it takes varies.  An arc that needs both
+edges gets one bracket, which serves both while their verdicts agree and
+splits in two at the first point where they differ: a slope sum of
+exactly 0, or a kink.  One "right" slope call serves every bracket while
+the brackets are clear of the nodes, since the kernels' two sides agree
+off their kinks (kernels module); a "left" call serves only the
+right-edge points that land on a kink.  The first call settles a few
+levels of every bracket at once as a bisection tree.  Then, when every
 kernel is C1 and the brackets are few, each call tests a path per bracket:
 the midpoints one-level bisection would visit if the edge sat at the
 secant root of the bracket's end slopes.  A bracket keeps the levels up to
@@ -70,6 +76,14 @@ _TREE_POINTS = 1024
 # _PATH_MARGIN levels longer than twice the last one its bracket kept.
 _PATH_BRACKETS = 40
 _PATH_MARGIN = 6
+
+# Up to this many brackets walk their trees in a Python loop, beyond it in
+# numpy, one step of all of them per level.  One walk on a 2-vCPU VM, loop
+# against numpy: 5 against 32 us for 2 brackets 7 levels deep, even at 16
+# brackets 1 level deep (6 us) and at 20-24 brackets 3-4 levels deep, 42
+# against 7 us for 160 brackets.  With the loop alone, tree-only profiles
+# of weighted log-sines took 9% longer at n = 80 and 10% at n = 160.
+_LOOP_WALKERS = 16
 
 
 class JacobianUnavailableError(ValueError):
@@ -254,55 +268,110 @@ def _tree_depth(brackets, kernels):
     return d
 
 
-def _step_preds(p: Problem, pos, pts, nl, shared):
-    """The bisection predicate at pts, one column per bracket: D+ F > 0 in
-    the first nl columns (the left edges), D- F >= 0 in the rest (the right
-    edges).  pos: the node positions of each column, as in _slopes.
-    Returns (pred, s), s the slope sums the predicate reads.
+def _kink_hits(p: Problem, pos, ts):
+    """True at each entry of ts where some kernel's angle t - pos_j reduces
+    onto one of its kinks (pos as in _slopes).
 
-    shared: the right-edge points are clear of every node, so one "right"
-    call, which equals "left" there for C1 kernels, serves both kinds.
+    Every t - pos_j lies in (-2*pi, 2*pi), where reduce_angle gives t - pos_j
+    when it is at least 0 and t - pos_j + 2*pi otherwise, or 0 where that
+    sum rounds to 2*pi; no kink is 0.  So a hit is t - pos_j or t - pos_j +
+    2*pi equal to a kink, for the t - pos_j that _slopes forms.
     """
-    if shared:
-        s = _slope_sum(p, pos, pts, "right")
-    else:
-        s = np.empty_like(pts)
-        # one system's positions serve every column
-        left, right = (pos, pos) if pos.ndim == 1 else (pos[:, :nl], pos[:, nl:])
-        if nl:
-            s[..., :nl] = _slope_sum(p, left, pts[..., :nl], "right")
-        if nl < pts.shape[-1]:
-            s[..., nl:] = _slope_sum(p, right, pts[..., nl:], "left")
-    pred = s >= 0.0
-    pred[..., :nl] = s[..., :nl] > 0.0
-    return pred, s
+    ts = np.asarray(ts, dtype=float)
+    col = (-1,) + (1,) * ts.ndim
+    at = col if pos.ndim == 1 else col[:-1] + (pos.shape[1],)
+    hit = False
+    for base, idx, _ in p.slope_plan:
+        if base.kinks:
+            grid = ts - pos[idx].reshape(at)
+            wrapped = grid + TWO_PI
+            for k in base.kinks:
+                hit = hit | ((grid == k) | (wrapped == k)).any(axis=0)
+    return hit
 
 
-def _bisect_levels(p: Problem, pos, lo, hi, nl, shared, d, ends=None):
+def _edge_slopes(p: Problem, pos, pts, a, b, clear):
+    """The slope sums the bisection predicates read at pts, one column per
+    bracket: (sr, sl), sr the "right" sums of the columns [0, b), which
+    serve left edges, and sl the "left" sums of the columns [a, end), which
+    serve right edges.  pos: the node positions of each column, as in
+    _slopes.
+
+    clear: the right-edge points are clear of every node, so no kernel's
+    angle reduces to the glue point and "left" equals "right" except on a
+    kink.  Then one "right" call serves every column, and a "left" call
+    only the right-edge points that land on a kink; C1 kernels have none.
+    """
+    one = pos.ndim == 1  # one system's positions serve every column
+    right = pos if one else pos[:, a:]
+    if clear:
+        sr = _slope_sum(p, pos, pts, "right")
+        if p.all_c1 or a == pts.shape[-1]:
+            return sr, sr
+        hit = _kink_hits(p, right, pts[..., a:])
+        if not hit.any():
+            return sr, sr
+        sl = sr.copy()
+        sl[..., a:][hit] = _slope_sum(p, right if one else right[:, np.nonzero(hit)[-1]],
+                                      pts[..., a:][hit], "left")
+        return sr, sl
+    sr = np.zeros_like(pts)
+    sl = np.zeros_like(pts)
+    if b:
+        sr[..., :b] = _slope_sum(p, pos if one else pos[:, :b], pts[..., :b], "right")
+    if a < pts.shape[-1]:
+        sl[..., a:] = _slope_sum(p, right, pts[..., a:], "left")
+    return sr, sl
+
+
+def _walk(go, first, last, d):
+    """Where d one-level steps leave the brackets of columns first..last-1
+    of a tree E (as in _bisect_levels), under the verdicts go of its points
+    (E[1:-1]): their flat indices in E."""
+    cols = go.shape[1]
+    go = go.ravel()
+    # a bracket that starts at E[i, c] tests E[i + h, c] at depth k,
+    # h = 2^(d-1-k), and moves its start there when the predicate holds;
+    # E[i, c] is E.flat[i * cols + c] and go[(i - 1) * cols + c]
+    jumps = [(2 ** (d - 1 - k)) * cols for k in range(d)]  # h rows of E
+    if last - first > _LOOP_WALKERS:
+        at = np.arange(first, last)
+        for jump in jumps:
+            at = at + jump * go[at + (jump - cols)]
+        return at
+    out = []
+    for x in range(first, last):
+        for jump in jumps:
+            if go[x + jump - cols]:
+                x += jump
+        out.append(x)
+    return np.array(out, dtype=int)
+
+
+def _bisect_levels(p: Problem, pos, lo, hi, a, b, clear, d, ends=None):
     """The next d bisection steps of every bracket, from one slope call.
 
-    pos: the node positions of each bracket's system, as in _slopes.
-    Column c of E lists the points of the first d levels of bracket c's
-    bisection tree in order, between lo[c] and hi[c]; each point is
-    0.5 * (a + b) of its own parent interval [a, b].  All 2^d - 1 points of
-    every column are evaluated in one call, or one per side when the right
-    edges cannot share the "right" call.  Each column then walks down its
-    tree with the predicate of one step, so it visits exactly the midpoints,
-    and ends on exactly the bracket, that d one-level steps give.  The right
-    edges share the "right" call while every interval that gets a midpoint
-    is wider than _GLUE_CLEAR; the deepest of them are the narrowest.
+    The brackets come in three runs: [0, a) bisect a left edge, [a, b) both
+    edges of their arc, [b, end) a right edge.  pos: the node positions of
+    each bracket's system, as in _slopes.  Column c of E lists the points
+    of the first d levels of bracket c's bisection tree in order, between
+    lo[c] and hi[c]; each point is 0.5 * (a + b) of its own parent interval.
+    All 2^d - 1 points of every column are evaluated at once (_edge_slopes)
+    and each edge then walks down its column's tree with the predicate of
+    one step, so it visits exactly the midpoints, and ends on exactly the
+    bracket, that d one-level steps give.  The two edges of a both-edges
+    bracket walk the same tree; where their verdicts first differ (a slope
+    sum of exactly 0, or a kink), the bracket splits in place into a
+    left-edge and a right-edge bracket, each on its own side of that
+    point.  The right edges share the "right" call while every interval
+    of theirs that gets a midpoint is wider than _GLUE_CLEAR; the deepest
+    of them are the narrowest.
 
-    Returns the new (lo, hi); given ends, the slope sums at lo and hi, also
-    the slope sums at the new lo and hi.
+    Returns (lo, hi, a, take): the brackets in the same three runs, b
+    unchanged, and take the index of each bracket's predecessor (None when
+    no bracket split).  Given ends, the slope sums at lo and hi, also the
+    slope sums at the new lo and hi.
     """
-    if d == 1:  # the plain step: no tree to build or walk
-        mid = 0.5 * (lo + hi)
-        shared = shared and float(np.min(hi[nl:] - lo[nl:], initial=INF)) > _GLUE_CLEAR
-        go, s = _step_preds(p, pos, mid, nl, shared)
-        new = (np.where(go, mid, lo), np.where(go, hi, mid))
-        if ends is None:
-            return new
-        return new + (np.where(go, s, ends[0]), np.where(go, ends[1], s))
     w, cols = 2**d, len(lo)
     E = np.empty((w + 1, cols))
     E[0] = lo
@@ -310,21 +379,33 @@ def _bisect_levels(p: Problem, pos, lo, hi, nl, shared, d, ends=None):
     for k in range(d):
         s = w >> k
         E[s // 2::s] = 0.5 * (E[:-1:s] + E[s::s])
-    shared = shared and float(np.min(E[2::2, nl:] - E[:-2:2, nl:], initial=INF)) > _GLUE_CLEAR
-    go, s = _step_preds(p, pos, E[1:w], nl, shared)
-    go = go.ravel()
-    # a bracket that starts at E[i, c] tests E[i + h, c] at depth k,
-    # h = 2^(d-1-k), and moves its start there when the predicate holds;
-    # E[i, c] is E.flat[i * cols + c] and go[(i - 1) * cols + c]
-    at = np.arange(cols)
-    for k in range(d):
-        jump = (w >> (k + 1)) * cols  # h rows of E
-        at += jump * go[at + (jump - cols)]
+    clear = clear and float(np.min(E[2::2, a:] - E[:-2:2, a:], initial=INF)) > _GLUE_CLEAR
+    sr, sl = _edge_slopes(p, pos, E[1:w], a, b, clear)
+    # the left edges walk columns [0, b) on the "right" verdicts and the
+    # right edges [a, cols) on the "left" ones
+    at_l = _walk(sr > 0.0, 0, b, d)
+    at_r = _walk(sl >= 0.0, a, cols, d)
+    take = None
+    parted = np.flatnonzero(at_l[a:] != at_r[:b - a]) if a < b else ()
+    if len(parted):
+        stay = np.flatnonzero(at_l[a:] == at_r[:b - a])
+        take = np.concatenate((np.arange(a), a + parted, a + stay, a + parted, np.arange(b, cols)))
+        at = np.concatenate((at_l[:a], at_l[a + parted], at_l[a + stay],
+                             at_r[parted], at_r[b - a:]))
+        a += len(parted)
+    else:
+        at = np.concatenate((at_l, at_r[b - a:]))
     E = E.ravel()
     if ends is None:
-        return E[at], E[at + cols]
-    S = np.concatenate((ends[0], s.ravel(), ends[1]))
-    return E[at], E[at + cols], S[at], S[at + cols]
+        return E[at], E[at + cols], a, take
+    # the left edges' ends read "right" sums, the right edges' "left" ones
+    SL = np.concatenate((ends[0], sr.ravel(), ends[1]))
+    if sl is sr:
+        return E[at], E[at + cols], a, take, SL[at], SL[at + cols]
+    SR = np.concatenate((ends[0], sl.ravel(), ends[1]))
+    slo = np.concatenate((SL[at[:b]], SR[at[b:]]))
+    shi = np.concatenate((SL[at[:b] + cols], SR[at[b:] + cols]))
+    return E[at], E[at + cols], a, take, slo, shi
 
 
 def _secant_guess(lo, hi, slo, shi):
@@ -334,34 +415,43 @@ def _secant_guess(lo, hi, slo, shi):
     return lo + (hi - lo) * (slo / den) if den > 0.0 else lo
 
 
-def _guided_levels(p: Problem, pos, lo, hi, slo, shi, nl, shared, steps, d):
+_LEFT, _BOTH, _RIGHT = 0, 1, 2  # the edges a bracket bisects
+
+
+def _guided_levels(p: Problem, cols, arcs, lo, hi, slo, shi, a, b, clear, steps, d):
     """Bisect bracket c steps[c] levels: d by one tree call, then one path
     per bracket and call.  d is at most steps.min(): a tree is at most 9
     levels deep (_tree_depth) and a bracket takes at least 12 (_arc_maxima).
 
-    pos: the node positions of each bracket's system, as in _slopes; slo,
-    shi: the slope sums at lo and hi.  After the tree, a call guesses each
-    edge at the secant root g of its bracket's end slopes and evaluates the
-    path: the midpoints one-level bisection would test if the edge sat at
-    g, each 0.5 * (a + b) of its own interval, which moves its lower end up
-    when the midpoint is below g.  The bracket keeps the levels up to and
-    including the first whose predicate disagrees with the path's move.  Up
-    to there the path's midpoints are the ones one-level bisection tests,
-    and the last kept verdict, right or wrong for the path, moves the
-    bracket as one level would.  So every bracket is one-level bisection's
-    bit for bit, whatever g is.  A path is twice as long as the last one
-    kept plus a margin, and the right edges share the "right" call while
-    every interval of theirs that gets a midpoint is wider than _GLUE_CLEAR.
-    The paths are built in Python floats, for the few brackets this serves.
-    Returns the new (lo, hi).
+    Brackets as in _bisect_levels, the one of arc arcs[c]; cols: the node
+    positions of each arc, as in _slopes; slo, shi: the slope sums at lo
+    and hi.  After the tree, a call guesses each edge at the secant root g
+    of its bracket's end slopes and evaluates the path: the midpoints
+    one-level bisection would test if the edge sat at g, each 0.5 * (a + b)
+    of its own interval, which moves its lower end up when the midpoint is
+    below g.  The bracket keeps the levels up to and including the first
+    whose predicate disagrees with the path's move.  Up to there the path's
+    midpoints are the ones one-level bisection tests, and the last kept
+    verdict, right or wrong for the path, moves the bracket as one level
+    would.  So every bracket is one-level bisection's bit for bit, whatever
+    g is.  A both-edges bracket also stops where its two verdicts differ,
+    and splits there as in _bisect_levels.  A path is twice as long as the
+    last one kept plus a margin, and the right edges share the "right"
+    call while every interval of theirs that gets a midpoint is wider than
+    _GLUE_CLEAR.  The paths are built in Python floats, for the few
+    brackets this serves.  Returns the brackets as (arcs, lo, hi, a, b).
     """
-    lo, hi, slo, shi = _bisect_levels(p, pos, lo, hi, nl, shared, d, (slo, shi))
+    at = cols if cols.ndim == 1 else cols[:, arcs]
+    lo, hi, a, take, slo, shi = _bisect_levels(p, at, lo, hi, a, b, clear, d, (slo, shi))
+    if take is not None:
+        arcs, steps = arcs[take], steps[take]
     A, B, SA, SB = lo.tolist(), hi.tolist(), slo.tolist(), shi.tolist()
-    rem = (steps - d).tolist()
+    arc, rem = arcs.tolist(), (steps - d).tolist()
+    kind = [_LEFT] * a + [_BOTH] * (b - a) + [_RIGHT] * (len(A) - b)
     span = [d] * len(A)
     live = [c for c in range(len(A)) if rem[c] > 0]
     while live:
-        pts, guesses, lengths, npl, narrowest = [], [], [], 0, INF
+        pts, guesses, lengths, na, nb, narrowest = [], [], [], 0, 0, INF
         for c in live:
             x, y, s0, s1 = A[c], B[c], SA[c], SB[c]
             g = _secant_guess(x, y, s0, s1)
@@ -374,33 +464,55 @@ def _guided_levels(p: Problem, pos, lo, hi, slo, shi, nl, shared, steps, d):
                 else:
                     y = m
             pts.append(0.5 * (x + y))
-            if c < nl:
-                npl = len(pts)  # the left edges' points come first
+            if kind[c] == _LEFT:
+                na = len(pts)
             else:
                 narrowest = min(narrowest, y - x)
+            if kind[c] != _RIGHT:
+                nb = len(pts)
             guesses.append(g)
             lengths.append(length)
-        at = pos if pos.ndim == 1 else np.repeat(pos[:, live], lengths, axis=1)
-        pred, s = _step_preds(p, at, np.array(pts), npl, shared and narrowest > _GLUE_CLEAR)
-        pred, s = pred.tolist(), s.tolist()
-        i = 0
+        at = cols if cols.ndim == 1 else np.repeat(cols[:, [arc[c] for c in live]], lengths, axis=1)
+        sr, sl = _edge_slopes(p, at, np.array(pts), na, nb, clear and narrowest > _GLUE_CLEAR)
+        # the left edges' verdicts and the right edges', as lists
+        vr, vl = (sr > 0.0).tolist(), (sl >= 0.0).tolist()
+        sr, sl = (sr.tolist(),) * 2 if sl is sr else (sr.tolist(), sl.tolist())
+        i, born = 0, []
         for c, g, length in zip(live, guesses, lengths):
             x, y, s0, s1 = A[c], B[c], SA[c], SB[c]
+            both = kind[c] == _BOTH
+            ss, vs = (sl, vl) if kind[c] == _RIGHT else (sr, vr)
             for j in range(i, i + length):
-                m, v = pts[j], pred[j]
+                m, v = pts[j], vs[j]
+                part = both and v != vl[j]
+                if part:
+                    # the edges part at m: this bracket keeps the left edge,
+                    # a new one takes the right edge, moved by its own verdict
+                    kind[c] = _LEFT
+                    kept = j + 1 - i
+                    right = (m, y, sl[j], s1) if vl[j] else (x, m, s0, sl[j])
+                    for column, value in zip((A, B, SA, SB, arc, rem, span, kind),
+                                             right + (arc[c], rem[c] - kept, kept, _RIGHT)):
+                        column.append(value)
+                    born.append(len(A) - 1)
                 if v:
-                    x, s0 = m, s[j]
+                    x, s0 = m, ss[j]
                 else:
-                    y, s1 = m, s[j]
-                if v != (m < g):
+                    y, s1 = m, ss[j]
+                if part or v != (m < g):
                     break
             kept = j + 1 - i
             A[c], B[c], SA[c], SB[c] = x, y, s0, s1
             span[c] = kept
             rem[c] -= kept
             i += length
-        live = [c for c in live if rem[c] > 0]
-    return np.array(A), np.array(B)
+        live = [c for c in live + born if rem[c] > 0]
+        if born:
+            live.sort(key=kind.__getitem__)  # the runs of _bisect_levels
+    order = sorted(range(len(A)), key=kind.__getitem__)
+    a, b = kind.count(_LEFT), len(A) - kind.count(_RIGHT)
+    return (np.array([arc[c] for c in order]), np.array([A[c] for c in order]),
+            np.array([B[c] for c in order]), a, b)
 
 
 def _arc_maxima(p: Problem, pos, los, his):
@@ -412,23 +524,25 @@ def _arc_maxima(p: Problem, pos, los, his):
     [t_left, t_right] with t_left the edge of {D+ F > 0} and t_right the
     edge of {D- F >= 0}; either may sit on the arc boundary.  The arcs of
     all systems are worked on as one flat list, each with its own system's
-    node positions.  Both edges of every arc that needs one are bisected in
-    lockstep, each bracket the steps that narrow its system's widest arc
-    below TOL_Z, d at a time as a bisection tree (_bisect_levels): one
-    slope call settles d levels of every bracket.  Each tree point is
-    the midpoint of its own parent interval and each bracket's walk applies
-    the same predicate to the same slope bits as a one-level step would, so
-    the brackets, and the results, are bit for bit those of one-level
-    bisection of each system alone, whatever the sign pattern of the
-    slopes.  The depth d is the largest that keeps a call within
-    _TREE_POINTS kernel points, at least 1, counted over all brackets.
-    When every kernel is C1 and there are at most _PATH_BRACKETS brackets,
-    one tree call is followed by guided paths (_guided_levels): each call
-    tests the midpoints of the levels one-level bisection would take if
-    the edge sat at a secant guess, and keeps them up to the first verdict
-    that disagrees with the guess.  Those are the midpoints one-level
-    bisection tests, and the verdicts are read from the same slope bits, so
-    this too gives its brackets bit for bit, for any guess.
+    node positions.  Every arc that needs an edge gets one bracket, which
+    bisects both of its edges while their verdicts agree and splits where
+    they first differ (_bisect_levels).  The brackets are bisected in
+    lockstep, each the steps that narrow its system's widest arc below
+    TOL_Z, d at a time as a bisection tree: one slope call settles d levels
+    of every bracket.  Each tree point is the midpoint of its own parent
+    interval and each edge's walk applies the same predicate to the same
+    slope bits as a one-level step would, so the brackets, and the results,
+    are bit for bit those of one-level bisection of each edge of each
+    system alone, whatever the sign pattern of the slopes.  The depth d is
+    the largest that keeps a call within _TREE_POINTS kernel points, at
+    least 1, counted over all brackets.  When every kernel is C1 and there
+    are at most _PATH_BRACKETS brackets, one tree call is followed by
+    guided paths (_guided_levels): each call tests the midpoints of the
+    levels one-level bisection would take if the edge sat at a secant
+    guess, and keeps them up to the first verdict that disagrees with the
+    guess.  Those are the midpoints one-level bisection tests, and the
+    verdicts are read from the same slope bits, so this too gives its
+    brackets bit for bit, for any guess.
     Returns (z, m, on_boundary, unique) arrays of shape (B, n+1).
     """
     B, k = los.shape
@@ -444,6 +558,11 @@ def _arc_maxima(p: Problem, pos, los, his):
     t_left = los.copy()
     t_right = his.copy()
 
+    def settle(arcs, lo, hi, a, b):
+        edge = 0.5 * (lo + hi)
+        t_left[arcs[:b]] = edge[:b]
+        t_right[arcs[a:]] = edge[a:]
+
     if np.any(active):
         dpa = _slope_sum(p, cols, los, "right")
         dmb = _slope_sum(p, cols, his, "left")
@@ -457,46 +576,50 @@ def _arc_maxima(p: Problem, pos, los, his):
         # left edge: lo if already non-increasing, hi if still increasing at hi
         at_lo, at_hi = dpa <= 0.0, dmb > 0.0
         t_left = np.where(active & ~at_lo & at_hi, his, los)
-        L = np.flatnonzero(active & ~at_lo & ~at_hi)
+        need_l = active & ~at_lo & ~at_hi
         # right edge: hi if still non-decreasing at hi, lo if decreasing at lo
         at_lo, at_hi = dpa < 0.0, dmb >= 0.0
         t_right = np.where(active & ~at_hi & at_lo, los, his)
-        R = np.flatnonzero(active & ~at_hi & ~at_lo)
+        need_r = active & ~at_hi & ~at_lo
 
-        # one bracket per edge: the left edges first, then the right edges;
-        # pred(lo) stays True and pred(hi) False
-        nl = len(L)
-        edges = np.concatenate((L, R))
-        lo = los[edges]
-        hi = his[edges]
-        # For C1 kernels D- F equals D+ F off the glue point, so one "right"
-        # call serves both edges while no right-edge point can meet a node.
-        nodes = pos[R // k]
-        shared = p.all_c1 and bool(np.all((nodes <= lo[nl:, None]) | (nodes >= hi[nl:, None])))
-        if len(lo):
-            d = _tree_depth(len(lo), len(p.kernels))
-            steps = iters[edges // k]
-            if p.all_c1 and len(lo) <= _PATH_BRACKETS:
-                at = cols if B == 1 else cols[:, edges]
-                lo, hi = _guided_levels(p, at, lo, hi, dpa[edges], dmb[edges], nl, shared,
-                                        steps, d)
+        # one bracket per arc: the left edges alone first, then both edges,
+        # then the right edges alone; pred(lo) stays True and pred(hi) False
+        runs = (np.flatnonzero(need_l > need_r), np.flatnonzero(need_l & need_r),
+                np.flatnonzero(need_r > need_l))
+        arcs = np.concatenate(runs)
+        a, b = len(runs[0]), len(runs[0]) + len(runs[1])
+        lo = los[arcs]
+        hi = his[arcs]
+        # No kernel's angle reduces to the glue point while no right-edge
+        # point can meet a node (_edge_slopes).
+        nodes = pos[arcs[a:] // k]
+        clear = bool(np.all((nodes <= lo[a:, None]) | (nodes >= hi[a:, None])))
+        if len(arcs):
+            d = _tree_depth(len(arcs), len(p.kernels))
+            steps = iters[arcs // k]
+            if p.all_c1 and len(arcs) <= _PATH_BRACKETS:
+                settle(*_guided_levels(p, cols, arcs, lo, hi, dpa[arcs], dmb[arcs], a, b,
+                                       clear, steps, d))
             else:
-                done, keep, nkeep = 0, slice(None), nl
+                done = 0
                 # the brackets of the systems with the fewest steps stop first
                 for stop in sorted(set(steps.tolist())):
                     if done:
-                        keep = np.flatnonzero(steps > done)
-                        nkeep = int(np.count_nonzero(keep < nl))
-                    at = cols if B == 1 else cols[:, edges[keep]]
-                    blo, bhi = lo[keep], hi[keep]
+                        out = steps == done
+                        settle(arcs[out], lo[out], hi[out],
+                               int(np.count_nonzero(out[:a])), int(np.count_nonzero(out[:b])))
+                        keep = ~out
+                        a, b = int(np.count_nonzero(keep[:a])), int(np.count_nonzero(keep[:b]))
+                        arcs, steps, lo, hi = arcs[keep], steps[keep], lo[keep], hi[keep]
+                    at = cols if B == 1 else cols[:, arcs]
                     for start in range(done, stop, d):
-                        blo, bhi = _bisect_levels(p, at, blo, bhi, nkeep, shared,
-                                                  min(d, stop - start))
-                    lo[keep], hi[keep] = blo, bhi
+                        lo, hi, a, take = _bisect_levels(p, at, lo, hi, a, b, clear,
+                                                         min(d, stop - start))
+                        if take is not None:
+                            arcs, steps = arcs[take], steps[take]
+                            at = cols if B == 1 else cols[:, arcs]
                     done = stop
-        edge = 0.5 * (lo + hi)
-        t_left[L] = edge[:nl]
-        t_right[R] = edge[nl:]
+                settle(arcs, lo, hi, a, b)
 
     t_right = np.maximum(t_right, t_left)
     z = 0.5 * (t_left + t_right)

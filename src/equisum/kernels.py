@@ -8,10 +8,12 @@ and may be +/-inf at the glue point: deriv(0, "right") is the limit slope
 coming in from above 0, deriv(0, "left") the limit slope going out below
 2*pi.
 
-A kernel whose classify().c1 is true returns bit-identical deriv(t, "left")
-and deriv(t, "right") at every t that does not reduce to the glue point;
-profile() relies on this to bisect both edges of every arc with one
-"right" slope call per step.
+Every family lists in `kinks` the reduced angles, other than the glue
+point 0, where deriv(t, "left") and deriv(t, "right") may differ: at every
+other t that does not reduce to 0 the two sides are bit-identical.  A
+kernel has kinks exactly when it is not C1.  profile() relies on this to
+bisect both edges of an arc with one "right" slope call per step, and a
+"left" call only at the points that land on a kink.
 
 The public value(t) and deriv(t, side) live on Kernel: they check the
 side, reduce t into [0, 2*pi) once and hand the reduced float array to
@@ -73,9 +75,12 @@ class KernelClass:
 
 
 class Kernel:
-    """Base class.  Subclasses implement _value/_deriv/classify/spec."""
+    """Base class.  Subclasses implement _value/_deriv/classify/spec and
+    declare kinks."""
 
     family = "abstract"
+    # the reduced angles in (0, 2*pi) where the one-sided slopes may differ
+    kinks: tuple
 
     def value(self, t):
         tt = np.asarray(reduce_angle(t), dtype=float)
@@ -114,6 +119,7 @@ class LogSine(Kernel):
 
     family = "log_sine"
     value, deriv = Kernel.value, Kernel.deriv
+    kinks = ()
 
     def _value(self, tt):
         with np.errstate(divide="ignore"):
@@ -136,6 +142,7 @@ class Riesz(Kernel):
 
     family = "riesz"
     value, deriv = Kernel.value, Kernel.deriv
+    kinks = ()
 
     def __init__(self, p: float):
         p = float(p)
@@ -171,6 +178,7 @@ class Tent(Kernel):
 
     family = "tent"
     value, deriv = Kernel.value, Kernel.deriv
+    kinks = (PI,)
 
     def _value(self, tt):
         return PI - np.abs(tt - PI)
@@ -192,6 +200,7 @@ class Parabola(Kernel):
 
     family = "parabola"
     value, deriv = Kernel.value, Kernel.deriv
+    kinks = ()
 
     def _value(self, tt):
         return tt * (TWO_PI - tt)
@@ -243,6 +252,7 @@ class TableKernel(Kernel):
         self.ts = ts
         self.vs = vs
         self.slopes = slopes
+        self.kinks = tuple(ts[1:-1].tolist())
 
     def _value(self, tt):
         return np.interp(tt, self.ts, self.vs)
@@ -276,6 +286,7 @@ class Weighted(Kernel):
             raise ValidationError(f"weight must be finite and > 0, got {weight}")
         self.base = base
         self.weight = weight
+        self.kinks = base.kinks
 
     def _value(self, tt):
         return self.weight * self.base._value(tt)
@@ -300,6 +311,7 @@ class SumKernel(Kernel):
         if not terms:
             raise ValidationError("sum kernel needs at least one term")
         self.terms = terms
+        self.kinks = tuple(sorted({k for term in terms for k in term.kinks}))
 
     # np.asarray keeps a scalar call on numpy's array add, so even the NaN
     # that an infinite t gives has the bits of a term-by-term sum
@@ -357,6 +369,13 @@ class Smoothed(Kernel):
         self.base = base
         self.level = level
         self.kind = kind
+        if kind == "sqrt_cusp":
+            # the term's slope jumps where d(t) = 1/level^2, on either side of 0
+            lo = 1.0 / level**2
+            self._cusp_ends = (lo, TWO_PI - lo)
+            self.kinks = tuple(sorted(set(base.kinks + self._cusp_ends)))
+        else:
+            self.kinks = base.kinks
 
     # --- the added term -------------------------------------------------
     def _term_value(self, tt):
@@ -384,8 +403,7 @@ class Smoothed(Kernel):
                 np.divide(u, s, out=u)
             u[tt == 0.0] = INF if side == "right" else -INF
             return u
-        lo_thr = 1.0 / self.level**2
-        hi_thr = TWO_PI - lo_thr
+        lo_thr, hi_thr = self._cusp_ends
         with np.errstate(divide="ignore"):
             slope_lo = 0.5 / np.sqrt(tt)
             slope_hi = -0.5 / np.sqrt(TWO_PI - tt)

@@ -194,6 +194,7 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label):
     y = np.asarray(y_vec, dtype=float).copy()
     prof = profile(p, y, sig)
     res, d = _residual(prof)
+    gap = None  # min_gap(y), once known
     for it in range(opts.max_iter):
         trace.append({"stage": label, "iter": it, "residual": res})
         if _settled(res, prof, opts):
@@ -214,7 +215,9 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label):
         except np.linalg.LinAlgError:
             return y, JACOBIAN_SINGULAR, trace, prof
 
-        margin = MARGIN_FRACTION * min_gap(y)
+        if gap is None:
+            gap = min_gap(y)
+        margin = MARGIN_FRACTION * gap
         accepted = False
         for alpha, y_try, prof_try in _line_search(p, sig, y, step, margin, 1.0, MIN_STEP):
             res_try, d_try = _residual(prof_try)
@@ -225,7 +228,8 @@ def _newton_stage(p, sig, y_vec, opts: SolveOptions, label):
         if not accepted:
             trace.append({"stage": label, "iter": it + 1, "residual": res, "note": "stalled"})
             return y, MAX_ITER, trace, prof
-        if min_gap(y) < COLLAPSE_TOL:
+        gap = min_gap(y)
+        if gap < COLLAPSE_TOL:
             return y, BOUNDARY_SUSPECTED, trace, prof
     trace.append({"stage": label, "iter": opts.max_iter, "residual": res})
     status = CONVERGED if _settled(res, prof, opts) else MAX_ITER

@@ -381,16 +381,21 @@ def test_slopes_match_per_kernel_deriv():
 
 # --- bisection tree: replays the one-level lockstep loop bit for bit ---------
 
-def _one_level_arc_maxima(p, pos, los, his, log=None):
-    """The lockstep loop as it was before the tree: one slope call (two when
-    the right edges cannot share the "right" call) per bisection step.
-    Calls evaluator._slope_sum through the module, so a monkeypatch reaches
-    it.  log, when given, collects whether each step shared its call."""
+def _one_level_brackets(p, pos, los, his, log=None):
+    """The plain lockstep loop: one bracket per edge, two per arc that needs
+    both, one level per step; the left edges read "right" slopes and the
+    right edges "left" ones.  Calls evaluator._slope_sum through the module,
+    so a monkeypatch reaches it.  log, when given, collects per step whether
+    every right-edge bracket was wider than _GLUE_CLEAR.  Returns (t_left,
+    t_right, L, R, lo, hi): the edges set without bisection, the arcs whose
+    left and right edges were bisected, and where their brackets end, the
+    left edges first."""
     length = his - los
-    degenerate = length <= ANGLE_TOL
-    active = ~degenerate
+    active = length > ANGLE_TOL
     t_left = los.copy()
     t_right = his.copy()
+    L = R = np.zeros(0, dtype=int)
+    lo = hi = np.zeros(0)
     if np.any(active):
         dpa = evaluator._slope_sum(p, pos, los, "right")
         dmb = evaluator._slope_sum(p, pos, his, "left")
@@ -405,28 +410,29 @@ def _one_level_arc_maxima(p, pos, los, his, log=None):
         nl = len(L)
         lo = np.concatenate((los[L], los[R]))
         hi = np.concatenate((his[L], his[R]))
-        shared = p.all_c1 and bool(np.all(
-            (pos[None, :] <= los[R, None]) | (pos[None, :] >= his[R, None])))
         for _ in range(iters if len(lo) else 0):
             mid = 0.5 * (lo + hi)
-            one = shared and float(np.min(hi[nl:] - lo[nl:], initial=math.inf)) > _GLUE_CLEAR
             if log is not None:
-                log.append(one)
-            if one:
-                s = evaluator._slope_sum(p, pos, mid, "right")
-            else:
-                s = np.empty_like(mid)
-                if nl:
-                    s[:nl] = evaluator._slope_sum(p, pos, mid[:nl], "right")
-                if len(R):
-                    s[nl:] = evaluator._slope_sum(p, pos, mid[nl:], "left")
+                log.append(float(np.min(hi[nl:] - lo[nl:], initial=math.inf)) > _GLUE_CLEAR)
+            s = np.empty_like(mid)
+            if nl:
+                s[:nl] = evaluator._slope_sum(p, pos, mid[:nl], "right")
+            if len(R):
+                s[nl:] = evaluator._slope_sum(p, pos, mid[nl:], "left")
             pred = s >= 0.0
             pred[:nl] = s[:nl] > 0.0
             lo = np.where(pred, mid, lo)
             hi = np.where(pred, hi, mid)
-        edge = 0.5 * (lo + hi)
-        t_left[L] = edge[:nl]
-        t_right[R] = edge[nl:]
+    return t_left, t_right, L, R, lo, hi
+
+
+def _one_level_arc_maxima(p, pos, los, his, log=None):
+    """_arc_maxima's results by the plain loop (_one_level_brackets)."""
+    t_left, t_right, L, R, lo, hi = _one_level_brackets(p, pos, los, his, log)
+    edge = 0.5 * (lo + hi)
+    t_left[L] = edge[:len(L)]
+    t_right[R] = edge[len(L):]
+    degenerate = his - los <= ANGLE_TOL
     t_right = np.maximum(t_right, t_left)
     z = np.where(degenerate, los, 0.5 * (t_left + t_right))
     m = sum_translates_full(p, pos, z)
@@ -470,14 +476,15 @@ def test_tree_matches_one_level_loop(monkeypatch, bases, depth):
         short_last_pass += len(log) % depth != 0
         shared_ends += log[:1] == [True] and not log[-1]
     assert short_last_pass or depth in (1, 2)
-    assert shared_ends or bases is KINKED_BASES
+    assert shared_ends
 
 
 def _signs_without_order(p, pos, ts, side):
     """Slope signs that jump around at random along every bracket, with
-    zeros, so the tree's walk leaves the path a monotone row would take."""
-    ts = np.asarray(ts, dtype=float)
-    u = np.sin(7919.0 * ts + (0.0 if side == "right" else 1.0))
+    zeros, where the two edges of a bracket part, so the tree's walk leaves
+    the path a monotone row would take.  Both sides read the same, as they
+    do off the kinks of every kernel."""
+    u = np.sin(7919.0 * np.asarray(ts, dtype=float))
     return np.where(np.abs(u) < 0.2, 0.0, np.sign(u))
 
 
@@ -494,7 +501,7 @@ def test_tree_replays_a_non_monotone_sign_pattern(monkeypatch, depth):
 def _sides_differ_next_to(y):
     """A slope sum, falling left to right, whose two sides differ only
     1e-15 to 6e-15 below the node y, where "right" reads 0 and "left" -1, as
-    the true sides of a C1 sum differ only a few ulps from a node.  So the
+    the true sides of a sum differ only a few ulps from a node.  So the
     right edge of the maximizing set is y - 1e-15 by "right" slopes and
     y - 6e-15 by "left" ones; the left edge is y - 5e-12 by either."""
     def slope_sum(p, pos, ts, side):
@@ -510,7 +517,6 @@ def test_tree_shares_the_right_call_only_on_clear_brackets(monkeypatch, depth):
     the pass that gets a midpoint is wider than _GLUE_CLEAR; past that the
     one-level loop reads "left", and so must the tree."""
     p = Problem((log_sine(), riesz(1.5), log_sine()))
-    assert p.all_c1
     # arc 1 is 1e-11 wide, so its brackets narrow past _GLUE_CLEAR
     y = np.array([2.0, 2.0 + 1e-11])
     pos, los, his = _arc_bounds(y, Permutation((1, 2)))
@@ -524,71 +530,59 @@ def test_tree_shares_the_right_call_only_on_clear_brackets(monkeypatch, depth):
 
 # --- guided paths: one slope call tests a path toward the secant root -------
 
-def _edge_brackets(p, pos, los, his):
-    """The edge brackets of one system as _arc_maxima sets them up: (lo, hi,
-    slope sums at lo and hi, left-edge count, shared, steps)."""
-    dpa = evaluator._slope_sum(p, pos, los, "right")
-    dmb = evaluator._slope_sum(p, pos, his, "left")
-    active = his - los > ANGLE_TOL
-    span = float(np.max(his - los, where=active, initial=0.0))
-    iters = max(8, int(math.ceil(math.log2(max(span / TOL_Z, 2.0))))) + 2
-    L = np.flatnonzero(active & ~(dpa <= 0.0) & ~(dmb > 0.0))
-    R = np.flatnonzero(active & ~(dpa < 0.0) & ~(dmb >= 0.0))
-    e = np.concatenate((L, R))
-    shared = p.all_c1 and bool(np.all((pos <= los[R, None]) | (pos >= his[R, None])))
-    return los[e], his[e], dpa[e], dmb[e], len(L), shared, np.full(len(e), iters)
+def _guided_args(p, systems, sig):
+    """The brackets of the node systems of one cell as _arc_maxima hands
+    them to one _guided_levels call, and where the one-level loop leaves
+    each edge: (args, want), want[0][arc] and want[1][arc] the bits of the
+    (lo, hi) of the left and the right edge of flat arc index arc."""
+    k = p.n + 1
+    bounds = [_arc_bounds(y, sig) for y in systems]
+    pos, los, his = (np.array([b[i] for b in bounds]) for i in range(3))
+    want, steps = ({}, {}), {}
+    for i, (pos_i, los_i, his_i) in enumerate(bounds):
+        _, _, L, R, lo, hi = _one_level_brackets(p, pos_i, los_i, his_i)
+        span = float(np.max(his_i - los_i))
+        for j, arc in enumerate(np.concatenate((L, R)).tolist()):
+            want[j >= len(L)][i * k + arc] = (lo[j].hex(), hi[j].hex())
+            steps[i * k + arc] = int(math.ceil(math.log2(span / TOL_Z))) + 2
+    both = sorted(set(want[0]) & set(want[1]))
+    arcs = np.array(sorted(set(want[0]) - set(both)) + both + sorted(set(want[1]) - set(both)),
+                    dtype=int)
+    a, b = len(want[0]) - len(both), len(want[0])
+    cols = pos[0] if len(systems) == 1 else pos.T[:, np.repeat(np.arange(len(systems)), k)]
+    los, his = los.ravel(), his.ravel()
+    nodes = pos[arcs[a:] // k]
+    clear = bool(np.all((nodes <= los[arcs[a:], None]) | (nodes >= his[arcs[a:], None])))
+    ends = (evaluator._slope_sum(p, cols, los, "right")[arcs],
+            evaluator._slope_sum(p, cols, his, "left")[arcs])
+    args = (cols, arcs, los[arcs], his[arcs]) + ends + (
+        a, b, clear, np.array([steps[arc] for arc in arcs.tolist()]))
+    return args, want
 
 
-def _one_level_brackets(p, pos, lo, hi, nl, shared, steps):
-    """steps[0] plain one-level steps (the tree at depth 1) of one system's brackets."""
-    for _ in range(int(steps[0])):
-        lo, hi = evaluator._bisect_levels(p, pos, lo, hi, nl, shared, 1)
-    return lo, hi
-
-
-def _guided_batch(p, systems, sig):
-    """The brackets of the node systems of one cell as one guided call takes
-    them, the left edges of every system first, and where each system's own
-    one-level steps leave them: (args of _guided_levels, (lo, hi))."""
-    left, right, shared = [], [], True
-    for y in systems:
-        pos, los, his = _arc_bounds(y, sig)
-        lo, hi, slo, shi, nl, clear, steps = _edge_brackets(p, pos, los, his)
-        want = _one_level_brackets(p, pos, lo, hi, nl, clear, steps)
-        # per bracket, along the last axis: its system's positions, its ends
-        # and their slope sums, its steps, and the one-level result
-        rows = (np.repeat(pos[:, None], len(lo), axis=1), lo, hi, slo, shi, steps) + want
-        left.append([r[..., :nl] for r in rows])
-        right.append([r[..., nl:] for r in rows])
-        shared = shared and clear
-    cols, lo, hi, slo, shi, steps, want_lo, want_hi = (
-        np.concatenate(parts, axis=-1) for parts in zip(*(left + right)))
-    nl = sum(part[1].size for part in left)
-    return (cols, lo, hi, slo, shi, nl, shared, steps), (want_lo, want_hi)
+def _guided_edges(got):
+    """The (lo, hi) bits of each left and right edge _guided_levels returns."""
+    arcs, lo, hi, a, b = got
+    rows = list(zip(arcs.tolist(), (v.hex() for v in lo.tolist()), (v.hex() for v in hi.tolist())))
+    assert len(set(arcs[:b].tolist())) == b and len(set(arcs[a:].tolist())) == len(arcs) - a
+    return ({arc: (x, y) for arc, x, y in rows[:b]}, {arc: (x, y) for arc, x, y in rows[a:]})
 
 
 @pytest.mark.parametrize("depth", [1, 3, 5])
 @pytest.mark.parametrize("bases", [C1_BASES, KINKED_BASES], ids=["c1", "kinked"])
 def test_guided_path_matches_one_level_loop(bases, depth):
-    """_guided_levels leaves every bracket where plain one-level steps do,
-    for one system and for a batch of systems of one cell, C1 or kinked
-    (kinked kernels never share the "right" call)."""
+    """_guided_levels leaves every edge where plain one-level steps do, for
+    one system and for a batch of systems of one cell, C1 or kinked."""
     rng = np.random.default_rng(8000 + depth)
     for _ in range(25):
         p, y, sig = _random_case(rng, bases)
-        pos, los, his = _arc_bounds(y, sig)
-        lo, hi, slo, shi, nl, shared, steps = _edge_brackets(p, pos, los, his)
-        want = _one_level_brackets(p, pos, lo, hi, nl, shared, steps)
-        if len(lo):
-            got = evaluator._guided_levels(p, pos, lo, hi, slo, shi, nl, shared, steps, depth)
-            assert _bits(*got) == _bits(*want)
         # more systems of the same cell: the first one moved a little
         systems = [y] + [sig.nodes(np.sort(np.clip(sig.slots(y) + rng.normal(0.0, 0.01, p.n),
                                                     0.0, _LAST))) for _ in range(3)]
-        args, want = _guided_batch(p, systems, sig)
-        if len(args[1]):
-            got = evaluator._guided_levels(p, *args, depth)
-            assert _bits(*got) == _bits(*want)
+        for batch in (systems[:1], systems):
+            args, want = _guided_args(p, batch, sig)
+            if len(args[1]):
+                assert _guided_edges(evaluator._guided_levels(p, *args, depth)) == want
 
 
 _SECANT_GUESS = evaluator._secant_guess
@@ -630,14 +624,21 @@ def test_guided_path_survives_any_guess(monkeypatch, bases, guess):
     with np.errstate(invalid="ignore"):
         for _ in range(12):
             p, y, sig = _random_case(rng, bases)
-            args, want = _guided_batch(p, [y], sig)
+            args, want = _guided_args(p, [y], sig)
             if len(args[1]):
-                got = evaluator._guided_levels(p, *args, 2)
-                assert _bits(*got) == _bits(*want)
+                assert _guided_edges(evaluator._guided_levels(p, *args, 2)) == want
             if bases is C1_BASES:
                 pos, los, his = _arc_bounds(y, sig)
                 got = _arc_maxima(p, pos[None], los[None], his[None])
                 assert _bits(*got) == _bits(*_one_level_arc_maxima(p, pos, los, his))
+
+
+def _log_clear(monkeypatch):
+    """Collect the clear flag of every _edge_slopes call."""
+    calls, edge_slopes = [], evaluator._edge_slopes
+    monkeypatch.setattr(evaluator, "_edge_slopes", lambda p, pos, pts, a, b, clear: (
+        calls.append(clear), edge_slopes(p, pos, pts, a, b, clear))[1])
+    return calls
 
 
 @pytest.mark.parametrize("guess", [None, "midpoint", "wrong_side", "nan"])
@@ -652,9 +653,7 @@ def test_guided_path_shares_the_right_call_only_on_clear_brackets(monkeypatch, g
     want = _one_level_arc_maxima(p, pos, los, his)
     if guess:
         monkeypatch.setattr(evaluator, "_secant_guess", _BAD_GUESSES[guess])
-    calls, step_preds = [], evaluator._step_preds
-    monkeypatch.setattr(evaluator, "_step_preds", lambda p, pos, pts, nl, shared: (
-        calls.append(shared), step_preds(p, pos, pts, nl, shared))[1])
+    calls = _log_clear(monkeypatch)
     assert _bits(*_arc_maxima(p, pos[None], los[None], his[None])) == _bits(*want)
     # the tree pass shares; a later, guided call does not
     assert calls[0] and not calls[-1] and len(calls) > 2
@@ -686,18 +685,20 @@ def _weighted_log_sine(n):
     return Problem(tuple(weighted(log_sine(), float(v)) for v in w))
 
 
-@pytest.mark.parametrize("n, most", [(3, 5), (10, 8)])
+def _equidistant(n):
+    return NodeSystem(tuple(TWO_PI * np.arange(1, n + 1) / (n + 1)))
+
+
+@pytest.mark.parametrize("n, most", [(3, 5), (10, 8), (39, 8)])
 def test_guided_path_cuts_the_slope_calls(monkeypatch, n, most):
     """A weighted log-sine profile at the equidistant start takes at most
-    `most` slope calls (8 at n = 3 and 20 at n = 10 by the tree alone), so a
-    silent fall back to the tree fails here."""
+    `most` bracket calls (7, 13 and 37 by the tree alone), so a silent fall
+    back to the tree fails here."""
     p = _weighted_log_sine(n)
     assert p.all_c1
     sig = Permutation.identity(n)
-    y = NodeSystem(tuple(TWO_PI * np.arange(1, n + 1) / (n + 1)))
-    calls, step_preds = [], evaluator._step_preds
-    monkeypatch.setattr(evaluator, "_step_preds",
-                        lambda *args: (calls.append(None), step_preds(*args))[1])
+    y = _equidistant(n)
+    calls = _log_clear(monkeypatch)
     prof = profile(p, y, sig)
     assert 1 < len(calls) <= most
     monkeypatch.setattr(evaluator, "_PATH_BRACKETS", 0)  # the tree alone
@@ -705,6 +706,102 @@ def test_guided_path_cuts_the_slope_calls(monkeypatch, n, most):
     assert _bits(prof.z_trav, prof.m_trav) == _bits(*(lambda q: (q.z_trav, q.m_trav))(
         profile(p, y, sig)))
     assert len(calls) > most
+
+
+@pytest.mark.parametrize("case, most", [("example", 10), ("log_sine_n39", 9)])
+def test_profile_slope_sum_count(monkeypatch, case, most):
+    """The evaluator._slope_sum calls of one profile(): the two end-slope
+    calls, one per bracket call, one "left" call for the points that land
+    on a kink, one for the maxima.  17 and 40 when every arc bisected two
+    brackets and every kinked step made a "left" call."""
+    p, y, sig = ((EX_P, E_POINT, E_SIGMA) if case == "example" else
+                 (_weighted_log_sine(39), _equidistant(39), Permutation.identity(39)))
+    calls, slope_sum = [], evaluator._slope_sum
+    monkeypatch.setattr(evaluator, "_slope_sum", lambda *args: (
+        calls.append(args[-1]), slope_sum(*args))[1])
+    profile(p, y, sig)
+    assert len(calls) <= most
+
+
+# --- one bracket per arc: the two edges part where their verdicts differ ----
+
+# sums of tents slope +-1 +-1 +-2: maximizing sets that are plateaus of
+# exactly zero slope
+TENTS = Problem((tent(), tent(), weighted(tent(), 2.0)))
+TENTS_Y = np.array([1.0, 2.5])
+# three equal tents at the thirds of the circle: each arc's first midpoint
+# is a kink of the tent opposite, where its maximum sits
+THIRDS = Problem((tent(), tent(), tent()))
+THIRDS_Y = np.array([TWO_PI / 3, 2 * TWO_PI / 3])
+
+
+def _watch_the_split(monkeypatch):
+    """Record whether each _bisect_levels call split a bracket, the kink
+    hits of each _kink_hits call and the side of each _slope_sum call."""
+    seen = {"split": [], "hits": [], "sides": []}
+    bisect, hits, slope_sum = evaluator._bisect_levels, evaluator._kink_hits, evaluator._slope_sum
+
+    def watched_bisect(*args, **kwargs):
+        out = bisect(*args, **kwargs)
+        seen["split"].append(out[3] is not None)
+        return out
+
+    def watched_hits(*args):
+        out = hits(*args)
+        seen["hits"].append(int(np.count_nonzero(out)))
+        return out
+
+    monkeypatch.setattr(evaluator, "_bisect_levels", watched_bisect)
+    monkeypatch.setattr(evaluator, "_kink_hits", watched_hits)
+    monkeypatch.setattr(evaluator, "_slope_sum", lambda *args: (
+        seen["sides"].append(args[-1]), slope_sum(*args))[1])
+    return seen
+
+
+@pytest.mark.parametrize("depth", [1, 3, 6])
+def test_bracket_splits_on_a_zero_plateau(monkeypatch, depth):
+    """Three tents whose slopes cancel on a plateau: a bracket splits where
+    the slope sum is exactly 0, and both edges keep the one-level bits."""
+    pos, los, his = _arc_bounds(TENTS_Y, Permutation((1, 2)))
+    want = _one_level_arc_maxima(TENTS, pos, los, his)
+    assert not all(want[3])  # a maximizing set wider than a point
+    monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
+    seen = _watch_the_split(monkeypatch)
+    assert _bits(*_arc_maxima(TENTS, pos[None], los[None], his[None])) == _bits(*want)
+    assert any(seen["split"]) and not any(seen["hits"])
+
+
+@pytest.mark.parametrize("depth", [1, 3, 6])
+def test_bracket_splits_on_a_kink_hit(monkeypatch, depth):
+    """Midpoints that land on a tent's kink, where its sides differ: a
+    "left" call serves the hit points, a bracket splits there, and every
+    bit is the one-level loop's."""
+    pos, los, his = _arc_bounds(THIRDS_Y, Permutation((1, 2)))
+    want = _one_level_arc_maxima(THIRDS, pos, los, his)
+    monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
+    seen = _watch_the_split(monkeypatch)
+    assert _bits(*_arc_maxima(THIRDS, pos[None], los[None], his[None])) == _bits(*want)
+    assert any(seen["split"]) and any(seen["hits"])
+    # the end slopes at his, then one "left" call for each call with hits
+    assert seen["sides"].count("left") == 1 + sum(h > 0 for h in seen["hits"])
+
+
+@pytest.mark.parametrize("case", ["zero_plateau", "kink_hit"])
+def test_batch_splits_as_each_system_alone(case):
+    """A batch whose systems split their brackets, some on the plateau or
+    the kink and some moved off it, profiles each system bit for bit as it
+    profiles alone."""
+    p, y = (TENTS, TENTS_Y) if case == "zero_plateau" else (THIRDS, THIRDS_Y)
+    sig = Permutation((1, 2))
+    rng = np.random.default_rng(11)
+    ys = np.array([y, y] + [y + rng.normal(0.0, 1e-3, len(y)) for _ in range(4)])
+    for got, row in zip(profile(p, ys, sig), ys):
+        want = profile(p, row, sig)
+        assert _bits(got.z_trav, got.m_trav, got.z_on_boundary_trav, got.unique_trav) == _bits(
+            want.z_trav, want.m_trav, want.z_on_boundary_trav, want.unique_trav)
+        pos, los, his = _arc_bounds(row, sig)
+        assert _bits(want.z_trav, want.m_trav) == _bits(*_one_level_arc_maxima(p, pos, los,
+                                                                               his)[:2])
 
 
 # --- batches: one lockstep bisection over many node systems -----------------

@@ -20,6 +20,7 @@ from equisum.kernels import (
 from equisum.torus import TWO_PI, ValidationError, reduce_angle
 
 PI = math.pi
+INF = math.inf
 
 ALL_FAMILIES = [
     log_sine(),
@@ -130,8 +131,7 @@ def test_left_right_slopes_agree_where_smooth():
 
 
 def test_c1_kernels_have_one_slope_off_the_glue_point():
-    """The contract that lets profile() bisect both arc edges with one
-    "right" slope call: for a C1 kernel the two one-sided slopes agree at
+    """A C1 kernel declares no kinks: its two one-sided slopes agree at
     every t whose reduced angle is not 0, including t next to 0 and 2*pi."""
     c1 = [k for k in ALL_FAMILIES + [
         riesz(0.5), riesz(7.0), weighted(weighted(log_sine(), 2.0), 0.3),
@@ -145,6 +145,7 @@ def test_c1_kernels_have_one_slope_off_the_glue_point():
         -1e-12, -3.0, TWO_PI + 1e-9, 20.0]))
     ts = ts[reduce_angle(ts) != 0.0]
     for k in c1:
+        assert k.kinks == ()
         left, right = k.deriv(ts, "left"), k.deriv(ts, "right")
         assert left.tobytes() == right.tobytes(), k
 
@@ -162,6 +163,51 @@ _REDUCE_ONCE = ALL_FAMILIES + [
     approximant(riesz(1.0), 5, "sqrt_cusp"), approximant(_TABLE, 4, "sqrt_cusp"),
     kernel_sum(log_sine(), _TABLE, approximant(parabola(), 3, "sqrt_cusp")),
 ]
+
+
+_KINK_CONTRACT = [
+    log_sine(), riesz(2.0), tent(), parabola(), _TABLE, weighted(tent(), 0.3),
+    kernel_sum(tent(), _TABLE, weighted(parabola(), 0.5)), approximant(_TABLE, 10, "bump"),
+    approximant(log_sine(), 4, "sqrt_cusp"), approximant(weighted(tent(), 2.0), 3, "sqrt_cusp"),
+]
+
+
+@pytest.mark.parametrize("k", _KINK_CONTRACT, ids=lambda k: k.family)
+def test_sides_agree_off_the_declared_kinks(k):
+    """The kink contract profile() bisects by: the two one-sided slopes are
+    bit-identical at every t whose reduced angle is neither 0 nor one of
+    the kernel's kinks, including t a few ulps from a kink."""
+    rng = np.random.default_rng(61)
+    ts = [rng.uniform(0.0, TWO_PI, 400), [5e-324, np.nextafter(TWO_PI, 0.0), -1e-12, 20.0]]
+    for kink in k.kinks:
+        up = down = kink
+        for _ in range(4):
+            up, down = np.nextafter(up, INF), np.nextafter(down, -INF)
+            ts.append([up, down, up - TWO_PI, down + TWO_PI])
+    ts = np.concatenate(ts)
+    r = reduce_angle(ts)
+    ts = ts[(r != 0.0) & ~np.isin(r, k.kinks)]
+    assert k.deriv(ts, "left").tobytes() == k.deriv(ts, "right").tobytes()
+
+
+def test_declared_kinks():
+    """Each family's kinks: the reduced angles, 0 aside, where the sides
+    may differ; the sides do differ at every kink of a tent, a table and a
+    sqrt_cusp term, whose slopes jump there."""
+    cusp = 1.0 / 4.0**2
+    assert log_sine().kinks == riesz(2.0).kinks == parabola().kinks == ()
+    assert tent().kinks == weighted(tent(), 0.3).kinks == (PI,)
+    assert _TABLE.kinks == (1.0, PI, 5.0)
+    assert kernel_sum(tent(), _TABLE, parabola()).kinks == (1.0, PI, 5.0)
+    assert approximant(_TABLE, 10, "bump").kinks == _TABLE.kinks
+    assert approximant(log_sine(), 4, "sqrt_cusp").kinks == (cusp, TWO_PI - cusp)
+    assert approximant(tent(), 4, "sqrt_cusp").kinks == (cusp, PI, TWO_PI - cusp)
+    for k in (tent(), _TABLE, approximant(log_sine(), 4, "sqrt_cusp")):
+        for kink in k.kinks:
+            assert k.deriv(kink, "left") != k.deriv(kink, "right"), (k, kink)
+    # profile() reads "no kinks" off classify().c1
+    for k in ALL_FAMILIES + [_TABLE, weighted(_TABLE, 2.0), approximant(_TABLE, 10, "bump")]:
+        assert bool(k.kinks) != k.classify().c1, k
 
 
 @pytest.mark.parametrize("k", _REDUCE_ONCE, ids=lambda k: k.family)

@@ -174,6 +174,30 @@ def test_newton_stage_ends_jacobian_singular_on_tents():
     assert np.all(np.isfinite(y))
 
 
+def test_newton_stage_measures_each_iterate_once(monkeypatch):
+    """min_gap validates each Newton iterate once: the margin of every line
+    search is MARGIN_FRACTION * min_gap of the point it searches from, and
+    that value is the one the collapse check took after the step."""
+    gaps, margins = [], []
+    min_gap_of, line_search = solver.min_gap, solver._line_search
+
+    def counted(y):
+        gaps.append(None)
+        return min_gap_of(y)
+
+    def search(p, sig, y, step, margin, alpha, floor):
+        margins.append(margin == solver.MARGIN_FRACTION * min_gap_of(y))
+        return line_search(p, sig, y, step, margin, alpha, floor)
+
+    monkeypatch.setattr(solver, "min_gap", counted)
+    monkeypatch.setattr(solver, "_line_search", search)
+    y, status, trace, _ = _newton_stage(unit_problem(3), Permutation((1, 2)),
+                                        np.array([2.0, 4.5]), SolveOptions(), "direct")
+    assert status == CONVERGED and len(margins) >= 2 and all(margins)
+    # one call per iterate: the start, then each accepted step
+    assert len(gaps) == len(margins) + 1
+
+
 @pytest.mark.parametrize("failing", ["cond", "solve"])
 def test_newton_stage_ends_jacobian_singular_on_a_linalg_error(monkeypatch, failing):
     """numpy documents LinAlgError for cond and solve; either ends the stage
