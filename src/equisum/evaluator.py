@@ -17,20 +17,22 @@ this way.
 
 The bisection is fixed: each edge of a maximizing set gets the same
 midpoints, the same verdicts and so the same bits as one-level bisection.
-Only the number of slope calls it takes varies.  An arc that needs both
-edges gets one bracket, which serves both while their verdicts agree and
-splits in two at the first point where they differ: a slope sum of
-exactly 0, or a kink.  One "right" slope call serves every bracket while
-the brackets are clear of the nodes, since the kernels' two sides agree
-off their kinks (kernels module); a "left" call serves only the
-right-edge points that land on a kink.  The first call settles a few
-levels of every bracket at once as a bisection tree.  Then, when every
-kernel is C1 and the brackets are few, each call tests a path per bracket:
-the midpoints one-level bisection would visit if the edge sat at the
-secant root of the bracket's end slopes.  A bracket keeps the levels up to
-the first verdict the path did not expect, so a good guess settles many
-levels per call and a bad one still settles one.  Kinked kernels keep the
-tree, which their guesses would not beat.
+Only the number of slope calls it takes varies.  The left edge is where
+the "right" slope sum stops being > 0, the right edge where the "left" one
+stops being >= 0, and each call reads both sums of its points from one
+kernel pass (deriv(t, "both")).  Each side adds the same per-kernel rows
+in the same order as a call for that side alone, so it has that call's
+bits; where no kernel's sides differ, off the kinks and the glue point,
+the two are one array.  An arc that needs both edges gets one bracket,
+which serves both while their verdicts agree and splits in two at the
+first point where they differ: a slope sum of exactly 0, or a kink.  The
+first call settles a few levels of every bracket at once as a bisection
+tree.  Then, when every kernel is C1 and the brackets are few, each call
+tests a path per bracket: the midpoints one-level bisection would visit if
+the edge sat at the secant root of the bracket's end slopes.  A bracket
+keeps the levels up to the first verdict the path did not expect, so a
+good guess settles many levels per call and a bad one still settles one.
+Kinked kernels keep the tree, which their guesses would not beat.
 """
 from __future__ import annotations
 
@@ -57,12 +59,6 @@ INF = math.inf
 TOL_Z = 1e-12 * TWO_PI
 _BOUNDARY_TOL = 4.0 * TOL_Z  # a maximizer this close to an arc end is on it
 _UNIQUE_TOL = 1e-10  # a maximizing set at most this wide is one point
-
-# A bracket wider than this, inside an arc with no node in its interior,
-# keeps its midpoint t so far from every node y_j that t - y_j never reduces
-# to the glue point: the rounding of the subtraction and of reduce_angle is
-# a few ulps of 2*pi.
-_GLUE_CLEAR = 16.0 * float(np.spacing(TWO_PI))
 
 # Kernel-point budget of one bisection-tree pass: brackets x kernels x tree
 # points.  Below it a slope call costs mostly its fixed numpy overhead.
@@ -158,7 +154,9 @@ def sum_translates_full(p: Problem, positions, t):
 
 def _slopes(p: Problem, pos, ts, side):
     """Per-kernel one-sided slopes K_j'(t - pos_j), or with side None the
-    values K_j(t - pos_j): shape (n+1,) + shape of ts.
+    values K_j(t - pos_j): shape (n+1,) + shape of ts.  With side "both",
+    the pair (left, right) of such arrays, right itself twice when no
+    kernel's sides differ at any point.
 
     pos is (n+1,), one node system for every point, or (n+1, c): the node
     system of each of the c columns of ts (its last axis).  One value or
@@ -168,25 +166,41 @@ def _slopes(p: Problem, pos, ts, side):
     col = (-1,) + (1,) * ts.ndim
     at = col if pos.ndim == 1 else col[:-1] + (pos.shape[1],)
     out = np.empty((len(p.kernels),) + ts.shape, dtype=float)
+    left = out  # the "left" rows, out itself while every group's sides agree
     for base, idx, w in p.slope_plan:
         grid = ts - pos[idx].reshape(at)
         rows = base.value(grid) if side is None else base.deriv(grid, side)
-        out[idx] = w.reshape(col) * np.asarray(rows)
-    return out
+        rows_l, rows = rows if side == "both" else (rows, rows)
+        w = w.reshape(col)
+        if rows_l is not rows and left is out:
+            left = out.copy()
+        out[idx] = w * np.asarray(rows)
+        if left is not out:
+            left[idx] = w * np.asarray(rows_l)
+    return (left, out) if side == "both" else out
 
 
 def _slope_sum(p: Problem, pos, ts, side):
     """One-sided slope of t -> F(y, t) at each entry of ts, or with side None
-    the value F(y, t) (pos as in _slopes).
+    the value F(y, t) (pos as in _slopes).  With side "both", the pair
+    (left, right) of slopes, right itself twice when no kernel's sides
+    differ at any point.
 
     The running sum adds the kernels in index order, one at a time, so the
-    result does not depend on how the slopes were grouped.
+    result does not depend on how the slopes were grouped, and each side of
+    a "both" call has the bits of a call for that side alone.
     """
-    S = _slopes(p, pos, ts, side)
-    acc = S[0] + S[1]
-    for row in S[2:]:
-        acc += row
-    return acc
+    def total(S):
+        acc = S[0] + S[1]
+        for row in S[2:]:
+            acc += row
+        return acc
+
+    if side != "both":
+        return total(_slopes(p, pos, ts, side))
+    left, right = _slopes(p, pos, ts, side)
+    sr = total(right)
+    return (sr if left is right else total(left)), sr
 
 
 @dataclass
@@ -268,62 +282,6 @@ def _tree_depth(brackets, kernels):
     return d
 
 
-def _kink_hits(p: Problem, pos, ts):
-    """True at each entry of ts where some kernel's angle t - pos_j reduces
-    onto one of its kinks (pos as in _slopes).
-
-    Every t - pos_j lies in (-2*pi, 2*pi), where reduce_angle gives t - pos_j
-    when it is at least 0 and t - pos_j + 2*pi otherwise, or 0 where that
-    sum rounds to 2*pi; no kink is 0.  So a hit is t - pos_j or t - pos_j +
-    2*pi equal to a kink, for the t - pos_j that _slopes forms.
-    """
-    ts = np.asarray(ts, dtype=float)
-    col = (-1,) + (1,) * ts.ndim
-    at = col if pos.ndim == 1 else col[:-1] + (pos.shape[1],)
-    hit = False
-    for base, idx, _ in p.slope_plan:
-        if base.kinks:
-            grid = ts - pos[idx].reshape(at)
-            wrapped = grid + TWO_PI
-            for k in base.kinks:
-                hit = hit | ((grid == k) | (wrapped == k)).any(axis=0)
-    return hit
-
-
-def _edge_slopes(p: Problem, pos, pts, a, b, clear):
-    """The slope sums the bisection predicates read at pts, one column per
-    bracket: (sr, sl), sr the "right" sums of the columns [0, b), which
-    serve left edges, and sl the "left" sums of the columns [a, end), which
-    serve right edges.  pos: the node positions of each column, as in
-    _slopes.
-
-    clear: the right-edge points are clear of every node, so no kernel's
-    angle reduces to the glue point and "left" equals "right" except on a
-    kink.  Then one "right" call serves every column, and a "left" call
-    only the right-edge points that land on a kink; C1 kernels have none.
-    """
-    one = pos.ndim == 1  # one system's positions serve every column
-    right = pos if one else pos[:, a:]
-    if clear:
-        sr = _slope_sum(p, pos, pts, "right")
-        if p.all_c1 or a == pts.shape[-1]:
-            return sr, sr
-        hit = _kink_hits(p, right, pts[..., a:])
-        if not hit.any():
-            return sr, sr
-        sl = sr.copy()
-        sl[..., a:][hit] = _slope_sum(p, right if one else right[:, np.nonzero(hit)[-1]],
-                                      pts[..., a:][hit], "left")
-        return sr, sl
-    sr = np.zeros_like(pts)
-    sl = np.zeros_like(pts)
-    if b:
-        sr[..., :b] = _slope_sum(p, pos if one else pos[:, :b], pts[..., :b], "right")
-    if a < pts.shape[-1]:
-        sl[..., a:] = _slope_sum(p, right, pts[..., a:], "left")
-    return sr, sl
-
-
 def _walk(go, first, last, d):
     """Where d one-level steps leave the brackets of columns first..last-1
     of a tree E (as in _bisect_levels), under the verdicts go of its points
@@ -348,7 +306,7 @@ def _walk(go, first, last, d):
     return np.array(out, dtype=int)
 
 
-def _bisect_levels(p: Problem, pos, lo, hi, a, b, clear, d, ends=None):
+def _bisect_levels(p: Problem, pos, lo, hi, a, b, d, ends=None):
     """The next d bisection steps of every bracket, from one slope call.
 
     The brackets come in three runs: [0, a) bisect a left edge, [a, b) both
@@ -356,16 +314,14 @@ def _bisect_levels(p: Problem, pos, lo, hi, a, b, clear, d, ends=None):
     each bracket's system, as in _slopes.  Column c of E lists the points
     of the first d levels of bracket c's bisection tree in order, between
     lo[c] and hi[c]; each point is 0.5 * (a + b) of its own parent interval.
-    All 2^d - 1 points of every column are evaluated at once (_edge_slopes)
-    and each edge then walks down its column's tree with the predicate of
-    one step, so it visits exactly the midpoints, and ends on exactly the
-    bracket, that d one-level steps give.  The two edges of a both-edges
-    bracket walk the same tree; where their verdicts first differ (a slope
-    sum of exactly 0, or a kink), the bracket splits in place into a
-    left-edge and a right-edge bracket, each on its own side of that
-    point.  The right edges share the "right" call while every interval
-    of theirs that gets a midpoint is wider than _GLUE_CLEAR; the deepest
-    of them are the narrowest.
+    Both one-sided slope sums of all 2^d - 1 points of every column come
+    from one call, and each edge then walks down its column's tree with the
+    predicate of one step, so it visits exactly the midpoints, and ends on
+    exactly the bracket, that d one-level steps give.  The two edges of a
+    both-edges bracket walk the same tree; where their verdicts first
+    differ (a slope sum of exactly 0, or a kink), the bracket splits in
+    place into a left-edge and a right-edge bracket, each on its own side
+    of that point.
 
     Returns (lo, hi, a, take): the brackets in the same three runs, b
     unchanged, and take the index of each bracket's predecessor (None when
@@ -379,8 +335,7 @@ def _bisect_levels(p: Problem, pos, lo, hi, a, b, clear, d, ends=None):
     for k in range(d):
         s = w >> k
         E[s // 2::s] = 0.5 * (E[:-1:s] + E[s::s])
-    clear = clear and float(np.min(E[2::2, a:] - E[:-2:2, a:], initial=INF)) > _GLUE_CLEAR
-    sr, sl = _edge_slopes(p, pos, E[1:w], a, b, clear)
+    sl, sr = _slope_sum(p, pos, E[1:w], "both")
     # the left edges walk columns [0, b) on the "right" verdicts and the
     # right edges [a, cols) on the "left" ones
     at_l = _walk(sr > 0.0, 0, b, d)
@@ -418,7 +373,7 @@ def _secant_guess(lo, hi, slo, shi):
 _LEFT, _BOTH, _RIGHT = 0, 1, 2  # the edges a bracket bisects
 
 
-def _guided_levels(p: Problem, cols, arcs, lo, hi, slo, shi, a, b, clear, steps, d):
+def _guided_levels(p: Problem, cols, arcs, lo, hi, slo, shi, a, b, steps, d):
     """Bisect bracket c steps[c] levels: d by one tree call, then one path
     per bracket and call.  d is at most steps.min(): a tree is at most 9
     levels deep (_tree_depth) and a bracket takes at least 12 (_arc_maxima).
@@ -436,13 +391,12 @@ def _guided_levels(p: Problem, cols, arcs, lo, hi, slo, shi, a, b, clear, steps,
     would.  So every bracket is one-level bisection's bit for bit, whatever
     g is.  A both-edges bracket also stops where its two verdicts differ,
     and splits there as in _bisect_levels.  A path is twice as long as the
-    last one kept plus a margin, and the right edges share the "right"
-    call while every interval of theirs that gets a midpoint is wider than
-    _GLUE_CLEAR.  The paths are built in Python floats, for the few
-    brackets this serves.  Returns the brackets as (arcs, lo, hi, a, b).
+    last one kept plus a margin.  The paths are built in Python floats, for
+    the few brackets this serves.  Returns the brackets as (arcs, lo, hi,
+    a, b).
     """
     at = cols if cols.ndim == 1 else cols[:, arcs]
-    lo, hi, a, take, slo, shi = _bisect_levels(p, at, lo, hi, a, b, clear, d, (slo, shi))
+    lo, hi, a, take, slo, shi = _bisect_levels(p, at, lo, hi, a, b, d, (slo, shi))
     if take is not None:
         arcs, steps = arcs[take], steps[take]
     A, B, SA, SB = lo.tolist(), hi.tolist(), slo.tolist(), shi.tolist()
@@ -451,7 +405,7 @@ def _guided_levels(p: Problem, cols, arcs, lo, hi, slo, shi, a, b, clear, steps,
     span = [d] * len(A)
     live = [c for c in range(len(A)) if rem[c] > 0]
     while live:
-        pts, guesses, lengths, na, nb, narrowest = [], [], [], 0, 0, INF
+        pts, guesses, lengths = [], [], []
         for c in live:
             x, y, s0, s1 = A[c], B[c], SA[c], SB[c]
             g = _secant_guess(x, y, s0, s1)
@@ -464,16 +418,10 @@ def _guided_levels(p: Problem, cols, arcs, lo, hi, slo, shi, a, b, clear, steps,
                 else:
                     y = m
             pts.append(0.5 * (x + y))
-            if kind[c] == _LEFT:
-                na = len(pts)
-            else:
-                narrowest = min(narrowest, y - x)
-            if kind[c] != _RIGHT:
-                nb = len(pts)
             guesses.append(g)
             lengths.append(length)
         at = cols if cols.ndim == 1 else np.repeat(cols[:, [arc[c] for c in live]], lengths, axis=1)
-        sr, sl = _edge_slopes(p, at, np.array(pts), na, nb, clear and narrowest > _GLUE_CLEAR)
+        sl, sr = _slope_sum(p, at, np.array(pts), "both")
         # the left edges' verdicts and the right edges', as lists
         vr, vl = (sr > 0.0).tolist(), (sl >= 0.0).tolist()
         sr, sl = (sr.tolist(),) * 2 if sl is sr else (sr.tolist(), sl.tolist())
@@ -564,8 +512,9 @@ def _arc_maxima(p: Problem, pos, los, his):
         t_right[arcs[a:]] = edge[a:]
 
     if np.any(active):
-        dpa = _slope_sum(p, cols, los, "right")
-        dmb = _slope_sum(p, cols, his, "left")
+        # the "right" slopes at the arcs' starts and the "left" ones at their ends
+        sl, sr = _slope_sum(p, cols, np.stack((los, his)), "both")
+        dpa, dmb = sr[0], sl[1]
         # a system's widest arc spans at least 2*pi/(n+1), so every system
         # takes at least 12 steps for n below 10^9
         span = np.where(active, length, 0.0).reshape(B, k).max(axis=1)
@@ -590,16 +539,12 @@ def _arc_maxima(p: Problem, pos, los, his):
         a, b = len(runs[0]), len(runs[0]) + len(runs[1])
         lo = los[arcs]
         hi = his[arcs]
-        # No kernel's angle reduces to the glue point while no right-edge
-        # point can meet a node (_edge_slopes).
-        nodes = pos[arcs[a:] // k]
-        clear = bool(np.all((nodes <= lo[a:, None]) | (nodes >= hi[a:, None])))
         if len(arcs):
             d = _tree_depth(len(arcs), len(p.kernels))
             steps = iters[arcs // k]
             if p.all_c1 and len(arcs) <= _PATH_BRACKETS:
                 settle(*_guided_levels(p, cols, arcs, lo, hi, dpa[arcs], dmb[arcs], a, b,
-                                       clear, steps, d))
+                                       steps, d))
             else:
                 done = 0
                 # the brackets of the systems with the fewest steps stop first
@@ -613,7 +558,7 @@ def _arc_maxima(p: Problem, pos, los, his):
                         arcs, steps, lo, hi = arcs[keep], steps[keep], lo[keep], hi[keep]
                     at = cols if B == 1 else cols[:, arcs]
                     for start in range(done, stop, d):
-                        lo, hi, a, take = _bisect_levels(p, at, lo, hi, a, b, clear,
+                        lo, hi, a, take = _bisect_levels(p, at, lo, hi, a, b,
                                                          min(d, stop - start))
                         if take is not None:
                             arcs, steps = arcs[take], steps[take]
@@ -689,7 +634,8 @@ def _slope_rows(p: Problem, prof: ArcProfile, relaxed: bool):
     z = prof.z_trav
     if relaxed:
         with np.errstate(invalid="ignore"):
-            d = 0.5 * (_slopes(p, positions, z, "left") + _slopes(p, positions, z, "right"))
+            left, right = _slopes(p, positions, z, "both")
+            d = 0.5 * (left + right)
     else:
         d = _slopes(p, positions, z, "right")
     return -d[1:].T

@@ -8,16 +8,17 @@ and may be +/-inf at the glue point: deriv(0, "right") is the limit slope
 coming in from above 0, deriv(0, "left") the limit slope going out below
 2*pi.
 
-Every family lists in `kinks` the reduced angles, other than the glue
-point 0, where deriv(t, "left") and deriv(t, "right") may differ: at every
-other t that does not reduce to 0 the two sides are bit-identical.  A
-kernel has kinks exactly when it is not C1.  profile() relies on this to
-bisect both edges of an arc with one "right" slope call per step, and a
-"left" call only at the points that land on a kink.
+deriv(t, side) takes side "left", "right" or "both": "both" gives the pair
+(left, right) from one pass, and one object twice where the two sides
+agree at every point of t.  Each family tells that from its own formula:
+the sides differ at the glue point, and otherwise only at a tent's apex,
+a table's breakpoints and a sqrt_cusp term's ends; a wrapper's sides
+differ where some part's do.  profile() reads both sides of its points
+from one call per kernel group.
 
 The public value(t) and deriv(t, side) live on Kernel: they check the
 side, reduce t into [0, 2*pi) once and hand the reduced float array to
-the private pair _value(tt) and _deriv(tt, side), which is all a family
+the private pair _value(tt) and _derivs(tt), which is all a family
 implements.  Wrappers (Weighted, Smoothed, SumKernel) call the private
 pair of their base or terms, so a wrapped kernel still costs one angle
 reduction per call.  Every concrete class also lists value and deriv in
@@ -75,28 +76,32 @@ class KernelClass:
 
 
 class Kernel:
-    """Base class.  Subclasses implement _value/_deriv/classify/spec and
-    declare kinks."""
+    """Base class.  Subclasses implement _value/_derivs/classify/spec."""
 
     family = "abstract"
-    # the reduced angles in (0, 2*pi) where the one-sided slopes may differ
-    kinks: tuple
 
     def value(self, t):
         tt = np.asarray(reduce_angle(t), dtype=float)
         return _out(self._value(tt), t)
 
     def deriv(self, t, side="right"):
+        """The "left" or "right" slope at t, or with "both" the pair (left,
+        right): one object twice when the sides agree at every point."""
         _check_side(side)
         tt = np.asarray(reduce_angle(t), dtype=float)
-        return _out(self._deriv(tt, side), t)
+        left, right = self._derivs(tt)
+        if side != "both":
+            return _out(left if side == "left" else right, t)
+        out = _out(right, t)
+        return (out if left is right else _out(left, t)), out
 
     def _value(self, tt):
         """Values at angles tt already reduced into [0, 2*pi)."""
         raise NotImplementedError
 
-    def _deriv(self, tt, side):
-        """One-sided slopes at reduced angles tt; side is already checked."""
+    def _derivs(self, tt):
+        """(left, right) slopes at reduced angles tt, one array twice where
+        the two sides agree at every point."""
         raise NotImplementedError
 
     def classify(self) -> KernelClass:
@@ -110,8 +115,28 @@ class Kernel:
 
 
 def _check_side(side):
-    if side not in ("left", "right"):
-        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+    if side not in ("left", "right", "both"):
+        raise ValidationError(f"side must be 'left', 'right' or 'both', got {side!r}")
+
+
+def _glue(tt, d, left, right):
+    """(left, right): the slopes d, with left and right put in at the glue
+    point; d twice when no angle is on it."""
+    on = tt == 0.0
+    if not on.any():
+        return d, d
+    return np.where(on, left, d), np.where(on, right, d)
+
+
+def _total(parts):
+    """The sum of parts, added in order.  np.asarray keeps a scalar call on
+    numpy's array add, so even the NaN that an infinite t gives has the
+    bits of a term-by-term sum."""
+    parts = iter(parts)
+    acc = np.asarray(next(parts))
+    for x in parts:
+        acc = acc + np.asarray(x)
+    return acc
 
 
 class LogSine(Kernel):
@@ -119,16 +144,15 @@ class LogSine(Kernel):
 
     family = "log_sine"
     value, deriv = Kernel.value, Kernel.deriv
-    kinks = ()
 
     def _value(self, tt):
         with np.errstate(divide="ignore"):
             return np.log(np.abs(np.sin(tt / 2.0)))
 
-    def _deriv(self, tt, side):
+    def _derivs(self, tt):
         with np.errstate(divide="ignore"):
             d = 0.5 / np.tan(tt / 2.0)
-        return np.where(tt == 0.0, INF if side == "right" else -INF, d)
+        return _glue(tt, d, -INF, INF)
 
     def classify(self):  # (inf) implies (inf')
         return KernelClass(cond_inf=True, cond_inf_prime=True, c1=True, strictly_concave=True)
@@ -142,7 +166,6 @@ class Riesz(Kernel):
 
     family = "riesz"
     value, deriv = Kernel.value, Kernel.deriv
-    kinks = ()
 
     def __init__(self, p: float):
         p = float(p)
@@ -156,15 +179,14 @@ class Riesz(Kernel):
             v = -np.power(s, -self.p)
         return np.where(np.isfinite(v), v, -INF)
 
-    def _deriv(self, tt, side):
+    def _derivs(self, tt):
         s = 2.0 * np.sin(tt / 2.0)
         c = np.cos(tt / 2.0)
         with np.errstate(divide="ignore", over="ignore"):
             d = self.p * c * np.power(s, -self.p - 1.0)
         d = np.where(np.isnan(d), 0.0, d)
-        d = np.where(tt == 0.0, INF if side == "right" else -INF, d)
-        # overflow keeps the sign of cos(t/2)
-        return np.where(np.isposinf(d) & (c < 0), -INF, d)
+        # overflow keeps the sign of cos(t/2), which is 1 at the glue point
+        return _glue(tt, np.where(np.isposinf(d) & (c < 0), -INF, d), -INF, INF)
 
     def classify(self):  # (inf) implies (inf')
         return KernelClass(cond_inf=True, cond_inf_prime=True, c1=True, strictly_concave=True)
@@ -178,15 +200,16 @@ class Tent(Kernel):
 
     family = "tent"
     value, deriv = Kernel.value, Kernel.deriv
-    kinks = (PI,)
 
     def _value(self, tt):
         return PI - np.abs(tt - PI)
 
-    def _deriv(self, tt, side):
-        if side == "right":
-            return np.where(tt < PI, 1.0, -1.0)
-        return np.where((tt > PI) | (tt == 0.0), -1.0, 1.0)
+    def _derivs(self, tt):
+        right = np.where(tt < PI, 1.0, -1.0)
+        # the sides agree on (0, pi) and (pi, 2*pi), and differ at 0, pi and NaN
+        if np.all((tt > 0.0) & (tt != PI)):
+            return right, right
+        return np.where((tt > PI) | (tt == 0.0), -1.0, 1.0), right
 
     def classify(self):
         return KernelClass(cond_inf=False, cond_inf_prime=False, c1=False, strictly_concave=False)
@@ -200,16 +223,12 @@ class Parabola(Kernel):
 
     family = "parabola"
     value, deriv = Kernel.value, Kernel.deriv
-    kinks = ()
 
     def _value(self, tt):
         return tt * (TWO_PI - tt)
 
-    def _deriv(self, tt, side):
-        d = TWO_PI - 2.0 * tt
-        if side == "left":
-            d = np.where(tt == 0.0, -TWO_PI, d)
-        return d
+    def _derivs(self, tt):
+        return _glue(tt, TWO_PI - 2.0 * tt, -TWO_PI, TWO_PI)
 
     def classify(self):
         return KernelClass(cond_inf=False, cond_inf_prime=False, c1=True, strictly_concave=True)
@@ -252,20 +271,21 @@ class TableKernel(Kernel):
         self.ts = ts
         self.vs = vs
         self.slopes = slopes
-        self.kinks = tuple(ts[1:-1].tolist())
 
     def _value(self, tt):
         return np.interp(tt, self.ts, self.vs)
 
-    def _deriv(self, tt, side):
-        if side == "right":
-            idx = np.searchsorted(self.ts, tt, side="right") - 1
-        else:
-            idx = np.searchsorted(self.ts, tt, side="left") - 1
-            # t = 0 from the left means the slope coming into 2*pi
-            idx = np.where(tt == 0.0, len(self.slopes) - 1, idx)
-        idx = np.clip(idx, 0, len(self.slopes) - 1)
-        return self.slopes[idx]
+    def _derivs(self, tt):
+        last = len(self.slopes) - 1
+        idx = np.searchsorted(self.ts, tt, side="right") - 1
+        right = self.slopes[np.clip(idx, 0, last)]
+        # the sides differ only on a breakpoint, 0 included (ts[0] = 0 <= tt)
+        if not np.any(self.ts[idx] == tt):
+            return right, right
+        idx = np.searchsorted(self.ts, tt, side="left") - 1
+        # t = 0 from the left means the slope coming into 2*pi
+        idx = np.where(tt == 0.0, last, idx)
+        return self.slopes[np.clip(idx, 0, last)], right
 
     def classify(self):
         return KernelClass(cond_inf=False, cond_inf_prime=False, c1=False, strictly_concave=False)
@@ -286,13 +306,14 @@ class Weighted(Kernel):
             raise ValidationError(f"weight must be finite and > 0, got {weight}")
         self.base = base
         self.weight = weight
-        self.kinks = base.kinks
 
     def _value(self, tt):
         return self.weight * self.base._value(tt)
 
-    def _deriv(self, tt, side):
-        return self.weight * self.base._deriv(tt, side)
+    def _derivs(self, tt):
+        left, right = self.base._derivs(tt)
+        r = self.weight * right
+        return (r if left is right else self.weight * left), r
 
     def classify(self):
         return self.base.classify()  # positive scaling preserves every flag
@@ -311,21 +332,14 @@ class SumKernel(Kernel):
         if not terms:
             raise ValidationError("sum kernel needs at least one term")
         self.terms = terms
-        self.kinks = tuple(sorted({k for term in terms for k in term.kinks}))
 
-    # np.asarray keeps a scalar call on numpy's array add, so even the NaN
-    # that an infinite t gives has the bits of a term-by-term sum
     def _value(self, tt):
-        acc = np.asarray(self.terms[0]._value(tt))
-        for k in self.terms[1:]:
-            acc = acc + np.asarray(k._value(tt))
-        return acc
+        return _total(k._value(tt) for k in self.terms)
 
-    def _deriv(self, tt, side):
-        acc = np.asarray(self.terms[0]._deriv(tt, side))
-        for k in self.terms[1:]:
-            acc = acc + np.asarray(k._deriv(tt, side))
-        return acc
+    def _derivs(self, tt):
+        sides = [k._derivs(tt) for k in self.terms]
+        right = _total(r for _, r in sides)
+        return (right if all(l is r for l, r in sides) else _total(l for l, _ in sides)), right
 
     def classify(self):
         cs = [k.classify() for k in self.terms]
@@ -369,13 +383,6 @@ class Smoothed(Kernel):
         self.base = base
         self.level = level
         self.kind = kind
-        if kind == "sqrt_cusp":
-            # the term's slope jumps where d(t) = 1/level^2, on either side of 0
-            lo = 1.0 / level**2
-            self._cusp_ends = (lo, TWO_PI - lo)
-            self.kinks = tuple(sorted(set(base.kinks + self._cusp_ends)))
-        else:
-            self.kinks = base.kinks
 
     # --- the added term -------------------------------------------------
     def _term_value(self, tt):
@@ -389,7 +396,7 @@ class Smoothed(Kernel):
             return np.divide(u, self.level, out=u)
         return np.minimum(0.0, np.sqrt(_circle_dist0(tt)) - 1.0 / self.level)
 
-    def _term_deriv(self, tt, side):
+    def _term_derivs(self, tt):
         if self.kind == "bump":
             # the same ufuncs in the same order, in place in two arrays
             u = np.subtract(tt, PI, out=np.empty_like(tt))
@@ -401,27 +408,28 @@ class Smoothed(Kernel):
             np.negative(u, out=u)
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(u, s, out=u)
-            u[tt == 0.0] = INF if side == "right" else -INF
-            return u
-        lo_thr, hi_thr = self._cusp_ends
+            return _glue(tt, u, -INF, INF)
+        # the slope jumps where d(t) = 1/level^2, on either side of 0
+        lo = 1.0 / self.level**2
+        hi = TWO_PI - lo
         with np.errstate(divide="ignore"):
             slope_lo = 0.5 / np.sqrt(tt)
             slope_hi = -0.5 / np.sqrt(TWO_PI - tt)
-        if side == "right":
-            d = np.where(tt < lo_thr, slope_lo, np.where(tt >= hi_thr, slope_hi, 0.0))
-            d = np.where(tt == 0.0, INF, d)
-        else:
-            d = np.where((tt <= lo_thr) & (tt > 0.0), slope_lo,
-                         np.where(tt > hi_thr, slope_hi, 0.0))
-            d = np.where(tt == 0.0, -INF, d)
-        return d
+        right = np.where(tt < lo, slope_lo, np.where(tt >= hi, slope_hi, 0.0))
+        right = np.where(tt == 0.0, INF, right)
+        if not np.any((tt == 0.0) | (tt == lo) | (tt == hi)):
+            return right, right
+        left = np.where((tt <= lo) & (tt > 0.0), slope_lo, np.where(tt > hi, slope_hi, 0.0))
+        return np.where(tt == 0.0, -INF, left), right
 
     # --- kernel interface -----------------------------------------------
-    def _value(self, tt):  # np.asarray: see SumKernel
+    def _value(self, tt):  # np.asarray: see _total
         return np.asarray(self.base._value(tt)) + self._term_value(tt)
 
-    def _deriv(self, tt, side):
-        return np.asarray(self.base._deriv(tt, side)) + self._term_deriv(tt, side)
+    def _derivs(self, tt):
+        (left, right), (term_l, term_r) = self.base._derivs(tt), self._term_derivs(tt)
+        r = np.asarray(right) + term_r
+        return (r if left is right and term_l is term_r else np.asarray(left) + term_l), r
 
     def classify(self):
         b = self.base.classify()

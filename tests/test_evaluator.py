@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from equisum import evaluator, torus
 from equisum.evaluator import (
     TOL_Z,
-    _GLUE_CLEAR,
     _TREE_POINTS,
     JacobianUnavailableError,
     Problem,
@@ -385,11 +384,10 @@ def _one_level_brackets(p, pos, los, his, log=None):
     """The plain lockstep loop: one bracket per edge, two per arc that needs
     both, one level per step; the left edges read "right" slopes and the
     right edges "left" ones.  Calls evaluator._slope_sum through the module,
-    so a monkeypatch reaches it.  log, when given, collects per step whether
-    every right-edge bracket was wider than _GLUE_CLEAR.  Returns (t_left,
-    t_right, L, R, lo, hi): the edges set without bisection, the arcs whose
-    left and right edges were bisected, and where their brackets end, the
-    left edges first."""
+    so a monkeypatch reaches it.  log, when given, collects the bracket
+    count of each step.  Returns (t_left, t_right, L, R, lo, hi): the edges
+    set without bisection, the arcs whose left and right edges were
+    bisected, and where their brackets end, the left edges first."""
     length = his - los
     active = length > ANGLE_TOL
     t_left = los.copy()
@@ -413,7 +411,7 @@ def _one_level_brackets(p, pos, los, his, log=None):
         for _ in range(iters if len(lo) else 0):
             mid = 0.5 * (lo + hi)
             if log is not None:
-                log.append(float(np.min(hi[nl:] - lo[nl:], initial=math.inf)) > _GLUE_CLEAR)
+                log.append(len(lo))
             s = np.empty_like(mid)
             if nl:
                 s[:nl] = evaluator._slope_sum(p, pos, mid[:nl], "right")
@@ -462,11 +460,10 @@ def test_tree_depth_fills_the_point_budget():
 @pytest.mark.parametrize("bases", [C1_BASES, KINKED_BASES], ids=["c1", "kinked"])
 def test_tree_matches_one_level_loop(monkeypatch, bases, depth):
     """Every forced depth gives the one-level loop's bits, also when the
-    last pass is short (iters % depth != 0) and when a right-edge bracket
-    narrows below _GLUE_CLEAR, which ends the shared call, inside a pass."""
+    last pass is short (iters % depth != 0)."""
     monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
     rng = np.random.default_rng(7000 + depth)
-    short_last_pass = shared_ends = 0
+    short_last_pass = 0
     for _ in range(30):
         p, y, sig = _random_case(rng, bases)
         pos, los, his = _arc_bounds(y, sig)
@@ -474,18 +471,17 @@ def test_tree_matches_one_level_loop(monkeypatch, bases, depth):
         want = _one_level_arc_maxima(p, pos, los, his, log=log)
         assert _bits(*_arc_maxima(p, pos[None], los[None], his[None])) == _bits(*want)
         short_last_pass += len(log) % depth != 0
-        shared_ends += log[:1] == [True] and not log[-1]
     assert short_last_pass or depth in (1, 2)
-    assert shared_ends
 
 
 def _signs_without_order(p, pos, ts, side):
     """Slope signs that jump around at random along every bracket, with
     zeros, where the two edges of a bracket part, so the tree's walk leaves
     the path a monotone row would take.  Both sides read the same, as they
-    do off the kinks of every kernel."""
+    do off the kinks of every kernel: "both" gets one array twice."""
     u = np.sin(7919.0 * np.asarray(ts, dtype=float))
-    return np.where(np.abs(u) < 0.2, 0.0, np.sign(u))
+    s = np.where(np.abs(u) < 0.2, 0.0, np.sign(u))
+    return (s, s) if side == "both" else s
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
@@ -503,29 +499,33 @@ def _sides_differ_next_to(y):
     1e-15 to 6e-15 below the node y, where "right" reads 0 and "left" -1, as
     the true sides of a sum differ only a few ulps from a node.  So the
     right edge of the maximizing set is y - 1e-15 by "right" slopes and
-    y - 6e-15 by "left" ones; the left edge is y - 5e-12 by either."""
+    y - 6e-15 by "left" ones; the left edge is y - 5e-12 by either.  "both"
+    gets the pair (left, right)."""
     def slope_sum(p, pos, ts, side):
         u = y - np.asarray(ts, dtype=float)
-        s = np.where(u > 5e-12, 1.0, np.where(u > 6e-15, 0.0, -1.0))
-        return np.where((u > 1e-15) & (u <= 6e-15), 0.0, s) if side == "right" else s
+        left = np.where(u > 5e-12, 1.0, np.where(u > 6e-15, 0.0, -1.0))
+        right = np.where((u > 1e-15) & (u <= 6e-15), 0.0, left)
+        if side == "both":
+            return left, right
+        return right if side == "right" else left
     return slope_sum
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
 def test_tree_shares_the_right_call_only_on_clear_brackets(monkeypatch, depth):
-    """The right edges share the "right" call only while every interval of
-    the pass that gets a midpoint is wider than _GLUE_CLEAR; past that the
-    one-level loop reads "left", and so must the tree."""
+    """The right edges read the "left" sums, which differ from the "right"
+    ones only a few ulps from a node; there the one-level loop reads
+    "left", and so must the tree."""
     p = Problem((log_sine(), riesz(1.5), log_sine()))
-    # arc 1 is 1e-11 wide, so its brackets narrow past _GLUE_CLEAR
+    # arc 1 is 1e-11 wide, so its brackets narrow to the ulps next to y_2
     y = np.array([2.0, 2.0 + 1e-11])
     pos, los, his = _arc_bounds(y, Permutation((1, 2)))
     monkeypatch.setattr(evaluator, "_slope_sum", _sides_differ_next_to(y[1]))
-    log = []
-    want = _one_level_arc_maxima(p, pos, los, his, log=log)
-    assert log[0] and not log[-1]
+    want = _one_level_arc_maxima(p, pos, los, his)
     monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
+    calls = _log_both(monkeypatch)
     assert _bits(*_arc_maxima(p, pos[None], los[None], his[None])) == _bits(*want)
+    assert any(calls)  # a call read points where the sides differ
 
 
 # --- guided paths: one slope call tests a path toward the secant root -------
@@ -551,12 +551,10 @@ def _guided_args(p, systems, sig):
     a, b = len(want[0]) - len(both), len(want[0])
     cols = pos[0] if len(systems) == 1 else pos.T[:, np.repeat(np.arange(len(systems)), k)]
     los, his = los.ravel(), his.ravel()
-    nodes = pos[arcs[a:] // k]
-    clear = bool(np.all((nodes <= los[arcs[a:], None]) | (nodes >= his[arcs[a:], None])))
     ends = (evaluator._slope_sum(p, cols, los, "right")[arcs],
             evaluator._slope_sum(p, cols, his, "left")[arcs])
     args = (cols, arcs, los[arcs], his[arcs]) + ends + (
-        a, b, clear, np.array([steps[arc] for arc in arcs.tolist()]))
+        a, b, np.array([steps[arc] for arc in arcs.tolist()]))
     return args, want
 
 
@@ -600,7 +598,8 @@ _BAD_GUESSES = {
 # slope sums with the verdicts of the true ones but ends that give no
 # secant root (NaN where the slope falls, or infinite), or exactly 0 near
 # every edge, so that each maximizing set is a plateau whose left and right
-# edges differ and the two kinds of predicate disagree on it
+# edges differ and the two kinds of predicate disagree on it; a "both" call
+# changes each side of its pair
 _BAD_SLOPES = {
     "nan_where_falling": lambda s: np.where(s < 0.0, np.nan, s),
     "infinite": lambda s: np.sign(s) * np.inf,
@@ -618,8 +617,11 @@ def test_guided_path_survives_any_guess(monkeypatch, bases, guess):
         monkeypatch.setattr(evaluator, "_secant_guess", _BAD_GUESSES[guess])
     else:
         true_sum, change = evaluator._slope_sum, _BAD_SLOPES[guess]
-        monkeypatch.setattr(evaluator, "_slope_sum",
-                            lambda p, pos, ts, side: change(true_sum(p, pos, ts, side)))
+
+        def changed(p, pos, ts, side):
+            s = true_sum(p, pos, ts, side)
+            return tuple(map(change, s)) if side == "both" else change(s)
+        monkeypatch.setattr(evaluator, "_slope_sum", changed)
     rng = np.random.default_rng(9000)
     with np.errstate(invalid="ignore"):
         for _ in range(12):
@@ -633,19 +635,25 @@ def test_guided_path_survives_any_guess(monkeypatch, bases, guess):
                 assert _bits(*got) == _bits(*_one_level_arc_maxima(p, pos, los, his))
 
 
-def _log_clear(monkeypatch):
-    """Collect the clear flag of every _edge_slopes call."""
-    calls, edge_slopes = [], evaluator._edge_slopes
-    monkeypatch.setattr(evaluator, "_edge_slopes", lambda p, pos, pts, a, b, clear: (
-        calls.append(clear), edge_slopes(p, pos, pts, a, b, clear))[1])
+def _log_both(monkeypatch):
+    """Record, for every evaluator._slope_sum call for both sides (the arcs'
+    ends, then one per bracket call), whether its two sides differ."""
+    calls, slope_sum = [], evaluator._slope_sum
+
+    def logged(p, pos, ts, side):
+        out = slope_sum(p, pos, ts, side)
+        if side == "both":
+            calls.append(not np.array_equal(*out))
+        return out
+    monkeypatch.setattr(evaluator, "_slope_sum", logged)
     return calls
 
 
 @pytest.mark.parametrize("guess", [None, "midpoint", "wrong_side", "nan"])
 def test_guided_path_shares_the_right_call_only_on_clear_brackets(monkeypatch, guess):
-    """The right edges stop sharing the "right" call inside the guided
-    calls, where their brackets narrow below _GLUE_CLEAR, and every bit is
-    the one-level loop's, whatever the guess."""
+    """The right edges read the "left" sums inside the guided calls too,
+    where their brackets narrow to the ulps next to a node and the sides
+    differ, and every bit is the one-level loop's, whatever the guess."""
     p = Problem((log_sine(), riesz(1.5), log_sine()))
     y = np.array([2.0, 2.0 + 1e-11])
     pos, los, his = _arc_bounds(y, Permutation((1, 2)))
@@ -653,17 +661,17 @@ def test_guided_path_shares_the_right_call_only_on_clear_brackets(monkeypatch, g
     want = _one_level_arc_maxima(p, pos, los, his)
     if guess:
         monkeypatch.setattr(evaluator, "_secant_guess", _BAD_GUESSES[guess])
-    calls = _log_clear(monkeypatch)
+    calls = _log_both(monkeypatch)
     assert _bits(*_arc_maxima(p, pos[None], los[None], his[None])) == _bits(*want)
-    # the tree pass shares; a later, guided call does not
-    assert calls[0] and not calls[-1] and len(calls) > 2
+    # the arcs' ends, the tree pass, then guided calls, which reach the sides
+    assert len(calls) > 3 and any(calls[2:])
 
 
 @pytest.mark.parametrize("depth", [2, 4, 6])
 def test_c1_tree_alone_matches_one_level_loop(monkeypatch, depth):
     """C1 brackets past _PATH_BRACKETS stay on the tree for every pass: its
-    bits are the one-level loop's, also where the right edges stop sharing
-    the "right" call inside a pass."""
+    bits are the one-level loop's, also where the sides differ next to a
+    node."""
     monkeypatch.setattr(evaluator, "_PATH_BRACKETS", 0)
     monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
     rng = np.random.default_rng(7100 + depth)
@@ -692,13 +700,14 @@ def _equidistant(n):
 @pytest.mark.parametrize("n, most", [(3, 5), (10, 8), (39, 8)])
 def test_guided_path_cuts_the_slope_calls(monkeypatch, n, most):
     """A weighted log-sine profile at the equidistant start takes at most
-    `most` bracket calls (7, 13 and 37 by the tree alone), so a silent fall
-    back to the tree fails here."""
+    `most` calls for both sides: the arcs' ends and the bracket calls (8, 14
+    and 38 by the tree alone), so a silent fall back to the tree fails
+    here."""
     p = _weighted_log_sine(n)
     assert p.all_c1
     sig = Permutation.identity(n)
     y = _equidistant(n)
-    calls = _log_clear(monkeypatch)
+    calls = _log_both(monkeypatch)
     prof = profile(p, y, sig)
     assert 1 < len(calls) <= most
     monkeypatch.setattr(evaluator, "_PATH_BRACKETS", 0)  # the tree alone
@@ -708,14 +717,17 @@ def test_guided_path_cuts_the_slope_calls(monkeypatch, n, most):
     assert len(calls) > most
 
 
-@pytest.mark.parametrize("case, most", [("example", 10), ("log_sine_n39", 9)])
+@pytest.mark.parametrize("case, most", [("example", 9), ("log_sine_n39", 8), ("thirds", 9)])
 def test_profile_slope_sum_count(monkeypatch, case, most):
-    """The evaluator._slope_sum calls of one profile(): the two end-slope
-    calls, one per bracket call, one "left" call for the points that land
-    on a kink, one for the maxima.  17 and 40 when every arc bisected two
-    brackets and every kinked step made a "left" call."""
-    p, y, sig = ((EX_P, E_POINT, E_SIGMA) if case == "example" else
-                 (_weighted_log_sine(39), _equidistant(39), Permutation.identity(39)))
+    """The evaluator._slope_sum calls of one profile(): one for both sides
+    at the arcs' ends, one per bracket call, one for the maxima.  10, 9 and
+    11 when the end slopes took a call per side and a kink hit took a
+    "left" call of its own."""
+    p, y, sig = {
+        "example": (EX_P, E_POINT, E_SIGMA),
+        "log_sine_n39": (_weighted_log_sine(39), _equidistant(39), Permutation.identity(39)),
+        "thirds": (THIRDS, THIRDS_Y, Permutation((1, 2))),
+    }[case]
     calls, slope_sum = [], evaluator._slope_sum
     monkeypatch.setattr(evaluator, "_slope_sum", lambda *args: (
         calls.append(args[-1]), slope_sum(*args))[1])
@@ -736,25 +748,26 @@ THIRDS_Y = np.array([TWO_PI / 3, 2 * TWO_PI / 3])
 
 
 def _watch_the_split(monkeypatch):
-    """Record whether each _bisect_levels call split a bracket, the kink
-    hits of each _kink_hits call and the side of each _slope_sum call."""
-    seen = {"split": [], "hits": [], "sides": []}
-    bisect, hits, slope_sum = evaluator._bisect_levels, evaluator._kink_hits, evaluator._slope_sum
+    """Record whether each _bisect_levels call split a bracket, the side of
+    each _slope_sum call and, for each call for both sides, whether some
+    kernel's sides differed (two arrays)."""
+    seen = {"split": [], "sides": [], "differ": []}
+    bisect, slope_sum = evaluator._bisect_levels, evaluator._slope_sum
 
     def watched_bisect(*args, **kwargs):
         out = bisect(*args, **kwargs)
         seen["split"].append(out[3] is not None)
         return out
 
-    def watched_hits(*args):
-        out = hits(*args)
-        seen["hits"].append(int(np.count_nonzero(out)))
+    def watched_sum(p, pos, ts, side):
+        out = slope_sum(p, pos, ts, side)
+        seen["sides"].append(side)
+        if side == "both":
+            seen["differ"].append(out[0] is not out[1])
         return out
 
     monkeypatch.setattr(evaluator, "_bisect_levels", watched_bisect)
-    monkeypatch.setattr(evaluator, "_kink_hits", watched_hits)
-    monkeypatch.setattr(evaluator, "_slope_sum", lambda *args: (
-        seen["sides"].append(args[-1]), slope_sum(*args))[1])
+    monkeypatch.setattr(evaluator, "_slope_sum", watched_sum)
     return seen
 
 
@@ -768,22 +781,23 @@ def test_bracket_splits_on_a_zero_plateau(monkeypatch, depth):
     monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
     seen = _watch_the_split(monkeypatch)
     assert _bits(*_arc_maxima(TENTS, pos[None], los[None], his[None])) == _bits(*want)
-    assert any(seen["split"]) and not any(seen["hits"])
+    # the arcs' ends sit on the glue point; no bracket call lands on a kink
+    assert any(seen["split"]) and seen["differ"][0] and not any(seen["differ"][1:])
 
 
 @pytest.mark.parametrize("depth", [1, 3, 6])
 def test_bracket_splits_on_a_kink_hit(monkeypatch, depth):
-    """Midpoints that land on a tent's kink, where its sides differ: a
-    "left" call serves the hit points, a bracket splits there, and every
+    """Midpoints that land on a tent's kink, where its sides differ: the
+    call for both sides reads them there, a bracket splits there, and every
     bit is the one-level loop's."""
     pos, los, his = _arc_bounds(THIRDS_Y, Permutation((1, 2)))
     want = _one_level_arc_maxima(THIRDS, pos, los, his)
     monkeypatch.setattr(evaluator, "_tree_depth", lambda brackets, kernels: depth)
     seen = _watch_the_split(monkeypatch)
     assert _bits(*_arc_maxima(THIRDS, pos[None], los[None], his[None])) == _bits(*want)
-    assert any(seen["split"]) and any(seen["hits"])
-    # the end slopes at his, then one "left" call for each call with hits
-    assert seen["sides"].count("left") == 1 + sum(h > 0 for h in seen["hits"])
+    assert any(seen["split"]) and any(seen["differ"][1:])
+    # no call for one side alone: the ends and every bracket call read both
+    assert "left" not in seen["sides"] and "right" not in seen["sides"]
 
 
 @pytest.mark.parametrize("case", ["zero_plateau", "kink_hit"])

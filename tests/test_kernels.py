@@ -131,8 +131,9 @@ def test_left_right_slopes_agree_where_smooth():
 
 
 def test_c1_kernels_have_one_slope_off_the_glue_point():
-    """A C1 kernel declares no kinks: its two one-sided slopes agree at
-    every t whose reduced angle is not 0, including t next to 0 and 2*pi."""
+    """A C1 kernel's two one-sided slopes agree at every t whose reduced
+    angle is not 0, including t next to 0 and 2*pi, and deriv(t, "both")
+    returns one array for them."""
     c1 = [k for k in ALL_FAMILIES + [
         riesz(0.5), riesz(7.0), weighted(weighted(log_sine(), 2.0), 0.3),
         approximant(parabola(), 10, "bump"), approximant(log_sine(), 3, "bump"),
@@ -145,9 +146,10 @@ def test_c1_kernels_have_one_slope_off_the_glue_point():
         -1e-12, -3.0, TWO_PI + 1e-9, 20.0]))
     ts = ts[reduce_angle(ts) != 0.0]
     for k in c1:
-        assert k.kinks == ()
         left, right = k.deriv(ts, "left"), k.deriv(ts, "right")
         assert left.tobytes() == right.tobytes(), k
+        left, right = k.deriv(ts, "both")
+        assert left is right, k
 
 
 def _same_bits(a, b):
@@ -165,49 +167,55 @@ _REDUCE_ONCE = ALL_FAMILIES + [
 ]
 
 
-_KINK_CONTRACT = [
-    log_sine(), riesz(2.0), tent(), parabola(), _TABLE, weighted(tent(), 0.3),
-    kernel_sum(tent(), _TABLE, weighted(parabola(), 0.5)), approximant(_TABLE, 10, "bump"),
-    approximant(log_sine(), 4, "sqrt_cusp"), approximant(weighted(tent(), 2.0), 3, "sqrt_cusp"),
+# each family's breakpoints: the reduced angles, other than the glue point
+# 0, where its two one-sided slopes differ
+_CUSP4, _CUSP3 = 1.0 / 4.0**2, 1.0 / 3.0**2
+_KINKS = [
+    (log_sine(), ()), (riesz(2.0), ()), (tent(), (PI,)), (parabola(), ()),
+    (_TABLE, (1.0, PI, 5.0)), (weighted(tent(), 0.3), (PI,)),
+    (kernel_sum(tent(), _TABLE, weighted(parabola(), 0.5)), (1.0, PI, 5.0)),
+    (approximant(_TABLE, 10, "bump"), (1.0, PI, 5.0)),
+    (approximant(log_sine(), 4, "sqrt_cusp"), (_CUSP4, TWO_PI - _CUSP4)),
+    (approximant(weighted(tent(), 2.0), 3, "sqrt_cusp"), (_CUSP3, PI, TWO_PI - _CUSP3)),
 ]
 
 
-@pytest.mark.parametrize("k", _KINK_CONTRACT, ids=lambda k: k.family)
-def test_sides_agree_off_the_declared_kinks(k):
-    """The kink contract profile() bisects by: the two one-sided slopes are
-    bit-identical at every t whose reduced angle is neither 0 nor one of
-    the kernel's kinks, including t a few ulps from a kink."""
+@pytest.mark.parametrize("k, kinks", _KINKS, ids=[k.family for k, _ in _KINKS])
+def test_sides_agree_off_the_declared_kinks(k, kinks):
+    """deriv(t, "both") gives both one-sided slopes from one call, each with
+    the bits of the call for that side alone, at random t, at t on and
+    within 4 ulps of each breakpoint, and at the glue point.  It returns one
+    array only where the two sides are bit-equal, always one array off the
+    breakpoints and the glue point, and two at every breakpoint, where the
+    slope drops."""
     rng = np.random.default_rng(61)
     ts = [rng.uniform(0.0, TWO_PI, 400), [5e-324, np.nextafter(TWO_PI, 0.0), -1e-12, 20.0]]
-    for kink in k.kinks:
+    for kink in kinks + (0.0, TWO_PI):
         up = down = kink
+        ts.append([kink, kink - TWO_PI])
         for _ in range(4):
             up, down = np.nextafter(up, INF), np.nextafter(down, -INF)
             ts.append([up, down, up - TWO_PI, down + TWO_PI])
     ts = np.concatenate(ts)
-    r = reduce_angle(ts)
-    ts = ts[(r != 0.0) & ~np.isin(r, k.kinks)]
-    assert k.deriv(ts, "left").tobytes() == k.deriv(ts, "right").tobytes()
-
-
-def test_declared_kinks():
-    """Each family's kinks: the reduced angles, 0 aside, where the sides
-    may differ; the sides do differ at every kink of a tent, a table and a
-    sqrt_cusp term, whose slopes jump there."""
-    cusp = 1.0 / 4.0**2
-    assert log_sine().kinks == riesz(2.0).kinks == parabola().kinks == ()
-    assert tent().kinks == weighted(tent(), 0.3).kinks == (PI,)
-    assert _TABLE.kinks == (1.0, PI, 5.0)
-    assert kernel_sum(tent(), _TABLE, parabola()).kinks == (1.0, PI, 5.0)
-    assert approximant(_TABLE, 10, "bump").kinks == _TABLE.kinks
-    assert approximant(log_sine(), 4, "sqrt_cusp").kinks == (cusp, TWO_PI - cusp)
-    assert approximant(tent(), 4, "sqrt_cusp").kinks == (cusp, PI, TWO_PI - cusp)
-    for k in (tent(), _TABLE, approximant(log_sine(), 4, "sqrt_cusp")):
-        for kink in k.kinks:
-            assert k.deriv(kink, "left") != k.deriv(kink, "right"), (k, kink)
-    # profile() reads "no kinks" off classify().c1
-    for k in ALL_FAMILIES + [_TABLE, weighted(_TABLE, 2.0), approximant(_TABLE, 10, "bump")]:
-        assert bool(k.kinks) != k.classify().c1, k
+    with np.errstate(over="ignore"):
+        left, right = k.deriv(ts, "both")
+        # the glue point is among ts, so each side comes from its own formula
+        assert left is not right
+        assert left.tobytes() == k.deriv(ts, "left").tobytes()
+        assert right.tobytes() == k.deriv(ts, "right").tobytes()
+        for t, lt, rt in zip(ts, left, right):
+            one_l, one_r = k.deriv(np.array([t]), "both")
+            assert one_l is not one_r or lt.tobytes() == rt.tobytes(), t
+            pair = k.deriv(t, "both")
+            assert _same_bits(pair, (lt, rt)) and (pair[0] is pair[1]) == (one_l is one_r), t
+        r = reduce_angle(ts)
+        off = ts[(r != 0.0) & ~np.isin(r, kinks)]
+        left, right = k.deriv(off, "both")
+        assert left is right
+        assert bool(kinks) != k.classify().c1
+        for kink in kinks:
+            left, right = k.deriv(np.array([kink]), "both")
+            assert left is not right and left[0] > right[0], kink
 
 
 @pytest.mark.parametrize("k", _REDUCE_ONCE, ids=lambda k: k.family)
@@ -221,14 +229,14 @@ def test_public_calls_equal_calls_at_reduced_angles(k):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for t in edges:
             assert _same_bits(k.value(t), k.value(reduce_angle(t)))
-            for side in ("left", "right"):
+            for side in ("left", "right", "both"):
                 assert _same_bits(k.deriv(t, side), k.deriv(reduce_angle(t), side))
         for size, scale in ((40, 20.0), (torus._CHEAP_MIN, TWO_PI), (torus._CHEAP_MIN, 20.0)):
             ts = rng.uniform(-scale, scale, size)
             ts[:4] = [-0.0, -1e-300, np.nextafter(-TWO_PI, 0.0), np.nextafter(TWO_PI, 0.0)]
             ts = ts.reshape(2, -1)
             assert _same_bits(k.value(ts), k.value(reduce_angle(ts)))
-            for side in ("left", "right"):
+            for side in ("left", "right", "both"):
                 assert _same_bits(k.deriv(ts, side), k.deriv(reduce_angle(ts), side))
 
 
@@ -289,10 +297,10 @@ def test_bump_term_in_place_keeps_the_expression_bits():
         slope = -u / (k.level * np.sqrt(np.maximum(PI * PI - u * u, 0.0)))
         assert _same_bits(k._term_value(ts), value)
         assert all(_same_bits(k._term_value(t), v) for t, v in zip(ts.flat, value.flat))
-        for side, glue in (("right", math.inf), ("left", -math.inf)):
+        for i, glue in ((0, -math.inf), (1, math.inf)):
             want = np.where(ts == 0.0, glue, slope)
-            assert _same_bits(k._term_deriv(ts, side), want)
-            assert all(_same_bits(k._term_deriv(t, side), w) for t, w in zip(ts.flat, want.flat))
+            assert _same_bits(k._term_derivs(ts)[i], want)
+            assert all(_same_bits(k._term_derivs(t)[i], w) for t, w in zip(ts.flat, want.flat))
 
 
 def test_sqrt_cusp_outside_window_is_exact():
@@ -352,7 +360,7 @@ _NAN = float("nan")
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: tent().deriv(1.0, "up"), "side must be 'left' or 'right', got 'up'"),
+    (lambda: tent().deriv(1.0, "up"), "side must be 'left', 'right' or 'both', got 'up'"),
     (lambda: riesz(0.0), "riesz exponent must be finite and > 0, got 0.0"),
     (lambda: riesz(-1.5), "riesz exponent must be finite and > 0, got -1.5"),
     (lambda: table([0.0, PI, TWO_PI], [0.0, 1.0]),
